@@ -47,9 +47,6 @@ class HighFidelityModel:
                     f"{self.name}: bounds for dimension {i} are not increasing"
                 )
 
-    def widths(self) -> np.ndarray:
-        return np.array([hi - lo for lo, hi in self.bounds])
-
 
 def _mixed_gaussian_periodic_1d(x: np.ndarray) -> float:
     x0 = x[0]
@@ -163,8 +160,7 @@ def sample_initial_design(
     u = (np.arange(n)[:, None] + rng.random((n, d))) / n
     for j in range(d):
         u[:, j] = u[rng.permutation(n), j]
-    lo = np.array([b[0] for b in model.bounds])
-    hi = np.array([b[1] for b in model.bounds])
+    lo, hi = np.asarray(model.bounds, dtype=float).T
     x = lo + u * (hi - lo)
     y = np.array([eval_benchmark(model, xi) for xi in x])
     return Dataset(x=x, y=y, bounds=model.bounds)

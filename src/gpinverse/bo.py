@@ -100,12 +100,15 @@ def _incumbent_for(model: GpModel, spec: AcquisitionSpec) -> float:
     return float(np.max(model.data.y))
 
 
-def _acquisition_many(model, spec, x, sigma_override=None):
-    mu, var = gp_predict_many(model, x)
-    sigma = np.sqrt(var) if sigma_override is None else sigma_override
+def _scores(model, spec, mu, sigma):
     if spec.family == "ucb":
         return upper_confidence_bound(mu, sigma, spec.kappa)
     return expected_improvement(mu, sigma, _incumbent_for(model, spec))
+
+
+def _acquisition_many(model, spec, x):
+    mu, var = gp_predict_many(model, x)
+    return _scores(model, spec, mu, np.sqrt(var))
 
 
 def acquisition_value(model: GpModel, spec: AcquisitionSpec, x) -> float:
@@ -115,33 +118,23 @@ def acquisition_value(model: GpModel, spec: AcquisitionSpec, x) -> float:
 
 
 def _probe_grid(bounds) -> np.ndarray:
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    d = len(bounds)
-    if d == 1:
-        return np.linspace(lo[0], hi[0], GRID_POINTS_1D).reshape(-1, 1)
-    axes = [np.linspace(lo[j], hi[j], GRID_POINTS_PER_DIM_2D) for j in range(d)]
+    n = GRID_POINTS_1D if len(bounds) == 1 else GRID_POINTS_PER_DIM_2D
+    axes = [np.linspace(lo, hi, n) for lo, hi in np.asarray(bounds, dtype=float)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
 
 
 def _penalized_scores(model, spec, candidates, picked, radii):
     """Acquisition with predictive sigma suppressed near pending picks."""
-    scores = _acquisition_many(model, spec, candidates)
+    mu, var = gp_predict_many(model, candidates)
+    sigma = np.sqrt(var)
     if picked:
-        mu, _ = gp_predict_many(model, candidates)
-        flat = (
-            upper_confidence_bound(mu, 0.0, spec.kappa)
-            if spec.family == "ucb"
-            else expected_improvement(mu, 0.0, _incumbent_for(model, spec))
-        )
         p = np.asarray(picked)
         dist = np.sqrt(
             np.sum(((candidates[:, None, :] - p[None, :, :]) / radii) ** 2, axis=2)
         )
-        suppressed = np.any(dist <= 1.0, axis=1)
-        scores = np.where(suppressed, flat, scores)
-    return scores
+        sigma = np.where(np.any(dist <= 1.0, axis=1), 0.0, sigma)
+    return _scores(model, spec, mu, sigma)
 
 
 def acquire_batch(
@@ -161,15 +154,13 @@ def acquire_batch(
     """
     if n_acq < 1:
         raise ConfigurationError("n_acq must be >= 1")
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
+    lo, hi = np.asarray(bounds, dtype=float).T
     widths = hi - lo
     if np.any(widths <= 0):
         raise ConfigurationError("degenerate bounds: every width must be positive")
     radii = EXCLUSION_FRACTION * widths
     rng = np.random.default_rng(seed)
     grid = _probe_grid(bounds)
-    opt_bounds = [(float(a), float(b)) for a, b in zip(lo, hi)]
 
     picked: list[np.ndarray] = []
     for _ in range(n_acq):
@@ -184,7 +175,7 @@ def acquire_batch(
                 neg_acq,
                 s,
                 method="L-BFGS-B",
-                bounds=opt_bounds,
+                bounds=bounds,
                 options={"maxiter": 30},
             )
             if np.all(np.isfinite(res.x)):
@@ -216,8 +207,7 @@ def validation_mse(
 
 def _validation_points(hf: HighFidelityModel, n_val: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    lo = np.array([b[0] for b in hf.bounds])
-    hi = np.array([b[1] for b in hf.bounds])
+    lo, hi = np.asarray(hf.bounds, dtype=float).T
     return lo + rng.random((n_val, hf.dim)) * (hi - lo)
 
 
@@ -262,12 +252,18 @@ class BoConfig:
             raise ConfigurationError(
                 "n_val must be >= 100 for a meaningful validation estimate"
             )
-        if self.kappa < 0:
-            raise ConfigurationError("kappa must be nonnegative")
+        if not 0 <= self.kappa < math.inf:
+            raise ConfigurationError("kappa must be finite and nonnegative")
+        if not 0 <= self.noise_variance < math.inf:
+            raise ConfigurationError("noise_variance must be finite and nonnegative")
         if (self.fixed_length_scale is None) != (self.fixed_signal_variance is None):
             raise ConfigurationError(
                 "fixed_length_scale and fixed_signal_variance must be set together"
             )
+        for name in ("fixed_length_scale", "fixed_signal_variance"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -91,8 +91,7 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, x2: np.ndarray) -> float:
     x2 = np.asarray(x2, dtype=float).ravel()
     if x.shape != x2.shape:
         raise ShapeError(f"points have shapes {x.shape} and {x2.shape}")
-    r = np.sqrt(np.sum((x - x2) ** 2))
-    return float(_kernel_from_r(spec, np.asarray(r)))
+    return float(kernel_matrix(spec, x, x2)[0, 0])
 
 
 def kernel_matrix(spec: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:

@@ -15,14 +15,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import ndimage
 from scipy import optimize as sopt
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    InferenceError,
-    ShapeError,
-)
+from .benchmarks import check_in_bounds
+from .errors import ConfigurationError, InferenceError, ShapeError
 
 __all__ = [
     "GaussianPrior",
@@ -80,10 +77,11 @@ class GaussianPrior:
 class InverseProblem:
     """Scalar-observation inverse problem posed on a surrogate.
 
-    ``surrogate`` must expose ``predict(x) -> (mean, variance)``; the fitted
-    GpModel does, and tests may substitute any stub with that method.  The
-    parameter box may differ from the surrogate's training domain, but the
-    profile and MAP machinery only ever query inside ``bounds``.
+    ``surrogate`` must expose ``predict_many(x) -> (means, variances)`` for
+    an (m, d) array of points; the fitted GpModel does, and tests may
+    substitute any stub with that method.  The parameter box may differ from
+    the surrogate's training domain, but the profile and MAP machinery only
+    ever query inside ``bounds``.
     """
 
     surrogate: object
@@ -111,39 +109,19 @@ class InverseProblem:
         return np.array([hi - lo for lo, hi in self.bounds])
 
 
-def _check_point(problem: InverseProblem, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != problem.dim:
-        raise ShapeError(f"point has length {x.size}, expected {problem.dim}")
-    for i, (lo, hi) in enumerate(problem.bounds):
-        if not (lo <= x[i] <= hi):
-            raise DomainError(
-                f"coordinate {i} = {x[i]!r} outside [{lo}, {hi}]"
-            )
-    return x
-
-
-def _mean_at(problem: InverseProblem, x: np.ndarray) -> float:
-    mean, _ = problem.surrogate.predict(x)
-    return float(mean)
-
-
 def _mean_many(problem: InverseProblem, x: np.ndarray) -> np.ndarray:
-    surr = problem.surrogate
-    if hasattr(surr, "predict_many"):
-        mean, _ = surr.predict_many(x)
-        return np.asarray(mean, dtype=float)
-    return np.array([_mean_at(problem, xi) for xi in x])
+    mean, _ = problem.surrogate.predict_many(x)
+    return np.asarray(mean, dtype=float)
 
 
 def _ls_unchecked(problem: InverseProblem, x: np.ndarray) -> float:
-    misfit = problem.observed - _mean_at(problem, x)
-    return float(misfit * misfit)
+    mean = _mean_many(problem, np.atleast_2d(x))[0]
+    return float(np.square(problem.observed - mean))
 
 
 def ls_functional(problem: InverseProblem, x) -> float:
     """Squared misfit between the observation and the surrogate mean."""
-    return _ls_unchecked(problem, _check_point(problem, x))
+    return _ls_unchecked(problem, check_in_bounds(problem.bounds, x))
 
 
 def nls_profile(problem: InverseProblem, x) -> float:
@@ -282,16 +260,14 @@ def _cluster_endpoints(
             members.append([int(idx)])
 
     grad_steps = 1e-5 * widths
+    lo, hi = np.asarray(problem.bounds, dtype=float).T
     clusters = []
     for rep, mem in zip(reps, members):
         x = endpoints[rep]
         grad = _central_gradient(
-            lambda p: objective_fun(np.clip(p, *zip(*problem.bounds))), x, grad_steps
+            lambda p: objective_fun(np.clip(p, lo, hi)), x, grad_steps
         )
-        on_bound = any(
-            x[i] - lo <= 1e-6 * widths[i] or hi - x[i] <= 1e-6 * widths[i]
-            for i, (lo, hi) in enumerate(problem.bounds)
-        )
+        on_bound = bool(np.any((x - lo <= 1e-6 * widths) | (hi - x <= 1e-6 * widths)))
         clusters.append(
             MapCluster(
                 x=x.copy(),
@@ -321,10 +297,8 @@ def _multistart(
     if n_starts < 1:
         raise ConfigurationError("n_starts must be >= 1")
     rng = np.random.default_rng(seed)
-    lo = np.array([b[0] for b in problem.bounds])
-    hi = np.array([b[1] for b in problem.bounds])
+    lo, hi = np.asarray(problem.bounds, dtype=float).T
     starts = lo + rng.random((n_starts, problem.dim)) * (hi - lo)
-    opt_bounds = [(float(a), float(b)) for a, b in zip(lo, hi)]
 
     endpoints, objectives, failures = [], [], []
     for k, x0 in enumerate(starts):
@@ -333,7 +307,7 @@ def _multistart(
                 objective_fun,
                 x0,
                 method="L-BFGS-B",
-                bounds=opt_bounds,
+                bounds=problem.bounds,
                 options={"maxiter": max_iter},
             )
         except Exception as exc:  # noqa: BLE001 - diagnostics per start
@@ -442,7 +416,7 @@ def laplace_approximation(
     degeneracy signal instead of credible intervals, since a single Gaussian
     mode would badly understate the uncertainty in that case.
     """
-    x = _check_point(problem, x_map)
+    x = check_in_bounds(problem.bounds, x_map)
     widths = problem.widths()
     h = HESSIAN_STEP_FRACTION * widths
     for i, (lo, hi) in enumerate(problem.bounds):
@@ -531,11 +505,8 @@ def evaluate_profile_grid(problem: InverseProblem, grid_resolution: int):
     axes = [
         np.linspace(lo, hi, grid_resolution) for lo, hi in problem.bounds
     ]
-    if problem.dim == 1:
-        points = axes[0].reshape(-1, 1)
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.column_stack([m.ravel() for m in mesh])
+    mesh = np.meshgrid(*axes, indexing="ij")
+    points = np.column_stack([m.ravel() for m in mesh])
     mean = _mean_many(problem, points)
     ls = (problem.observed - mean) ** 2
     nls = np.exp(-ls / (2.0 * problem.obs_variance))
@@ -553,60 +524,23 @@ def high_probability_region(
 
     1D problems return a list of (lo, hi) intervals; 2D problems return
     axis-aligned bounding boxes ((xlo, xhi), (ylo, yhi)) of 4-connected cell
-    groups.  Component lists are ordered by position.  A level band thinner
-    than the grid's diagonal step, such as the neighbourhood of a curve of
-    exact solutions on a steep surrogate, has cells that touch only at
-    corners, so it splits into several 4-connected components, each reported
-    as its own box.
+    groups, listed in raster order of each component's first cell.  A level
+    band thinner than the grid's diagonal step, such as the neighbourhood of
+    a curve of exact solutions on a steep surrogate, has cells that touch
+    only at corners, so it splits into several 4-connected components, each
+    reported as its own box.
     """
     if not 0.0 < threshold < 1.0:
         raise ConfigurationError("threshold must lie strictly inside (0, 1)")
     if grid_resolution < 64:
         raise ConfigurationError("grid_resolution must be >= 64")
     axes, _, _, _, normalized = evaluate_profile_grid(problem, grid_resolution)
-
-    if problem.dim == 1:
-        xs = axes[0]
-        mask = normalized >= threshold
-        regions = []
-        i = 0
-        n = xs.size
-        while i < n:
-            if mask[i]:
-                j = i
-                while j + 1 < n and mask[j + 1]:
-                    j += 1
-                regions.append((float(xs[i]), float(xs[j])))
-                i = j + 1
-            else:
-                i += 1
-        return regions
-
-    n = grid_resolution
-    mask = normalized.reshape(n, n) >= threshold
-    seen = np.zeros_like(mask, dtype=bool)
-    boxes = []
-    for i in range(n):
-        for j in range(n):
-            if not mask[i, j] or seen[i, j]:
-                continue
-            stack = [(i, j)]
-            seen[i, j] = True
-            ilo = ihi = i
-            jlo = jhi = j
-            while stack:
-                a, b = stack.pop()
-                ilo, ihi = min(ilo, a), max(ihi, a)
-                jlo, jhi = min(jlo, b), max(jhi, b)
-                for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    na, nb = a + da, b + db
-                    if 0 <= na < n and 0 <= nb < n and mask[na, nb] and not seen[na, nb]:
-                        seen[na, nb] = True
-                        stack.append((na, nb))
-            boxes.append(
-                (
-                    (float(axes[0][ilo]), float(axes[0][ihi])),
-                    (float(axes[1][jlo]), float(axes[1][jhi])),
-                )
-            )
-    return boxes
+    mask = normalized.reshape([grid_resolution] * problem.dim) >= threshold
+    # The default structure joins only cells that share a face, and labels
+    # are numbered in raster order, so find_objects lists components in order.
+    labels, _ = ndimage.label(mask)
+    boxes = [
+        tuple((float(ax[s.start]), float(ax[s.stop - 1])) for ax, s in zip(axes, slices))
+        for slices in ndimage.find_objects(labels)
+    ]
+    return [box[0] for box in boxes] if problem.dim == 1 else boxes

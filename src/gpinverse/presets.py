@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
+import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .baselines import FAMILIES as DETERMINISTIC_FAMILIES
 from .baselines import eval_deterministic, fit_deterministic
-from .benchmarks import eval_benchmark, get_benchmark
+from .benchmarks import check_in_bounds, eval_benchmark, get_benchmark
 from .bo import BoConfig, BoTrace, run_bo, _validation_points
 from .errors import ConfigurationError, InferenceError
 from .gp import KernelSpec, gp_fit, gp_predict_many
@@ -76,6 +78,15 @@ class InversionSettings:
             )
         if not self.obs_variance > 0:
             raise ConfigurationError("obs_variance must be positive")
+        values = (self.observed,) if self.x_true is None else self.x_true
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigurationError("observed and x_true must be finite")
+        if not 0.0 < self.hp_threshold < 1.0:
+            raise ConfigurationError("hp_threshold must lie strictly inside (0, 1)")
+        if self.grid_resolution < 64:
+            raise ConfigurationError("grid_resolution must be >= 64")
+        if self.n_starts < 1 or self.max_iter < 1:
+            raise ConfigurationError("n_starts and max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -290,13 +301,7 @@ def get_preset(name: str) -> ExperimentConfig:
 # Flat key = value config format
 # ---------------------------------------------------------------------------
 
-_SCALAR_FIELDS = {
-    "name": str,
-    "benchmark": str,
-    "description": str,
-    "mcmc_grid_resolution": int,
-    "compare_n_samples": int,
-}
+_SECTIONS = {"bo": BoConfig, "inversion": InversionSettings, "mcmc": McmcConfig}
 
 
 def _format_value(v) -> str:
@@ -335,22 +340,25 @@ def config_to_text(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coerce(field_type, raw: str):
-    if field_type is bool or field_type == Optional[bool]:
-        if raw.lower() not in ("true", "false"):
-            raise ConfigurationError(f"expected true/false, got {raw!r}")
-        return raw.lower() == "true"
-    if field_type is int:
-        return int(raw)
-    if field_type is float:
-        return float(raw)
-    return raw
+def _coerce(hint, raw: str):
+    """Parse one config value as the annotated type ``hint``.
+
+    ``Optional[T]`` parses as T, and ``tuple[T, ...]`` as comma-separated T.
+    """
+    if typing.get_origin(hint) is typing.Union:
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        return tuple(_coerce(typing.get_args(hint)[0], t.strip()) for t in raw.split(","))
+    return hint(raw)
 
 
 def config_from_text(text: str) -> ExperimentConfig:
-    """Parse the flat dotted format back into an ExperimentConfig."""
-    scalars: dict[str, str] = {}
-    sections: dict[str, dict[str, str]] = {"bo": {}, "inversion": {}, "mcmc": {}}
+    """Parse the flat dotted format back into an ExperimentConfig.
+
+    Each value is parsed as the annotated type of its field; a value that
+    does not parse raises ConfigurationError naming its line and key.
+    """
+    entries: dict[str, dict[str, tuple[int, str]]] = {"": {}, **{s: {} for s in _SECTIONS}}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -358,53 +366,35 @@ def config_from_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if "." in key:
-            section, _, sub = key.partition(".")
-            if section not in sections:
-                raise ConfigurationError(f"line {lineno}: unknown section {section!r}")
-            sections[section][sub] = value
-        else:
-            scalars[key] = value
+        section, _, name = key.strip().rpartition(".")
+        if section not in entries:
+            raise ConfigurationError(f"line {lineno}: unknown section {section!r}")
+        entries[section][name] = (lineno, value.strip())
 
-    def build(cls, raw: dict[str, str]):
+    def parse(cls, section: str) -> dict:
+        hints = typing.get_type_hints(cls)
         kwargs = {}
-        hints = {f.name: f.type for f in dataclasses.fields(cls)}
-        for k, v in raw.items():
-            if k not in hints:
-                raise ConfigurationError(f"unknown {cls.__name__} field {k!r}")
-            hint = str(hints[k])
-            if k == "x_true":
-                kwargs[k] = tuple(float(t) for t in v.split(","))
-            elif "int" in hint:
-                kwargs[k] = int(v)
-            elif "float" in hint:
-                kwargs[k] = float(v)
-            elif "bool" in hint:
-                kwargs[k] = _coerce(bool, v)
-            else:
-                kwargs[k] = v
-        return cls(**kwargs)
+        for name, (lineno, raw) in entries[section].items():
+            if name not in hints or name in _SECTIONS:
+                raise ConfigurationError(
+                    f"line {lineno}: unknown {cls.__name__} field {name!r}"
+                )
+            try:
+                kwargs[name] = _coerce(hints[name], raw)
+            except ValueError as exc:
+                key = f"{section}.{name}" if section else name
+                raise ConfigurationError(f"line {lineno}: {key}: {exc}") from None
+        return kwargs
 
+    scalars = parse(ExperimentConfig, "")
     if "benchmark" not in scalars:
         raise ConfigurationError("config is missing the 'benchmark' key")
-    bo = build(BoConfig, sections["bo"])
-    inversion = build(InversionSettings, sections["inversion"]) if sections["inversion"] else None
-    mcmc = build(McmcConfig, sections["mcmc"]) if sections["mcmc"] else None
-    compare = tuple(
-        t.strip() for t in scalars.get("compare_benchmarks", "").split(",") if t.strip()
-    )
-    return ExperimentConfig(
-        name=scalars.get("name", "custom"),
-        benchmark=scalars["benchmark"],
-        description=scalars.get("description", ""),
-        bo=bo,
-        inversion=inversion,
-        mcmc=mcmc,
-        mcmc_grid_resolution=int(scalars.get("mcmc_grid_resolution", 512)),
-        compare_benchmarks=compare,
-        compare_n_samples=int(scalars.get("compare_n_samples", 14)),
-    )
+    sections = {
+        section: cls(**parse(cls, section))
+        for section, cls in _SECTIONS.items()
+        if section == "bo" or entries[section]
+    }
+    return ExperimentConfig(**{"name": "custom", "description": "", **scalars}, **sections)
 
 
 def load_config_file(path: str) -> ExperimentConfig:
@@ -616,6 +606,10 @@ def run_experiment(
             config, bo=dataclasses.replace(config.bo, seed=seed_override)
         )
     hf = get_benchmark(config.benchmark)
+    if config.mcmc is not None and config.inversion is None:
+        raise ConfigurationError("mcmc stage requires an inversion stage")
+    if config.inversion is not None and config.inversion.x_true is not None:
+        check_in_bounds(hf.bounds, config.inversion.x_true, what="inversion.x_true")
     os.makedirs(outdir, exist_ok=True)
 
     manifest: dict = {
@@ -656,8 +650,6 @@ def run_experiment(
     if config.inversion is not None:
         _run_inversion_stage(config, hf, trace.final_model, outdir, manifest, result)
     if config.mcmc is not None:
-        if config.inversion is None:
-            raise ConfigurationError("mcmc stage requires an inversion stage")
         manifest["mcmc"] = dict(manifest["mcmc"])
         _run_mcmc_stage(config, outdir, manifest, result)
 

@@ -70,8 +70,7 @@ def _chain_rng(seed: int, chain_index: int) -> np.random.Generator:
 
 
 def _log_density_fn(problem: InverseProblem):
-    lo = np.array([b[0] for b in problem.bounds])
-    hi = np.array([b[1] for b in problem.bounds])
+    lo, hi = np.asarray(problem.bounds, dtype=float).T
     two_s2 = 2.0 * problem.obs_variance
     observed = problem.observed
 
@@ -95,8 +94,8 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig) -> list[ChainResult]:
     no state is shared between them.
     """
     d = problem.dim
-    lo = np.array([b[0] for b in problem.bounds])
-    widths = problem.widths()
+    lo, hi = np.asarray(problem.bounds, dtype=float).T
+    widths = hi - lo
     step = config.proposal_scale * widths
     log_density = _log_density_fn(problem)
 

@@ -349,6 +349,38 @@ class TestHighProbabilityRegion:
             assert -0.33 <= lo <= -0.28
             assert 0.28 <= hi <= 0.33
 
+    def test_components_are_4_connected_in_raster_order(self, function_surrogate):
+        # on a unit-step grid over [0, 63]^2, two exact-fit blocks that touch
+        # only at a corner are two components, listed by their first cell
+        # in row-major order; 8-connectivity would merge them into one box
+        def blocks(x):
+            upper = 10 <= x[0] <= 19 and 20 <= x[1] <= 29
+            lower = 20 <= x[0] <= 29 and 10 <= x[1] <= 19
+            return 0.0 if upper or lower else 10.0
+
+        prob = InverseProblem(
+            surrogate=function_surrogate(blocks),
+            observed=0.0,
+            obs_variance=1.0,
+            bounds=((0.0, 63.0), (0.0, 63.0)),
+        )
+        assert high_probability_region(prob, 0.5, 64) == [
+            ((10.0, 19.0), (20.0, 29.0)),
+            ((20.0, 29.0), (10.0, 19.0)),
+        ]
+
+    def test_1d_run_reaching_the_upper_bound_ends_there(self, function_surrogate):
+        def runs(x):
+            return 0.0 if 5 <= x[0] <= 9 or x[0] >= 50 else 10.0
+
+        prob = InverseProblem(
+            surrogate=function_surrogate(runs),
+            observed=0.0,
+            obs_variance=1.0,
+            bounds=((0.0, 63.0),),
+        )
+        assert high_probability_region(prob, 0.5, 64) == [(5.0, 9.0), (50.0, 63.0)]
+
     def test_threshold_validation(self, forrester_problem):
         with pytest.raises(ConfigurationError):
             high_probability_region(forrester_problem, 1.5, 128)

@@ -98,6 +98,74 @@ def test_cli_invalid_config_values_exit_2(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cli_unparsable_value_exits_2_naming_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "unparsable.cfg"
+    cfg.write_text("benchmark = mixed1d\nbo.n_init = abc\n")
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "bo.n_init" in err
+    assert not outdir.exists()
+
+
+def test_config_values_parse_as_their_annotated_types():
+    parsed = config_from_text(
+        "benchmark = rosenbrock2d\n"
+        "mcmc_grid_resolution = 256\n"
+        "bo.kernel_family = rbf\n"
+        "bo.fixed_length_scale = 8\n"
+        "bo.fixed_signal_variance = 1e10\n"
+        "inversion.x_true = -1.5, -0.6\n"
+    )
+    assert parsed.mcmc_grid_resolution == 256
+    assert parsed.bo.kernel_family == "rbf"
+    assert parsed.bo.fixed_length_scale == 8.0
+    assert parsed.inversion.x_true == (-1.5, -0.6)
+    with pytest.raises(ConfigurationError, match="line 2: inversion.x_true"):
+        config_from_text("benchmark = mixed2d\ninversion.x_true = 1.0, abc\n")
+    with pytest.raises(ConfigurationError, match="line 1"):
+        config_from_text("no_such_key = 1\nbenchmark = mixed1d\n")
+
+
+_SMALL_RUN = (
+    "benchmark = forrester1d\n"
+    "bo.n_init = 4\n"
+    "bo.max_evaluations = 6\n"
+    "bo.mse_threshold = 1000000.0\n"
+    "bo.n_val = 100\n"
+)
+_INV = "inversion.obs_variance = 0.72\n"
+_OBS = _INV + "inversion.observed = -6.02\n"
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        _OBS + "inversion.hp_threshold = 1.5\n",
+        _OBS + "inversion.hp_threshold = 0.0\n",
+        _INV + "inversion.observed = nan\n",
+        _INV + "inversion.observed = inf\n",
+        _INV + "inversion.x_true = nan\n",
+        _INV + "inversion.x_true = 5.0\n",
+        _OBS + "inversion.grid_resolution = 32\n",
+        _OBS + "inversion.n_starts = 0\n",
+        _OBS + "inversion.max_iter = 0\n",
+        _OBS + "bo.kappa = nan\n",
+        _OBS + "bo.noise_variance = -1.0\n",
+        _OBS + "bo.noise_variance = inf\n",
+        _OBS + "bo.fixed_length_scale = inf\nbo.fixed_signal_variance = 1.0\n",
+        _OBS + "bo.fixed_length_scale = 1.0\nbo.fixed_signal_variance = nan\n",
+        "mcmc.seed = 1\n",
+    ],
+)
+def test_cli_bad_setting_exits_2_before_surrogate_stage(tmp_path, lines):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_SMALL_RUN + lines)
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 2
+    assert not (outdir / "trace.json").exists()
+
+
 def test_cli_runs_small_config_end_to_end(tmp_path, capsys):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(
