@@ -8,6 +8,7 @@ uses them in 1D.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,55 +31,28 @@ MAX_LEGENDRE_DEGREE = 30
 class DeterministicSurrogate:
     """Fitted 1D interpolant / expansion over [domain[0], domain[1]].
 
-    ``coefficients`` holds barycentric weights for the Lagrange family,
-    Legendre expansion coefficients for the Legendre family, and knot second
-    derivatives for the natural cubic spline.
+    ``fitted`` is the scipy or numpy object of the family: a
+    ``BarycentricInterpolator``, a ``numpy.polynomial.Legendre`` series or a
+    ``CubicSpline``.
     """
 
     family: str
-    nodes: np.ndarray
-    values: np.ndarray
-    coefficients: np.ndarray
+    fitted: Callable
     domain: tuple[float, float]
-
-
-def _natural_spline_second_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve the natural-spline tridiagonal system for knot curvatures."""
-    n = x.size
-    m = np.zeros(n)
-    if n < 3:
-        return m
-    h = np.diff(x)
-    # interior equations: h[i-1] m[i-1] + 2(h[i-1]+h[i]) m[i] + h[i] m[i+1] = rhs
-    diag = 2.0 * (h[:-1] + h[1:])
-    rhs = 6.0 * ((y[2:] - y[1:-1]) / h[1:] - (y[1:-1] - y[:-2]) / h[:-1])
-    lower = h[:-1].copy()
-    upper = h[1:].copy()
-    # Thomas algorithm on the (n-2)-sized interior system
-    k = n - 2
-    c = np.zeros(k)
-    d = np.zeros(k)
-    c[0] = upper[0] / diag[0]
-    d[0] = rhs[0] / diag[0]
-    for i in range(1, k):
-        denom = diag[i] - lower[i] * c[i - 1]
-        c[i] = upper[i] / denom if i < k - 1 else 0.0
-        d[i] = (rhs[i] - lower[i] * d[i - 1]) / denom
-    interior = np.zeros(k)
-    interior[-1] = d[-1]
-    for i in range(k - 2, -1, -1):
-        interior[i] = d[i] - c[i] * interior[i + 1]
-    m[1:-1] = interior
-    return m
 
 
 def fit_deterministic(family: str, data: Dataset) -> DeterministicSurrogate:
     """Fit one of the deterministic families to a 1D dataset.
 
-    Lagrange uses the barycentric form; Legendre is a least-squares fit of
-    degree min(n - 1, 30) on inputs mapped affinely to [-1, 1]; the spline
-    uses natural boundary conditions (zero curvature at the end knots).
+    Lagrange uses the barycentric form (Berrut & Trefethen 2004); Legendre is
+    a least-squares fit of degree min(n - 1, 30) on inputs mapped affinely to
+    [-1, 1]; the spline uses natural boundary conditions (zero curvature at
+    the end knots).
     """
+    # Imported here: scipy.interpolate adds tens of milliseconds to every
+    # start of the command line, and only the surrogate comparison needs it.
+    from scipy.interpolate import BarycentricInterpolator, CubicSpline
+
     if family not in FAMILIES:
         raise ConfigurationError(
             f"unknown surrogate family {family!r}; choose from {FAMILIES}"
@@ -88,8 +62,8 @@ def fit_deterministic(family: str, data: Dataset) -> DeterministicSurrogate:
             f"deterministic baselines are 1D only, got {data.dim}D data"
         )
     order = np.argsort(data.x[:, 0], kind="stable")
-    x = data.x[order, 0].copy()
-    y = data.y[order].copy()
+    x = data.x[order, 0]
+    y = data.y[order]
     if np.any(np.diff(x) < 1e-12):
         raise DegenerateDataError("duplicate interpolation nodes")
     n = x.size
@@ -101,25 +75,18 @@ def fit_deterministic(family: str, data: Dataset) -> DeterministicSurrogate:
     domain = (float(data.bounds[0][0]), float(data.bounds[0][1]))
 
     if family == "lagrange":
-        # Barycentric weights, rescaled by their max for overflow safety.
-        w = np.ones(n)
-        for j in range(n):
-            diff = x[j] - np.delete(x, j)
-            w[j] = 1.0 / np.prod(diff)
-        w /= np.max(np.abs(w))
-        coeff = w
+        # scipy scales the weights by the node span, which is 0 for a single
+        # node; the weight of a lone node is arbitrary, so pass it.  The fixed
+        # rng fixes the random order in which scipy multiplies the weight
+        # factors, so that refits of the same data are bit-identical.
+        fitted = BarycentricInterpolator(x, y, wi=np.ones(1) if n == 1 else None, rng=0)
     elif family == "legendre":
-        degree = min(n - 1, MAX_LEGENDRE_DEGREE)
-        lo, hi = domain
-        t = 2.0 * (x - lo) / (hi - lo) - 1.0
-        vand = np.polynomial.legendre.legvander(t, degree)
-        coeff, *_ = np.linalg.lstsq(vand, y, rcond=None)
+        fitted = np.polynomial.Legendre.fit(
+            x, y, min(n - 1, MAX_LEGENDRE_DEGREE), domain=domain
+        )
     else:
-        coeff = _natural_spline_second_derivatives(x, y)
-
-    return DeterministicSurrogate(
-        family=family, nodes=x, values=y, coefficients=coeff, domain=domain
-    )
+        fitted = CubicSpline(x, y, bc_type="natural")
+    return DeterministicSurrogate(family=family, fitted=fitted, domain=domain)
 
 
 def eval_deterministic(s: DeterministicSurrogate, x: float) -> float:
@@ -128,32 +95,4 @@ def eval_deterministic(s: DeterministicSurrogate, x: float) -> float:
     x = float(x)
     if not (lo <= x <= hi):
         raise DomainError(f"query {x!r} outside surrogate domain [{lo}, {hi}]")
-
-    if s.family == "lagrange":
-        diff = x - s.nodes
-        exact = np.nonzero(diff == 0.0)[0]
-        if exact.size:
-            return float(s.values[exact[0]])
-        ratio = s.coefficients / diff
-        return float(np.sum(ratio * s.values) / np.sum(ratio))
-
-    if s.family == "legendre":
-        t = 2.0 * (x - lo) / (hi - lo) - 1.0
-        return float(np.polynomial.legendre.legval(t, s.coefficients))
-
-    # Natural cubic spline: locate the interval, evaluate the cubic there.
-    nodes, vals, m = s.nodes, s.values, s.coefficients
-    if x <= nodes[0]:
-        i = 0
-    elif x >= nodes[-1]:
-        i = nodes.size - 2
-    else:
-        i = int(np.searchsorted(nodes, x, side="right") - 1)
-    h = nodes[i + 1] - nodes[i]
-    a = (nodes[i + 1] - x) / h
-    b = (x - nodes[i]) / h
-    return float(
-        a * vals[i]
-        + b * vals[i + 1]
-        + ((a**3 - a) * m[i] + (b**3 - b) * m[i + 1]) * h * h / 6.0
-    )
+    return float(s.fitted(x))

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy import optimize as sopt
 from scipy import special as ssp
+from scipy.spatial.distance import cdist
 
 from .benchmarks import HighFidelityModel, eval_benchmark
 from .data import Dataset
@@ -90,8 +91,10 @@ class AcquisitionSpec:
             raise ConfigurationError(
                 f"unknown acquisition family {self.family!r}; use 'ei' or 'ucb'"
             )
-        if self.kappa < 0:
-            raise ConfigurationError("kappa must be nonnegative")
+        if not 0 <= self.kappa < math.inf:
+            raise ConfigurationError("kappa must be finite and nonnegative")
+        if self.incumbent is not None and not math.isfinite(self.incumbent):
+            raise ConfigurationError("incumbent must be finite")
 
 
 def _incumbent_for(model: GpModel, spec: AcquisitionSpec) -> float:
@@ -129,10 +132,7 @@ def _penalized_scores(model, spec, candidates, picked, radii):
     mu, var = gp_predict_many(model, candidates)
     sigma = np.sqrt(var)
     if picked:
-        p = np.asarray(picked)
-        dist = np.sqrt(
-            np.sum(((candidates[:, None, :] - p[None, :, :]) / radii) ** 2, axis=2)
-        )
+        dist = cdist(candidates / radii, np.asarray(picked) / radii)
         sigma = np.where(np.any(dist <= 1.0, axis=1), 0.0, sigma)
     return _scores(model, spec, mu, sigma)
 
@@ -199,16 +199,19 @@ def validation_mse(
     """Mean squared surrogate error on seeded uniform validation points."""
     if n_val < 1:
         raise ConfigurationError("n_val must be >= 1")
-    points = _validation_points(hf, n_val, seed)
-    truth = np.array([eval_benchmark(hf, p) for p in points])
+    points, truth = _validation_set(hf, n_val, seed)
     pred, _ = gp_predict_many(model, points)
     return float(np.mean((truth - pred) ** 2))
 
 
-def _validation_points(hf: HighFidelityModel, n_val: int, seed: int) -> np.ndarray:
+def _validation_set(
+    hf: HighFidelityModel, n_val: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform points over the benchmark box and the benchmark there."""
     rng = np.random.default_rng(seed)
     lo, hi = np.asarray(hf.bounds, dtype=float).T
-    return lo + rng.random((n_val, hf.dim)) * (hi - lo)
+    points = lo + rng.random((n_val, hf.dim)) * (hi - lo)
+    return points, np.array([eval_benchmark(hf, p) for p in points])
 
 
 @dataclass(frozen=True)
@@ -338,8 +341,7 @@ def run_bo(hf: HighFidelityModel, config: BoConfig) -> BoTrace:
 
     data = sample_initial_design(hf, config.n_init, config.seed)
     val_seed = int(np.random.default_rng([config.seed % (2**32), 1]).integers(2**31))
-    val_points = _validation_points(hf, config.n_val, val_seed)
-    val_truth = np.array([eval_benchmark(hf, p) for p in val_points])
+    val_points, val_truth = _validation_set(hf, config.n_val, val_seed)
     val_var = float(np.var(val_truth))
     if val_var <= 0:
         raise ConfigurationError(

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 from scipy import optimize as sopt
+from scipy.spatial.distance import cdist, pdist
 
 from .data import Dataset
 from .errors import (
@@ -102,8 +103,7 @@ def kernel_matrix(spec: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarra
         raise ShapeError(
             f"point sets have dimensions {xa.shape[1]} and {xb.shape[1]}"
         )
-    d2 = np.sum((xa[:, None, :] - xb[None, :, :]) ** 2, axis=2)
-    return _kernel_from_r(spec, np.sqrt(np.maximum(d2, 0.0)))
+    return _kernel_from_r(spec, cdist(xa, xb))
 
 
 @dataclass(frozen=True)
@@ -129,15 +129,6 @@ class GpModel:
         return gp_predict_many(self, x)
 
 
-def _has_duplicate_rows(x: np.ndarray, tol: float = 1e-12) -> bool:
-    n = x.shape[0]
-    if n < 2:
-        return False
-    d = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2))
-    iu = np.triu_indices(n, k=1)
-    return bool(np.any(d[iu] < tol))
-
-
 def gp_fit(data: Dataset, spec: KernelSpec, noise_variance: float) -> GpModel:
     """Condition a zero-mean GP on the dataset.
 
@@ -148,7 +139,7 @@ def gp_fit(data: Dataset, spec: KernelSpec, noise_variance: float) -> GpModel:
         raise DegenerateDataError("cannot fit a GP on an empty dataset")
     if noise_variance < 0:
         raise ConfigurationError("noise_variance must be nonnegative")
-    if noise_variance == 0.0 and _has_duplicate_rows(data.x):
+    if noise_variance == 0.0 and data.n >= 2 and pdist(data.x).min() < 1e-12:
         raise DegenerateDataError(
             "duplicate training inputs with zero noise make the kernel "
             "matrix singular"

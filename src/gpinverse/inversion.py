@@ -36,6 +36,10 @@ __all__ = [
     "evaluate_profile_grid",
 ]
 
+# Upper bound on the cells of one profile grid: the surrogate evaluates an
+# (n_train, cells) kernel block over it and profiles.csv gets one row a cell.
+MAX_GRID_CELLS = 512**2
+
 # Residuals below this scale are numerically indistinguishable from an exact
 # match of the observation; used to break ties between equally good minima.
 def _residual_floor(observed: float) -> float:
@@ -91,12 +95,14 @@ class InverseProblem:
     prior: Optional[GaussianPrior] = None
 
     def __post_init__(self):
-        if not self.obs_variance > 0:
-            raise ConfigurationError("obs_variance must be positive")
+        if not math.isfinite(self.observed):
+            raise ConfigurationError("observed must be finite")
+        if not 0 < self.obs_variance < math.inf:
+            raise ConfigurationError("obs_variance must be finite and positive")
         for i, (lo, hi) in enumerate(self.bounds):
-            if not lo < hi:
+            if not -math.inf < lo < hi < math.inf:
                 raise ConfigurationError(
-                    f"bounds for dimension {i} are not increasing"
+                    f"bounds for dimension {i} must be finite and increasing"
                 )
         if self.prior is not None and self.prior.mean.size != len(self.bounds):
             raise ShapeError("prior dimension does not match bounds")
@@ -498,10 +504,16 @@ def evaluate_profile_grid(problem: InverseProblem, grid_resolution: int):
 
     Returns (axes, points, ls, nls, nls_normalized) where ``axes`` is the
     per-dimension coordinate vector list and ``points`` the full grid in row
-    order (C order for 2D).
+    order (C order for 2D).  A grid of more than MAX_GRID_CELLS cells is
+    rejected.
     """
     if grid_resolution < 2:
         raise ConfigurationError("grid_resolution must be >= 2")
+    if grid_resolution**problem.dim > MAX_GRID_CELLS:
+        raise ConfigurationError(
+            f"grid_resolution {grid_resolution} gives {grid_resolution**problem.dim} "
+            f"cells in {problem.dim}D, more than the {MAX_GRID_CELLS} allowed"
+        )
     axes = [
         np.linspace(lo, hi, grid_resolution) for lo, hi in problem.bounds
     ]

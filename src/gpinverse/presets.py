@@ -24,10 +24,11 @@ import numpy as np
 from .baselines import FAMILIES as DETERMINISTIC_FAMILIES
 from .baselines import eval_deterministic, fit_deterministic
 from .benchmarks import check_in_bounds, eval_benchmark, get_benchmark
-from .bo import BoConfig, BoTrace, run_bo, _validation_points
+from .bo import BoConfig, BoTrace, run_bo, _validation_set
 from .errors import ConfigurationError, InferenceError
 from .gp import KernelSpec, gp_fit, gp_predict_many
 from .inversion import (
+    MAX_GRID_CELLS,
     InverseProblem,
     PosteriorSummary,
     evaluate_profile_grid,
@@ -76,8 +77,8 @@ class InversionSettings:
             raise ConfigurationError(
                 "exactly one of observed / x_true must be set"
             )
-        if not self.obs_variance > 0:
-            raise ConfigurationError("obs_variance must be positive")
+        if not 0 < self.obs_variance < math.inf:
+            raise ConfigurationError("obs_variance must be finite and positive")
         values = (self.observed,) if self.x_true is None else self.x_true
         if not all(math.isfinite(v) for v in values):
             raise ConfigurationError("observed and x_true must be finite")
@@ -565,8 +566,7 @@ def _run_compare_stage(config, outdir, manifest, result):
         )
         trace = run_bo(hf, bo)
         data = trace.final_model.data
-        points = _validation_points(hf, config.bo.n_val, val_seed)
-        truth = np.array([eval_benchmark(hf, p) for p in points])
+        points, truth = _validation_set(hf, config.bo.n_val, val_seed)
 
         scores = {}
         for fam in ("matern52", "rbf"):
@@ -608,8 +608,14 @@ def run_experiment(
     hf = get_benchmark(config.benchmark)
     if config.mcmc is not None and config.inversion is None:
         raise ConfigurationError("mcmc stage requires an inversion stage")
-    if config.inversion is not None and config.inversion.x_true is not None:
-        check_in_bounds(hf.bounds, config.inversion.x_true, what="inversion.x_true")
+    if config.inversion is not None:
+        if config.inversion.x_true is not None:
+            check_in_bounds(hf.bounds, config.inversion.x_true, what="inversion.x_true")
+        if config.inversion.grid_resolution**hf.dim > MAX_GRID_CELLS:
+            raise ConfigurationError(
+                f"inversion.grid_resolution {config.inversion.grid_resolution} gives "
+                f"more than {MAX_GRID_CELLS} grid cells in {hf.dim}D"
+            )
     os.makedirs(outdir, exist_ok=True)
 
     manifest: dict = {

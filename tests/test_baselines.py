@@ -1,5 +1,7 @@
 """Deterministic surrogate baselines: Lagrange, Legendre, natural spline."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -91,6 +93,23 @@ class TestEval:
     def test_legendre_degree_zero_is_the_constant(self):
         s = fit_deterministic("legendre", _ds([0.4], [2.5], (0.0, 1.0)))
         assert eval_deterministic(s, 0.9) == pytest.approx(2.5, rel=1e-12)
+
+    def test_one_node_lagrange_is_the_constant_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = fit_deterministic("lagrange", _ds([0.4], [2.5], (0.0, 1.0)))
+            assert eval_deterministic(s, 0.9) == 2.5
+            assert eval_deterministic(s, 0.4) == 2.5
+
+    def test_lagrange_refits_are_bit_identical(self):
+        # The barycentric weights are products over the nodes in a random
+        # order; refits of the same data must not depend on that order.
+        model = get_benchmark("griewank1d")
+        x = np.random.default_rng(1).uniform(-15, 15, size=14)
+        y = np.array([eval_benchmark(model, [t]) for t in x])
+        fits = [fit_deterministic("lagrange", _ds(x, y, (-15.0, 15.0))) for _ in range(2)]
+        for q in np.linspace(-15, 15, 1000):
+            assert eval_deterministic(fits[0], q) == eval_deterministic(fits[1], q)
 
     def test_out_of_domain_query_rejected(self):
         s = fit_deterministic("cubic_spline", _ds([0.0, 1.0], [0, 1], (0.0, 1.0)))

@@ -78,6 +78,21 @@ class TestAcquisitionValues:
         got = upper_confidence_bound([1.0, 2.0], [0.5, 0.0], 2.0)
         np.testing.assert_allclose(got, [2.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"kappa": -1.0},
+            {"kappa": math.nan},
+            {"kappa": math.inf},
+            {"family": "ei", "incumbent": math.nan},
+            {"family": "ei", "incumbent": -math.inf},
+            {"family": "pi"},
+        ],
+    )
+    def test_invalid_acquisition_spec_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            AcquisitionSpec(**kwargs)
+
 
 class TestAcquireBatch:
     def test_first_pick_lands_in_high_variance_region(self):

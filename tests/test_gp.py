@@ -18,7 +18,7 @@ from gpinverse import (
     kernel_eval,
     log_marginal_likelihood,
 )
-from gpinverse.gp import kernel_matrix
+from gpinverse.gp import _kernel_from_r, kernel_matrix
 
 
 def _dataset(x, y, bounds=((-5.0, 5.0),)):
@@ -56,6 +56,19 @@ class TestKernels:
             for _ in range(200):
                 a, b = rng.normal(size=3), rng.normal(size=3)
                 assert kernel_eval(spec, a, b) == kernel_eval(spec, b, a)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matrix_equals_difference_tensor_formula_exactly(self, dim):
+        # Reference: Euclidean distances from the explicit (na, nb, d)
+        # difference tensor.  Bit-equality keeps every artifact unchanged.
+        rng = np.random.default_rng(dim)
+        for spec in (KernelSpec("rbf", 0.8, 1.1), KernelSpec("matern52", 1.5, 0.4)):
+            for scale in (1e-3, 1.0, 1e3):
+                xa = scale * rng.normal(size=(40, dim))
+                xb = scale * rng.normal(size=(70, dim))
+                d2 = np.sum((xa[:, None, :] - xb[None, :, :]) ** 2, axis=2)
+                want = _kernel_from_r(spec, np.sqrt(np.maximum(d2, 0.0)))
+                np.testing.assert_array_equal(kernel_matrix(spec, xa, xb), want)
 
     def test_gram_matrix_is_positive_semidefinite(self):
         rng = np.random.default_rng(11)

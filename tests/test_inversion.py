@@ -17,6 +17,7 @@ from gpinverse import (
     map_multistart,
     nls_profile,
 )
+from gpinverse.inversion import evaluate_profile_grid
 
 
 def _forrester(x):
@@ -100,13 +101,29 @@ class TestFunctionals:
             n1, n2 = nls_profile(prob, [x1]), nls_profile(prob, [x2])
             assert (ls1 < ls2) == (n1 > n2) or ls1 == ls2
 
-    def test_invalid_obs_variance(self, function_surrogate):
+    @pytest.mark.parametrize(
+        "observed, obs_variance, bounds",
+        [
+            (0.0, 0.0, ((0.0, 1.0),)),
+            (0.0, math.inf, ((0.0, 1.0),)),
+            (0.0, math.nan, ((0.0, 1.0),)),
+            (math.nan, 1.0, ((0.0, 1.0),)),
+            (-math.inf, 1.0, ((0.0, 1.0),)),
+            (0.0, 1.0, ((1.0, 0.0),)),
+            (0.0, 1.0, ((0.0, math.inf),)),
+            (0.0, 1.0, ((math.nan, 1.0),)),
+            (0.0, 1.0, ((0.0, 1.0), (-math.inf, 0.0))),
+        ],
+    )
+    def test_invalid_problem_rejected(
+        self, function_surrogate, observed, obs_variance, bounds
+    ):
         with pytest.raises(ConfigurationError):
             InverseProblem(
                 surrogate=function_surrogate(_forrester),
-                observed=0.0,
-                obs_variance=0.0,
-                bounds=((0.0, 1.0),),
+                observed=observed,
+                obs_variance=obs_variance,
+                bounds=bounds,
             )
 
 
@@ -386,3 +403,18 @@ class TestHighProbabilityRegion:
             high_probability_region(forrester_problem, 1.5, 128)
         with pytest.raises(ConfigurationError):
             high_probability_region(forrester_problem, 0.9, 32)
+
+    def test_grid_cell_cap(self, function_surrogate):
+        def unused(x):
+            raise AssertionError("a grid over the cap must not be evaluated")
+
+        prob = InverseProblem(
+            surrogate=function_surrogate(unused),
+            observed=0.0,
+            obs_variance=1.0,
+            bounds=((0.0, 1.0), (0.0, 1.0)),
+        )
+        with pytest.raises(ConfigurationError, match="cells"):
+            high_probability_region(prob, 0.5, 513)
+        with pytest.raises(ConfigurationError, match="cells"):
+            evaluate_profile_grid(prob, 2048)

@@ -4,16 +4,22 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gpinverse.bo import BoConfig
 from gpinverse.cli import main
 from gpinverse.errors import ConfigurationError
 from gpinverse.presets import (
     PRESETS,
+    ExperimentConfig,
+    InversionSettings,
     config_from_text,
     config_to_text,
     get_preset,
     list_presets,
 )
+from gpinverse.sampling import McmcConfig
 
 EXPECTED_PRESETS = {
     "forrester-inverse",
@@ -54,6 +60,64 @@ def test_config_round_trips_through_text_format():
         assert parsed.inversion == preset.inversion
         assert parsed.mcmc == preset.mcmc
         assert parsed.compare_benchmarks == preset.compare_benchmarks
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_seeds = st.integers(-(2**62), 2**62)
+
+
+@st.composite
+def _configs(draw):
+    n_init = draw(st.integers(2, 50))
+    fixed = draw(st.one_of(st.none(), st.tuples(_positive, _positive)))
+    bo = BoConfig(
+        n_init=n_init,
+        n_acq=draw(st.integers(1, 8)),
+        max_evaluations=draw(st.integers(n_init, 500)),
+        mse_threshold=draw(_positive),
+        n_val=draw(st.integers(100, 10**6)),
+        noise_variance=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        kappa=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        restarts=draw(st.integers(1, 20)),
+        seed=draw(_seeds),
+        fixed_length_scale=None if fixed is None else fixed[0],
+        fixed_signal_variance=None if fixed is None else fixed[1],
+    )
+    x_true = draw(st.one_of(st.none(), st.lists(_finite, min_size=1, max_size=2)))
+    inversion = InversionSettings(
+        observed=draw(_finite) if x_true is None else None,
+        x_true=None if x_true is None else tuple(x_true),
+        obs_variance=draw(_positive),
+        hp_threshold=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        grid_resolution=draw(st.integers(64, 4096)),
+        n_starts=draw(st.integers(1, 1000)),
+        max_iter=draw(st.integers(1, 10**5)),
+        map_seed=draw(_seeds),
+    )
+    n_steps = draw(st.integers(1, 10**6))
+    mcmc = McmcConfig(
+        n_chains=draw(st.integers(1, 64)),
+        n_steps=n_steps,
+        burn_in=draw(st.integers(0, n_steps - 1)),
+        proposal_scale=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        seed=draw(_seeds),
+    )
+    return ExperimentConfig(
+        name="drawn",
+        benchmark="mixed1d",
+        description="drawn config",
+        bo=bo,
+        inversion=inversion,
+        mcmc=mcmc,
+        mcmc_grid_resolution=draw(st.integers(2, 4096)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs())
+def test_numeric_fields_round_trip_through_text_format(config):
+    assert config_from_text(config_to_text(config)) == config
 
 
 def test_malformed_config_lines_rejected():
@@ -150,6 +214,8 @@ _OBS = _INV + "inversion.observed = -6.02\n"
         _OBS + "inversion.grid_resolution = 32\n",
         _OBS + "inversion.n_starts = 0\n",
         _OBS + "inversion.max_iter = 0\n",
+        _OBS + "inversion.obs_variance = inf\n",
+        _OBS + "benchmark = mixed2d\n",
         _OBS + "bo.kappa = nan\n",
         _OBS + "bo.noise_variance = -1.0\n",
         _OBS + "bo.noise_variance = inf\n",
