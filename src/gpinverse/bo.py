@@ -5,6 +5,10 @@ reaches a target validation mean-squared error or the evaluation budget is
 exhausted.  With a large UCB exploration weight the acquisition is dominated
 by predictive uncertainty, which is the regime used to build globally
 accurate surrogates ahead of any inversion.
+
+Each acquisition is maximized over a fixed probe grid and refined by bounded
+quasi-Newton ascents with exact gradients (gp_predict_grad), started from the
+best grid points; nothing in the acquisition step is random.
 """
 
 from __future__ import annotations
@@ -21,7 +25,14 @@ from scipy.spatial.distance import cdist
 from .benchmarks import HighFidelityModel, eval_benchmark
 from .data import Dataset
 from .errors import ConfigurationError, GpInverseError, NumericalError
-from .gp import GpModel, KernelSpec, gp_fit, gp_optimize_hyperparameters, gp_predict_many
+from .gp import (
+    GpModel,
+    KernelSpec,
+    gp_fit,
+    gp_optimize_hyperparameters,
+    gp_predict_grad,
+    gp_predict_many,
+)
 
 __all__ = [
     "AcquisitionSpec",
@@ -38,16 +49,12 @@ __all__ = [
 
 GRID_POINTS_1D = 1024
 GRID_POINTS_PER_DIM_2D = 64
-ASCENT_STARTS = 64
+ASCENT_STARTS = 8  # best probe-grid points, under the penalized score, per pick
 EXCLUSION_FRACTION = 0.01  # pending-point radius as a fraction of domain width
 
 
 def _norm_pdf(z):
     return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
-
-
-def _norm_cdf(z):
-    return 0.5 * (1.0 + ssp.erf(np.asarray(z) / math.sqrt(2.0)))
 
 
 def expected_improvement(mu, sigma, incumbent):
@@ -63,7 +70,7 @@ def expected_improvement(mu, sigma, incumbent):
         z = np.where(sigma > 0, improve / np.where(sigma > 0, sigma, 1.0), 0.0)
     ei = np.where(
         sigma > 0,
-        improve * _norm_cdf(z) + sigma * _norm_pdf(z),
+        improve * ssp.ndtr(z) + sigma * _norm_pdf(z),
         np.maximum(improve, 0.0),
     )
     return np.maximum(ei, 0.0)
@@ -109,15 +116,33 @@ def _scores(model, spec, mu, sigma):
     return expected_improvement(mu, sigma, _incumbent_for(model, spec))
 
 
-def _acquisition_many(model, spec, x):
-    mu, var = gp_predict_many(model, x)
-    return _scores(model, spec, mu, np.sqrt(var))
+def _acquisition_and_grad(model, spec, x):
+    """Acquisition scores at the rows of x and their gradients in x.
+
+    d sigma = d var / (2 sigma), which is 0 where sigma = 0 because
+    gp_predict_grad zeroes d var where the variance is clipped.  UCB
+    differentiates to d mu + kappa d sigma and EI to Phi(z) d mu + phi(z)
+    d sigma; at sigma = 0 EI is max(mu - incumbent, 0), whose gradient is d mu
+    where mu exceeds the incumbent and 0 elsewhere.
+    """
+    mu, var, dmu, dvar = gp_predict_grad(model, x)
+    sigma = np.sqrt(var)
+    positive = sigma > 0
+    dsigma = dvar / (2.0 * np.where(positive, sigma, 1.0))[:, None]
+    if spec.family == "ucb":
+        return upper_confidence_bound(mu, sigma, spec.kappa), dmu + spec.kappa * dsigma
+    incumbent = _incumbent_for(model, spec)
+    improve = mu - incumbent
+    z = np.where(positive, improve / np.where(positive, sigma, 1.0), 0.0)
+    cdf = np.where(positive, ssp.ndtr(z), improve > 0)
+    grad = cdf[:, None] * dmu + _norm_pdf(z)[:, None] * dsigma
+    return expected_improvement(mu, sigma, incumbent), grad
 
 
 def acquisition_value(model: GpModel, spec: AcquisitionSpec, x) -> float:
     """Acquisition score at a single point."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return float(_acquisition_many(model, spec, x)[0])
+    mu, var = gp_predict_many(model, x)
+    return float(_scores(model, spec, mu, np.sqrt(var))[0])
 
 
 def _probe_grid(bounds) -> np.ndarray:
@@ -142,15 +167,16 @@ def acquire_batch(
     spec: AcquisitionSpec,
     bounds,
     n_acq: int,
-    seed: int,
 ) -> np.ndarray:
     """Select n_acq in-bounds points by greedy acquisition maximization.
 
-    Each pick maximizes the acquisition over a fixed probe grid plus local
-    ascents from seeded uniform starts; already-picked locations have their
-    predictive uncertainty zeroed inside a small exclusion radius so the next
-    pick lands elsewhere.  Exact ties go to the lexicographically smallest
-    point.  Fully deterministic for a fixed seed.
+    Each pick scores a fixed probe grid, runs gradient ascents (exact
+    acquisition gradients) from the ASCENT_STARTS best grid points, and takes
+    the best of the grid and the ascent endpoints.  Already-picked locations
+    have their predictive uncertainty zeroed inside a small exclusion radius,
+    both in the scores and in the choice of starts, so the next pick lands
+    elsewhere.  Exact ties go to the lexicographically smallest point.
+    Nothing is random, so the picks depend only on the model and the bounds.
     """
     if n_acq < 1:
         raise ConfigurationError("n_acq must be >= 1")
@@ -159,29 +185,33 @@ def acquire_batch(
     if np.any(widths <= 0):
         raise ConfigurationError("degenerate bounds: every width must be positive")
     radii = EXCLUSION_FRACTION * widths
-    rng = np.random.default_rng(seed)
     grid = _probe_grid(bounds)
+
+    def neg_acq(x):
+        value, grad = _acquisition_and_grad(model, spec, x[None, :])
+        return -value[0], -grad[0]
 
     picked: list[np.ndarray] = []
     for _ in range(n_acq):
-        starts = lo + rng.random((ASCENT_STARTS, len(bounds))) * widths
-
-        def neg_acq(x):
-            return -float(_acquisition_many(model, spec, np.atleast_2d(x))[0])
-
-        refined = []
+        grid_scores = _penalized_scores(model, spec, grid, picked, radii)
+        starts = grid[np.argsort(-grid_scores, kind="stable")[:ASCENT_STARTS]]
+        ends = []
         for s in starts:
             res = sopt.minimize(
                 neg_acq,
                 s,
                 method="L-BFGS-B",
+                jac=True,
                 bounds=bounds,
                 options={"maxiter": 30},
             )
             if np.all(np.isfinite(res.x)):
-                refined.append(np.clip(res.x, lo, hi))
-        candidates = np.vstack([grid, starts] + ([np.vstack(refined)] if refined else []))
-        scores = _penalized_scores(model, spec, candidates, picked, radii)
+                ends.append(np.clip(res.x, lo, hi))
+        ends = np.reshape(ends, (-1, len(bounds)))
+        candidates = np.vstack([grid, ends])
+        scores = np.concatenate(
+            [grid_scores, _penalized_scores(model, spec, ends, picked, radii)]
+        )
         best = np.max(scores)
         tied = np.nonzero(scores >= best)[0]
         if tied.size > 1:
@@ -373,7 +403,6 @@ def run_bo(hf: HighFidelityModel, config: BoConfig) -> BoTrace:
                 spec,
                 hf.bounds,
                 n_acq=min(config.n_acq, budget_left),
-                seed=config.seed + 2 * iteration + 1,
             )
         trace.iterations.append(
             BoIteration(

@@ -5,16 +5,22 @@ Jitter is escalated (1e-10 up to 1e-4, decade steps) only when the plain
 factorization fails, and the amount actually added is recorded on the model
 so downstream reports can expose it.
 
+Predictions come batched over query rows; gp_predict_grad adds the closed-form
+gradients of the posterior mean and variance in the query point, which the
+acquisition ascent uses.
+
 Hyperparameters (length scale, signal variance) are fitted by maximizing the
 log marginal likelihood with a bounded derivative-free search in log space,
-restarted from several seeded points.  The observation-noise variance is a
-fixed input, not a fitted quantity.
+restarted from several seeded points.  The likelihood objective computes the
+pairwise distances and the input checks once per dataset.  The
+observation-noise variance is a fixed input, not a fitted quantity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy import linalg as sla
@@ -37,6 +43,7 @@ __all__ = [
     "gp_fit",
     "gp_predict",
     "gp_predict_many",
+    "gp_predict_grad",
     "log_marginal_likelihood",
     "gp_optimize_hyperparameters",
 ]
@@ -86,6 +93,15 @@ def _kernel_from_r(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     return s2 * (1.0 + t + t * t / 3.0) * np.exp(-t)
 
 
+def _kernel_grad_over_r(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+    """g(r) = k'(r) / r, finite at r = 0 for both families."""
+    s2, ell = spec.signal_variance, spec.length_scale
+    if spec.family == "rbf":
+        return -_kernel_from_r(spec, r) / (ell * ell)
+    t = _SQRT5 * r / ell
+    return -s2 * 5.0 / (3.0 * ell * ell) * (1.0 + t) * np.exp(-t)
+
+
 def kernel_eval(spec: KernelSpec, x: np.ndarray, x2: np.ndarray) -> float:
     """k(x, x2) for two points of equal dimension."""
     x = np.asarray(x, dtype=float).ravel()
@@ -129,12 +145,7 @@ class GpModel:
         return gp_predict_many(self, x)
 
 
-def gp_fit(data: Dataset, spec: KernelSpec, noise_variance: float) -> GpModel:
-    """Condition a zero-mean GP on the dataset.
-
-    Raises DegenerateDataError for coincident inputs under zero noise and
-    NumericalError if the factorization fails at the maximum jitter.
-    """
+def _check_fit_inputs(data: Dataset, noise_variance: float) -> None:
     if data.n < 1:
         raise DegenerateDataError("cannot fit a GP on an empty dataset")
     if noise_variance < 0:
@@ -144,44 +155,99 @@ def gp_fit(data: Dataset, spec: KernelSpec, noise_variance: float) -> GpModel:
             "duplicate training inputs with zero noise make the kernel "
             "matrix singular"
         )
-    k = kernel_matrix(spec, data.x, data.x)
-    n = data.n
+
+
+def _cholesky_with_jitter(
+    k: np.ndarray, noise_variance: float
+) -> Optional[tuple[np.ndarray, float]]:
+    """Lower Cholesky factor of k + (noise + jitter) I and the jitter used.
+
+    Walks the jitter ladder from zero and returns None when every rung fails.
+    """
+    eye = np.eye(k.shape[0])
     for jitter in _JITTER_LADDER:
         try:
-            chol = np.linalg.cholesky(k + (noise_variance + jitter) * np.eye(n))
+            return np.linalg.cholesky(k + (noise_variance + jitter) * eye), jitter
         except np.linalg.LinAlgError:
             continue
-        alpha = sla.cho_solve((chol, True), data.y)
-        return GpModel(
-            kernel=spec,
-            noise_variance=float(noise_variance),
-            data=data,
-            chol=chol,
-            alpha=alpha,
-            jitter=float(jitter),
+    return None
+
+
+def gp_fit(data: Dataset, spec: KernelSpec, noise_variance: float) -> GpModel:
+    """Condition a zero-mean GP on the dataset.
+
+    Raises DegenerateDataError for coincident inputs under zero noise and
+    NumericalError if the factorization fails at the maximum jitter.
+    """
+    _check_fit_inputs(data, noise_variance)
+    k = kernel_matrix(spec, data.x, data.x)
+    factor = _cholesky_with_jitter(k, noise_variance)
+    if factor is None:
+        cond = float(np.linalg.cond(k + noise_variance * np.eye(data.n)))
+        raise NumericalError(
+            f"Cholesky factorization failed up to jitter {_JITTER_LADDER[-1]:g} "
+            f"(condition estimate {cond:.3e})"
         )
-    cond = float(np.linalg.cond(k + noise_variance * np.eye(n)))
-    raise NumericalError(
-        f"Cholesky factorization failed up to jitter {_JITTER_LADDER[-1]:g} "
-        f"(condition estimate {cond:.3e})"
+    chol, jitter = factor
+    return GpModel(
+        kernel=spec,
+        noise_variance=float(noise_variance),
+        data=data,
+        chol=chol,
+        alpha=sla.cho_solve((chol, True), data.y),
+        jitter=float(jitter),
     )
 
 
-def gp_predict_many(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance at each row of x, shape (m, d)."""
+def _query_points(model: GpModel, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.data.dim:
         raise ShapeError(
             f"query points are {x.shape[1]}-dimensional, training data "
             f"{model.data.dim}-dimensional"
         )
-    ks = kernel_matrix(model.kernel, model.data.x, x)
+    return x
+
+
+def _posterior(model: GpModel, ks: np.ndarray):
+    """Mean, L^-1 ks and clipped variance from the (n, m) cross-covariance."""
     mean = ks.T @ model.alpha
     v = sla.solve_triangular(model.chol, ks, lower=True)
     prior = model.kernel.signal_variance
-    var = prior - np.sum(v * v, axis=0)
-    cap = prior + model.noise_variance
-    return mean, np.clip(var, 0.0, cap)
+    var = np.clip(prior - np.sum(v * v, axis=0), 0.0, prior + model.noise_variance)
+    return mean, v, var
+
+
+def gp_predict_many(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance at each row of x, shape (m, d)."""
+    x = _query_points(model, x)
+    mean, _, var = _posterior(model, kernel_matrix(model.kernel, model.data.x, x))
+    return mean, var
+
+
+def gp_predict_grad(model: GpModel, x: np.ndarray):
+    """Posterior mean and variance at each row of x and their gradients in x.
+
+    Returns (mean, var, dmean, dvar) with shapes (m,), (m,), (m, d), (m, d);
+    mean and var are those of gp_predict_many.  With g(r) = k'(r)/r the
+    gradient of k(x, X_i) is g(r_i) (x - X_i), so each gradient is a
+    g-weighted sum over the training rows:
+    x (g^T w) - (g w)^T X, with w = alpha for the mean and w = K^-1 k(X, x)
+    for the variance (Rasmussen & Williams 2006, section 9.4).  Where the
+    variance is clipped its gradient is zero.
+    """
+    x = _query_points(model, x)
+    xt = model.data.x
+    r = cdist(xt, x)
+    g = _kernel_grad_over_r(model.kernel, r)
+    mean, v, var = _posterior(model, _kernel_from_r(model.kernel, r))
+    alpha = model.alpha
+    dmean = x * (g.T @ alpha)[:, None] - (g * alpha[:, None]).T @ xt
+    gw = g * sla.solve_triangular(model.chol, v, lower=True, trans="T")
+    dvar = -2.0 * (x * gw.sum(axis=0)[:, None] - gw.T @ xt)
+    cap = model.kernel.signal_variance + model.noise_variance
+    dvar[(var == 0.0) | (var == cap)] = 0.0
+    return mean, var, dmean, dvar
 
 
 def gp_predict(model: GpModel, x: np.ndarray) -> tuple[float, float]:
@@ -190,12 +256,42 @@ def gp_predict(model: GpModel, x: np.ndarray) -> tuple[float, float]:
     return float(mean[0]), float(var[0])
 
 
+def _lml(y: np.ndarray, chol: np.ndarray, alpha: np.ndarray) -> float:
+    quad = float(y @ alpha)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return -0.5 * quad - 0.5 * logdet - 0.5 * len(y) * math.log(2.0 * math.pi)
+
+
 def log_marginal_likelihood(model: GpModel) -> float:
     """Log marginal likelihood of the training outputs under the model."""
-    n = model.data.n
-    quad = float(model.data.y @ model.alpha)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(model.chol))))
-    return -0.5 * quad - 0.5 * logdet - 0.5 * n * math.log(2.0 * math.pi)
+    return _lml(model.data.y, model.chol, model.alpha)
+
+
+def _neg_lml_objective(data: Dataset, family: str, noise_variance: float):
+    """Negative log marginal likelihood of log (length scale, signal variance).
+
+    The input checks and the pairwise distances depend only on the dataset,
+    so they run once here.  Each call builds the kernel from the distances,
+    factors it and sums the likelihood with the arithmetic of
+    -log_marginal_likelihood(gp_fit(...)), so the two agree exactly.  It
+    returns inf where the factorization fails at every jitter.
+    """
+    _check_fit_inputs(data, noise_variance)
+    r = cdist(data.x, data.x)
+
+    def neg_lml(theta: np.ndarray) -> float:
+        spec = KernelSpec(
+            family=family,
+            length_scale=math.exp(theta[0]),
+            signal_variance=math.exp(theta[1]),
+        )
+        factor = _cholesky_with_jitter(_kernel_from_r(spec, r), noise_variance)
+        if factor is None:
+            return math.inf
+        chol = factor[0]
+        return -_lml(data.y, chol, sla.cho_solve((chol, True), data.y))
+
+    return neg_lml
 
 
 def _hyper_bounds(data: Dataset) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -232,16 +328,11 @@ def gp_optimize_hyperparameters(
         (math.log(s2_lo), math.log(s2_hi)),
     ]
 
-    def neg_lml(theta: np.ndarray) -> float:
-        spec = KernelSpec(
-            family=family,
-            length_scale=math.exp(theta[0]),
-            signal_variance=math.exp(theta[1]),
-        )
-        try:
-            return -log_marginal_likelihood(gp_fit(data, spec, noise_variance))
-        except (NumericalError, DegenerateDataError):
-            return math.inf
+    failed = "all hyperparameter restarts failed to produce a valid factorization"
+    try:
+        neg_lml = _neg_lml_objective(data, family, noise_variance)
+    except DegenerateDataError as exc:
+        raise NumericalError(f"{failed}: {exc}") from exc
 
     rng = np.random.default_rng(seed)
     center = np.array([0.5 * (lo + hi) for lo, hi in log_bounds])
@@ -265,10 +356,7 @@ def gp_optimize_hyperparameters(
             best_val = res.fun
             best_theta = res.x
     if best_theta is None:
-        raise NumericalError(
-            "all hyperparameter restarts failed to produce a valid "
-            "factorization"
-        )
+        raise NumericalError(failed)
     spec = KernelSpec(
         family=family,
         length_scale=math.exp(best_theta[0]),

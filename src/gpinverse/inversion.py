@@ -19,7 +19,7 @@ from scipy import ndimage
 from scipy import optimize as sopt
 
 from .benchmarks import check_in_bounds
-from .errors import ConfigurationError, InferenceError, ShapeError
+from .errors import ConfigurationError, GpInverseError, InferenceError, ShapeError
 
 __all__ = [
     "GaussianPrior",
@@ -316,7 +316,7 @@ def _multistart(
                 bounds=problem.bounds,
                 options={"maxiter": max_iter},
             )
-        except Exception as exc:  # noqa: BLE001 - diagnostics per start
+        except (GpInverseError, ValueError, np.linalg.LinAlgError) as exc:
             failures.append(f"start {k}: {exc}")
             continue
         if not np.all(np.isfinite(res.x)) or not math.isfinite(res.fun):

@@ -10,6 +10,7 @@ from gpinverse import (
     Dataset,
     DegenerateDataError,
     KernelSpec,
+    NumericalError,
     ShapeError,
     gp_fit,
     gp_optimize_hyperparameters,
@@ -18,7 +19,7 @@ from gpinverse import (
     kernel_eval,
     log_marginal_likelihood,
 )
-from gpinverse.gp import _kernel_from_r, kernel_matrix
+from gpinverse.gp import _kernel_from_r, _neg_lml_objective, kernel_matrix
 
 
 def _dataset(x, y, bounds=((-5.0, 5.0),)):
@@ -273,3 +274,31 @@ class TestHyperparameterFit:
         ds = _dataset([[0.0]], [1.0])
         with pytest.raises(DegenerateDataError):
             gp_optimize_hyperparameters(ds, "rbf", 1e-6, restarts=1, seed=0)
+
+    def test_objective_equals_fitted_model_likelihood_exactly(self):
+        # rbf signal variances up to 1e12 under zero noise push the
+        # factorization up the jitter ladder and, at the top, past its last rung
+        x = np.linspace(0, 1, 12).reshape(-1, 1)
+        ds = Dataset(x=x, y=np.sin(6 * x[:, 0]), bounds=((0.0, 1.0),))
+        jitters = set()
+        for family in ("matern52", "rbf"):
+            for noise in (0.0, 1e-6):
+                objective = _neg_lml_objective(ds, family, noise)
+                for log_ell in np.linspace(math.log(0.01), math.log(10.0), 7):
+                    for log_s2 in np.linspace(math.log(1e-6), math.log(1e12), 7):
+                        spec = KernelSpec(family, math.exp(log_ell), math.exp(log_s2))
+                        try:
+                            model = gp_fit(ds, spec, noise)
+                        except NumericalError:
+                            want, jitter = math.inf, None
+                        else:
+                            want, jitter = -log_marginal_likelihood(model), model.jitter
+                        jitters.add(jitter)
+                        assert objective(np.array([log_ell, log_s2])) == want
+        assert None in jitters
+        assert len(jitters - {None, 0.0}) >= 3
+
+    def test_zero_noise_duplicates_fail_every_restart(self):
+        ds = _dataset([[0.0], [1.0], [1.0]], [0.0, 1.0, 1.0])
+        with pytest.raises(NumericalError, match="all hyperparameter restarts failed"):
+            gp_optimize_hyperparameters(ds, "matern52", 0.0, restarts=2, seed=0)

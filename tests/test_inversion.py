@@ -9,7 +9,9 @@ from gpinverse import (
     ConfigurationError,
     DomainError,
     GaussianPrior,
+    InferenceError,
     InverseProblem,
+    NumericalError,
     high_probability_region,
     laplace_approximation,
     ls_functional,
@@ -168,6 +170,30 @@ class TestMapMultistart:
         summary = map_multistart(mixed1d_problem, n_starts=16, max_iter=400, seed=1)
         for c in summary.map_clusters:
             assert c.grad_norm < 1e-3 or c.on_bound
+
+    @pytest.mark.parametrize(
+        "error, raised",
+        [
+            (NumericalError, InferenceError),
+            (ValueError, InferenceError),
+            (TypeError, TypeError),
+        ],
+    )
+    def test_only_numerical_failures_count_as_diverged_starts(
+        self, function_surrogate, error, raised
+    ):
+        # a failing start is recorded and skipped; a programming error is not
+        def fail(x):
+            raise error("boom")
+
+        prob = InverseProblem(
+            surrogate=function_surrogate(fail),
+            observed=0.0,
+            obs_variance=1.0,
+            bounds=((0.0, 1.0),),
+        )
+        with pytest.raises(raised, match="boom"):
+            map_multistart(prob, n_starts=2, seed=0)
 
     def test_start_order_invariance(self, mixed1d_problem):
         a = map_multistart(mixed1d_problem, n_starts=16, max_iter=400, seed=4)

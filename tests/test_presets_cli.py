@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpinverse.cli
 from gpinverse.bo import BoConfig
 from gpinverse.cli import main
-from gpinverse.errors import ConfigurationError
+from gpinverse.errors import (
+    ConfigurationError,
+    DegenerateDataError,
+    InferenceError,
+    NumericalError,
+)
 from gpinverse.presets import (
     PRESETS,
     ExperimentConfig,
@@ -154,6 +160,28 @@ def test_cli_missing_config_file_exits_2(tmp_path):
 
 def test_cli_unknown_preset_exits_2(tmp_path):
     assert main(["run", "--preset", "nope", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (NumericalError, 3, "numerical failure: "),
+        (DegenerateDataError, 3, "numerical failure: "),
+        (InferenceError, 4, "inference failure: "),
+    ],
+)
+def test_cli_maps_run_failures_to_exit_codes(
+    tmp_path, monkeypatch, capsys, error, code, prefix
+):
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(gpinverse.cli, "run_experiment", fail)
+    argv = ["run", "--preset", "forrester-inverse", "--out", str(tmp_path / "o")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + "boom")
+    assert "Traceback" not in err
 
 
 def test_cli_invalid_config_values_exit_2(tmp_path):
