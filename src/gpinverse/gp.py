@@ -7,7 +7,9 @@ so downstream reports can expose it.
 
 Predictions come batched over query rows; gp_predict_grad adds the closed-form
 gradients of the posterior mean and variance in the query point, which the
-acquisition ascent uses.
+acquisition ascent uses.  The inversion stage reads only the posterior mean,
+from GpModel.predict_mean in row chunks, and its exact gradient and Hessian in
+x, with no step sizes.
 
 Hyperparameters (length scale, signal variance) are fitted by maximizing the
 log marginal likelihood with a bounded derivative-free search in log space,
@@ -53,6 +55,10 @@ KERNEL_FAMILIES = ("rbf", "matern52")
 _JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 _SQRT5 = math.sqrt(5.0)
+
+# Query rows per kernel block in GpModel.predict_mean, so that the (n, rows)
+# block stays a few MB however large the profile grid is.
+_MEAN_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,14 @@ def _kernel_grad_over_r(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     return -s2 * 5.0 / (3.0 * ell * ell) * (1.0 + t) * np.exp(-t)
 
 
+def _kernel_dgrad_over_r(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+    """g'(r) / r, finite at r = 0; the Hessian of k(x, X_i) is g I + (g'/r) D D^T."""
+    s2, ell = spec.signal_variance, spec.length_scale
+    if spec.family == "rbf":
+        return _kernel_from_r(spec, r) / ell**4
+    return s2 * 25.0 / (3.0 * ell**4) * np.exp(-_SQRT5 * r / ell)
+
+
 def kernel_eval(spec: KernelSpec, x: np.ndarray, x2: np.ndarray) -> float:
     """k(x, x2) for two points of equal dimension."""
     x = np.asarray(x, dtype=float).ravel()
@@ -128,7 +142,8 @@ class GpModel:
 
     ``chol`` is the lower Cholesky factor of K + (noise_variance + jitter) I
     and ``alpha`` solves that system against the training outputs, so
-    prediction is two triangular solves away.
+    prediction is two triangular solves away.  The three mean methods are
+    the surrogate protocol of InverseProblem.
     """
 
     kernel: KernelSpec
@@ -138,11 +153,29 @@ class GpModel:
     alpha: np.ndarray
     jitter: float
 
-    def predict(self, x: np.ndarray) -> tuple[float, float]:
-        return gp_predict(self, x)
+    def predict_mean(self, x: np.ndarray) -> np.ndarray:
+        """Posterior mean at each row of x, equal to gp_predict_many's."""
+        x = _query_points(self, x)
+        return np.concatenate([
+            kernel_matrix(self.kernel, self.data.x, x[i : i + _MEAN_CHUNK_ROWS]).T
+            @ self.alpha
+            for i in range(0, x.shape[0], _MEAN_CHUNK_ROWS)
+        ])
 
-    def predict_many(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return gp_predict_many(self, x)
+    def mean_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean (m,) and its gradient (m, d) at each row of x."""
+        x = _query_points(self, x)
+        r = cdist(self.data.x, x)
+        return _kernel_from_r(self.kernel, r).T @ self.alpha, _mean_grad(self, x, r)[1]
+
+    def mean_hessian(self, x: np.ndarray) -> np.ndarray:
+        """(d, d) Hessian of the posterior mean at one point x."""
+        x = _query_points(self, np.reshape(x, (1, -1)))
+        r = cdist(self.data.x, x)[:, 0]
+        diff = x - self.data.x
+        g = _kernel_grad_over_r(self.kernel, r)
+        w = self.alpha * _kernel_dgrad_over_r(self.kernel, r)
+        return float(g @ self.alpha) * np.eye(x.shape[1]) + (diff * w[:, None]).T @ diff
 
 
 def _check_fit_inputs(data: Dataset, noise_variance: float) -> None:
@@ -225,6 +258,13 @@ def gp_predict_many(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return mean, var
 
 
+def _mean_grad(model: GpModel, x: np.ndarray, r: np.ndarray):
+    """g(r) and the mean gradient at rows x, given their (n, m) distances r."""
+    g = _kernel_grad_over_r(model.kernel, r)
+    alpha = model.alpha
+    return g, x * (g.T @ alpha)[:, None] - (g * alpha[:, None]).T @ model.data.x
+
+
 def gp_predict_grad(model: GpModel, x: np.ndarray):
     """Posterior mean and variance at each row of x and their gradients in x.
 
@@ -239,10 +279,8 @@ def gp_predict_grad(model: GpModel, x: np.ndarray):
     x = _query_points(model, x)
     xt = model.data.x
     r = cdist(xt, x)
-    g = _kernel_grad_over_r(model.kernel, r)
+    g, dmean = _mean_grad(model, x, r)
     mean, v, var = _posterior(model, _kernel_from_r(model.kernel, r))
-    alpha = model.alpha
-    dmean = x * (g.T @ alpha)[:, None] - (g * alpha[:, None]).T @ xt
     gw = g * sla.solve_triangular(model.chol, v, lower=True, trans="T")
     dvar = -2.0 * (x * gw.sum(axis=0)[:, None] - gw.T @ xt)
     cap = model.kernel.signal_variance + model.noise_variance

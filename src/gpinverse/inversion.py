@@ -6,6 +6,9 @@ and the unnormalized posterior is NLS(x) = exp(-LS(x) / (2 sigma_obs^2)).
 This module provides the multistart bounded MAP search, cluster detection
 for multimodal problems, the Laplace (inverse-Hessian) covariance with
 marginal credible intervals, and threshold level-set extraction on a grid.
+Every derivative comes from the surrogate's exact mean gradient and Hessian:
+grad LS = -2 (observed - mean) grad mean and
+hess LS = 2 grad mean grad mean^T - 2 (observed - mean) hess mean.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ __all__ = [
     "evaluate_profile_grid",
 ]
 
-# Upper bound on the cells of one profile grid: the surrogate evaluates an
-# (n_train, cells) kernel block over it and profiles.csv gets one row a cell.
+# Upper bound on the cells of one profile grid: the surrogate mean is
+# evaluated at every cell and profiles.csv gets one row a cell.
 MAX_GRID_CELLS = 512**2
 
 # Residuals below this scale are numerically indistinguishable from an exact
@@ -61,6 +64,8 @@ class GaussianPrior:
                 f"prior covariance shape {cov.shape} does not match mean "
                 f"dimension {mean.size}"
             )
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ConfigurationError("prior mean and covariance must be finite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -81,11 +86,13 @@ class GaussianPrior:
 class InverseProblem:
     """Scalar-observation inverse problem posed on a surrogate.
 
-    ``surrogate`` must expose ``predict_many(x) -> (means, variances)`` for
-    an (m, d) array of points; the fitted GpModel does, and tests may
-    substitute any stub with that method.  The parameter box may differ from
-    the surrogate's training domain, but the profile and MAP machinery only
-    ever query inside ``bounds``.
+    ``surrogate`` must expose ``predict_mean(x)``, the (m,) means at the rows
+    of an (m, d) array, ``mean_grad(x)``, those means and their (m, d)
+    gradients, and ``mean_hessian(x)``, the (d, d) Hessian of the mean at one
+    point.  The fitted GpModel does, and tests may substitute any stub with
+    these methods.  The parameter box may differ from the surrogate's
+    training domain, but the profile and MAP machinery only ever query
+    inside ``bounds``.
     """
 
     surrogate: object
@@ -115,19 +122,17 @@ class InverseProblem:
         return np.array([hi - lo for lo, hi in self.bounds])
 
 
-def _mean_many(problem: InverseProblem, x: np.ndarray) -> np.ndarray:
-    mean, _ = problem.surrogate.predict_many(x)
-    return np.asarray(mean, dtype=float)
-
-
-def _ls_unchecked(problem: InverseProblem, x: np.ndarray) -> float:
-    mean = _mean_many(problem, np.atleast_2d(x))[0]
-    return float(np.square(problem.observed - mean))
+def _ls_and_grad(problem: InverseProblem, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """LS(x) and its gradient -2 (observed - mean) grad mean at one point."""
+    mean, grad = problem.surrogate.mean_grad(np.atleast_2d(x))
+    resid = problem.observed - float(mean[0])
+    return resid * resid, -2.0 * resid * grad[0]
 
 
 def ls_functional(problem: InverseProblem, x) -> float:
     """Squared misfit between the observation and the surrogate mean."""
-    return _ls_unchecked(problem, check_in_bounds(problem.bounds, x))
+    mean = problem.surrogate.predict_mean(check_in_bounds(problem.bounds, x)[None, :])
+    return float(np.square(problem.observed - mean[0]))
 
 
 def nls_profile(problem: InverseProblem, x) -> float:
@@ -212,16 +217,6 @@ class PosteriorSummary:
         }
 
 
-def _central_gradient(fun, x, steps) -> np.ndarray:
-    g = np.zeros_like(x)
-    for i, h in enumerate(steps):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return g
-
-
 def _residuals_tied(r1: float, r2: float, floor: float) -> bool:
     if r1 <= floor and r2 <= floor:
         return True
@@ -233,8 +228,8 @@ def _cluster_endpoints(
     endpoints: np.ndarray,
     objectives: np.ndarray,
     ls_values: np.ndarray,
+    grads: np.ndarray,
     problem: InverseProblem,
-    objective_fun,
 ) -> list[MapCluster]:
     """Greedy merge of endpoints into clusters, best objective first.
 
@@ -265,14 +260,10 @@ def _cluster_endpoints(
             reps.append(int(idx))
             members.append([int(idx)])
 
-    grad_steps = 1e-5 * widths
     lo, hi = np.asarray(problem.bounds, dtype=float).T
     clusters = []
     for rep, mem in zip(reps, members):
         x = endpoints[rep]
-        grad = _central_gradient(
-            lambda p: objective_fun(np.clip(p, lo, hi)), x, grad_steps
-        )
         on_bound = bool(np.any((x - lo <= 1e-6 * widths) | (hi - x <= 1e-6 * widths)))
         clusters.append(
             MapCluster(
@@ -280,7 +271,7 @@ def _cluster_endpoints(
                 ls_residual=float(ls_values[rep]),
                 objective=float(objectives[rep]),
                 n_members=len(mem),
-                grad_norm=float(np.linalg.norm(grad)),
+                grad_norm=float(np.linalg.norm(grads[rep])),
                 on_bound=on_bound,
             )
         )
@@ -299,19 +290,21 @@ def _multistart(
     n_starts: int,
     max_iter: int,
     seed: int,
-) -> list[MapCluster]:
+) -> PosteriorSummary:
+    """Clustered L-BFGS-B minima of ``objective_fun(x) -> (value, gradient)``."""
     if n_starts < 1:
         raise ConfigurationError("n_starts must be >= 1")
     rng = np.random.default_rng(seed)
     lo, hi = np.asarray(problem.bounds, dtype=float).T
     starts = lo + rng.random((n_starts, problem.dim)) * (hi - lo)
 
-    endpoints, objectives, failures = [], [], []
+    endpoints, objectives, grads, failures = [], [], [], []
     for k, x0 in enumerate(starts):
         try:
             res = sopt.minimize(
                 objective_fun,
                 x0,
+                jac=True,
                 method="L-BFGS-B",
                 bounds=problem.bounds,
                 options={"maxiter": max_iter},
@@ -324,14 +317,26 @@ def _multistart(
             continue
         endpoints.append(np.clip(res.x, lo, hi))
         objectives.append(float(res.fun))
+        grads.append(res.jac)
     if not endpoints:
         raise InferenceError(
             "every optimization start diverged: " + "; ".join(failures)
         )
     endpoints = np.array(endpoints)
-    objectives = np.array(objectives)
-    ls_values = np.array([_ls_unchecked(problem, x) for x in endpoints])
-    return _cluster_endpoints(endpoints, objectives, ls_values, problem, objective_fun)
+    ls_values = (problem.observed - problem.surrogate.predict_mean(endpoints)) ** 2
+    clusters = _cluster_endpoints(
+        endpoints, np.array(objectives), ls_values, np.array(grads), problem
+    )
+    return PosteriorSummary(
+        map_clusters=clusters,
+        multimodal=_flag_multimodal(clusters, problem.observed),
+        metadata={
+            "n_starts": n_starts,
+            "max_iter": max_iter,
+            "seed": seed,
+            "failed_starts": len(failures),
+        },
+    )
 
 
 def _flag_multimodal(clusters: Sequence[MapCluster], observed: float) -> bool:
@@ -353,17 +358,11 @@ def map_multistart(
 
     Returns the clustered endpoint set ordered best-first and flags
     multimodality when at least two clusters sit within a factor 10 of the
-    best residual.
+    best residual.  ``metadata["failed_starts"]`` counts the starts whose
+    optimization raised or returned a non-finite result.
     """
-
-    def objective(x):
-        return _ls_unchecked(problem, np.asarray(x, dtype=float))
-
-    clusters = _multistart(problem, objective, n_starts, max_iter, seed)
-    return PosteriorSummary(
-        map_clusters=clusters,
-        multimodal=_flag_multimodal(clusters, problem.observed),
-        metadata={"n_starts": n_starts, "max_iter": max_iter, "seed": seed},
+    return _multistart(
+        problem, lambda x: _ls_and_grad(problem, x), n_starts, max_iter, seed
     )
 
 
@@ -387,25 +386,16 @@ def map_gaussian_prior(
     two_s2 = 2.0 * problem.obs_variance
 
     def objective(x):
-        x = np.asarray(x, dtype=float)
+        ls, grad = _ls_and_grad(problem, x)
         dx = x - mu
-        return _ls_unchecked(problem, x) / two_s2 + 0.5 * float(dx @ precision @ dx)
+        pdx = precision @ dx
+        return ls / two_s2 + 0.5 * float(dx @ pdx), grad / two_s2 + pdx
 
-    clusters = _multistart(problem, objective, n_starts, max_iter, seed)
-    return PosteriorSummary(
-        map_clusters=clusters,
-        multimodal=_flag_multimodal(clusters, problem.observed),
-        metadata={
-            "n_starts": n_starts,
-            "max_iter": max_iter,
-            "seed": seed,
-            "prior": "gaussian",
-        },
-    )
+    summary = _multistart(problem, objective, n_starts, max_iter, seed)
+    summary.metadata["prior"] = "gaussian"
+    return summary
 
 
-HESSIAN_STEP_FRACTION = 1e-4
-GRADIENT_CHECK_STEP_FRACTION = 1e-5
 Z_95 = 1.96
 
 
@@ -414,61 +404,27 @@ def laplace_approximation(
     x_map,
     grad_tol: float = 1e-4,
 ) -> LaplaceResult:
-    """Inverse-Hessian Gaussian approximation at an interior MAP point.
+    """Inverse-Hessian Gaussian approximation at a MAP point.
 
-    The Hessian of -log NLS = LS / (2 sigma_obs^2) is taken by central
-    finite differences with per-dimension steps of 1e-4 times the domain
-    width and symmetrized.  A Hessian that is not positive definite yields a
-    degeneracy signal instead of credible intervals, since a single Gaussian
-    mode would badly understate the uncertainty in that case.
+    The Hessian of -log NLS = LS / (2 sigma_obs^2) comes from the
+    surrogate's exact mean gradient and Hessian, so it needs no step size
+    and holds on a bound too.  A point whose LS gradient norm reaches
+    ``grad_tol`` is rejected as not stationary.  A Hessian that is not
+    positive definite yields a degeneracy signal instead of credible
+    intervals, since a single Gaussian mode would badly understate the
+    uncertainty in that case.
     """
     x = check_in_bounds(problem.bounds, x_map)
-    widths = problem.widths()
-    h = HESSIAN_STEP_FRACTION * widths
-    for i, (lo, hi) in enumerate(problem.bounds):
-        if x[i] - lo < h[i] or hi - x[i] < h[i]:
-            raise InferenceError(
-                f"MAP coordinate {i} is too close to a bound for an interior "
-                "curvature estimate"
-            )
-
-    two_s2 = 2.0 * problem.obs_variance
-
-    def neg_log_nls(p):
-        return _ls_unchecked(problem, p) / two_s2
-
-    grad = _central_gradient(
-        lambda p: _ls_unchecked(problem, p), x, GRADIENT_CHECK_STEP_FRACTION * widths
-    )
-    if float(np.linalg.norm(grad)) >= grad_tol:
+    mean, dmean = problem.surrogate.mean_grad(x[None, :])
+    resid = problem.observed - float(mean[0])
+    dmean = dmean[0]
+    grad_norm = float(np.linalg.norm(-2.0 * resid * dmean))
+    if grad_norm >= grad_tol:
         raise InferenceError(
-            f"point is not stationary: central-difference gradient norm "
-            f"{np.linalg.norm(grad):.3e} >= {grad_tol:g}"
+            f"point is not stationary: gradient norm {grad_norm:.3e} >= {grad_tol:g}"
         )
-
-    d = problem.dim
-    hess = np.zeros((d, d))
-    f0 = neg_log_nls(x)
-    for i in range(d):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        hess[i, i] = (neg_log_nls(xp) - 2.0 * f0 + neg_log_nls(xm)) / (h[i] * h[i])
-    for i in range(d):
-        for j in range(i + 1, d):
-            xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
-            xpp[i] += h[i]
-            xpp[j] += h[j]
-            xpm[i] += h[i]
-            xpm[j] -= h[j]
-            xmp[i] -= h[i]
-            xmp[j] += h[j]
-            xmm[i] -= h[i]
-            xmm[j] -= h[j]
-            hess[i, j] = hess[j, i] = (
-                neg_log_nls(xpp) - neg_log_nls(xpm) - neg_log_nls(xmp) + neg_log_nls(xmm)
-            ) / (4.0 * h[i] * h[j])
-    hess = 0.5 * (hess + hess.T)
+    hess = np.outer(dmean, dmean) - resid * problem.surrogate.mean_hessian(x)
+    hess = 0.5 * (hess + hess.T) / problem.obs_variance
 
     eigs = np.linalg.eigvalsh(hess)
     scale = max(abs(float(eigs[-1])), 1e-300)
@@ -492,7 +448,7 @@ def laplace_approximation(
             float(max(problem.bounds[i][0], x[i] - Z_95 * std[i])),
             float(min(problem.bounds[i][1], x[i] + Z_95 * std[i])),
         )
-        for i in range(d)
+        for i in range(problem.dim)
     )
     return LaplaceResult(
         cov=cov, intervals=intervals, level=0.95, degenerate=False, message="ok"
@@ -505,7 +461,8 @@ def evaluate_profile_grid(problem: InverseProblem, grid_resolution: int):
     Returns (axes, points, ls, nls, nls_normalized) where ``axes`` is the
     per-dimension coordinate vector list and ``points`` the full grid in row
     order (C order for 2D).  A grid of more than MAX_GRID_CELLS cells is
-    rejected.
+    rejected.  Where NLS underflows to zero on the whole grid, the normalized
+    profile is exp(-(LS - min LS) / (2 sigma_obs^2)) instead.
     """
     if grid_resolution < 2:
         raise ConfigurationError("grid_resolution must be >= 2")
@@ -519,11 +476,12 @@ def evaluate_profile_grid(problem: InverseProblem, grid_resolution: int):
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
-    mean = _mean_many(problem, points)
+    mean = problem.surrogate.predict_mean(points)
     ls = (problem.observed - mean) ** 2
-    nls = np.exp(-ls / (2.0 * problem.obs_variance))
+    two_s2 = 2.0 * problem.obs_variance
+    nls = np.exp(-ls / two_s2)
     peak = float(np.max(nls))
-    normalized = nls / peak if peak > 0 else nls
+    normalized = nls / peak if peak > 0 else np.exp(-(ls - ls.min()) / two_s2)
     return axes, points, ls, nls, normalized
 
 
@@ -531,6 +489,7 @@ def high_probability_region(
     problem: InverseProblem,
     threshold: float,
     grid_resolution: int = 512,
+    profile=None,
 ):
     """Connected components of {normalized NLS >= threshold} on a grid.
 
@@ -540,13 +499,17 @@ def high_probability_region(
     band thinner than the grid's diagonal step, such as the neighbourhood of
     a curve of exact solutions on a steep surrogate, has cells that touch
     only at corners, so it splits into several 4-connected components, each
-    reported as its own box.
+    reported as its own box.  ``profile`` is ``evaluate_profile_grid(problem,
+    grid_resolution)`` when the caller already has it; otherwise the grid is
+    evaluated here.
     """
     if not 0.0 < threshold < 1.0:
         raise ConfigurationError("threshold must lie strictly inside (0, 1)")
     if grid_resolution < 64:
         raise ConfigurationError("grid_resolution must be >= 64")
-    axes, _, _, _, normalized = evaluate_profile_grid(problem, grid_resolution)
+    if profile is None:
+        profile = evaluate_profile_grid(problem, grid_resolution)
+    axes, _, _, _, normalized = profile
     mask = normalized.reshape([grid_resolution] * problem.dim) >= threshold
     # The default structure joins only cells that share a face, and labels
     # are numbered in raster order, so find_objects lists components in order.

@@ -461,8 +461,9 @@ def _run_inversion_stage(config, hf, model, outdir, manifest, result):
         max_iter=settings.max_iter,
         seed=settings.map_seed,
     )
+    profile = evaluate_profile_grid(problem, settings.grid_resolution)
     summary.hp_regions = high_probability_region(
-        problem, settings.hp_threshold, settings.grid_resolution
+        problem, settings.hp_threshold, settings.grid_resolution, profile
     )
     best = summary.map_clusters[0]
     try:
@@ -483,9 +484,7 @@ def _run_inversion_stage(config, hf, model, outdir, manifest, result):
     _write_json(os.path.join(outdir, "posterior.json"), summary.to_json_dict())
     result.files.append("posterior.json")
 
-    axes, points, ls, nls, nls_norm = evaluate_profile_grid(
-        problem, settings.grid_resolution
-    )
+    _, points, ls, nls, nls_norm = profile
     if problem.dim == 1:
         header = ["x", "ls", "nls", "nls_normalized"]
         rows = zip(points[:, 0], ls, nls, nls_norm)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateDataError, InferenceError, UnsupportedDimensionError
-from .inversion import InverseProblem, _mean_many
+from .inversion import InverseProblem
 
 __all__ = [
     "McmcConfig",
@@ -75,7 +75,7 @@ def _log_density_fn(problem: InverseProblem):
     observed = problem.observed
 
     def log_density_many(x: np.ndarray) -> np.ndarray:
-        mean = _mean_many(problem, x)
+        mean = problem.surrogate.predict_mean(x)
         logp = -((observed - mean) ** 2) / two_s2
         inside = np.all((x >= lo) & (x <= hi), axis=1)
         return np.where(inside, logp, -np.inf)
@@ -209,7 +209,7 @@ def grid_posterior(problem: InverseProblem, resolution: int = 512) -> GridPoster
         )
     lo, hi = problem.bounds[0]
     xs = np.linspace(lo, hi, resolution)
-    mean = _mean_many(problem, xs.reshape(-1, 1))
+    mean = problem.surrogate.predict_mean(xs.reshape(-1, 1))
     nls = np.exp(-((problem.observed - mean) ** 2) / (2.0 * problem.obs_variance))
     integral = float(np.trapezoid(nls, xs))
     if integral <= 0:

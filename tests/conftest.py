@@ -16,20 +16,40 @@ from gpinverse.presets import get_preset, run_experiment
 
 
 class FunctionSurrogate:
-    """Exact-mean stand-in for a fitted GP in inversion/sampling tests."""
+    """Exact-mean stand-in for a fitted GP in inversion/sampling tests.
 
-    def __init__(self, fn, variance=0.0):
+    The mean is ``fn`` itself; its gradient and Hessian are central
+    differences of ``fn`` with fixed steps, which is accurate enough for the
+    smooth functions the tests pass.
+    """
+
+    GRAD_STEP = 1e-6
+    HESSIAN_STEP = 1e-4
+
+    def __init__(self, fn):
         self.fn = fn
-        self.variance = float(variance)
 
-    def predict(self, x):
-        x = np.asarray(x, dtype=float).ravel()
-        return float(self.fn(x)), self.variance
-
-    def predict_many(self, x):
+    def predict_mean(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        mean = np.array([float(self.fn(row)) for row in x])
-        return mean, np.full(x.shape[0], self.variance)
+        return np.array([float(self.fn(row)) for row in x])
+
+    def mean_grad(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        steps = self.GRAD_STEP * np.eye(x.shape[1])
+        grad = np.column_stack([
+            (self.predict_mean(x + e) - self.predict_mean(x - e)) / (2.0 * self.GRAD_STEP)
+            for e in steps
+        ])
+        return self.predict_mean(x), grad
+
+    def mean_hessian(self, x):
+        x = np.asarray(x, dtype=float).ravel()
+        steps = self.HESSIAN_STEP * np.eye(x.size)
+        f = self.fn
+        return np.array([
+            [f(x + a + b) - f(x + a - b) - f(x - a + b) + f(x - a - b) for b in steps]
+            for a in steps
+        ]) / (4.0 * self.HESSIAN_STEP**2)
 
 
 @pytest.fixture(scope="session")

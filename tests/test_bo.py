@@ -111,8 +111,13 @@ def _central_difference(fn, x, h):
 
 
 def _assert_gradients_match_central_differences(model, acq, x, h, atol):
-    _, _, dmean, dvar = gp_predict_grad(model, x)
+    mean, _, dmean, dvar = gp_predict_grad(model, x)
     _, dacq = _acquisition_and_grad(model, acq, x)
+    # the inversion stage's mean path computes the same numbers bit for bit
+    mean_only, grad_only = model.mean_grad(x)
+    np.testing.assert_array_equal(mean_only, mean)
+    np.testing.assert_array_equal(grad_only, dmean)
+    np.testing.assert_array_equal(model.predict_mean(x), mean)
     for analytic, fn in (
         (dmean, lambda z: gp_predict_many(model, z)[0]),
         (dvar, lambda z: gp_predict_many(model, z)[1]),
@@ -120,6 +125,11 @@ def _assert_gradients_match_central_differences(model, acq, x, h, atol):
     ):
         fd = _central_difference(fn, x, h)
         np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=atol)
+    # row i of each Hessian is the derivative of the gradient's component i
+    hessians = np.array([model.mean_hessian(row) for row in x])
+    for i in range(x.shape[1]):
+        fd = _central_difference(lambda z: model.mean_grad(z)[1][:, i], x, h)
+        np.testing.assert_allclose(hessians[:, i, :], fd, rtol=1e-4, atol=atol)
 
 
 @st.composite
@@ -247,7 +257,7 @@ class TestValidationMse:
         rng = np.random.default_rng(0)
         pts = rng.random((200, 1))
         truth = np.array([model.evaluator(p) for p in pts])
-        pred, _ = surr.predict_many(pts)
+        pred = surr.predict_mean(pts)
         assert float(np.mean((truth - pred) ** 2)) == pytest.approx(0.0, abs=1e-28)
 
     def test_constant_offset_gives_offset_squared(self):

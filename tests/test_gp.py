@@ -160,6 +160,16 @@ class TestFitPredict:
             np.testing.assert_allclose(mean, mean_o, rtol=1e-8, atol=1e-10)
             np.testing.assert_allclose(var, np.maximum(var_o, 0), rtol=1e-6, atol=1e-8)
 
+    def test_chunked_mean_equals_batched_prediction_exactly(self):
+        from gpinverse.gp import _MEAN_CHUNK_ROWS
+
+        rng = np.random.default_rng(5)
+        bounds = ((-2.0, 2.0), (-2.0, 2.0))
+        x = rng.uniform(-2, 2, size=(12, 2))
+        model = gp_fit(_dataset(x, np.sin(x).sum(axis=1), bounds), KernelSpec("matern52", 0.8, 1.3), 1e-6)
+        q = rng.uniform(-2, 2, size=(2 * _MEAN_CHUNK_ROWS + 7, 2))
+        assert np.array_equal(model.predict_mean(q), gp_predict_many(model, q)[0])
+
     def test_variance_never_exceeds_prior(self):
         ds = _dataset([[0.0], [1.0], [2.5]], [0.3, -0.2, 1.0])
         model = gp_fit(ds, KernelSpec("rbf", 0.7, 1.6), 1e-4)

@@ -104,21 +104,24 @@ class TestFunctionals:
             assert (ls1 < ls2) == (n1 > n2) or ls1 == ls2
 
     @pytest.mark.parametrize(
-        "observed, obs_variance, bounds",
+        "observed, obs_variance, bounds, prior",
         [
-            (0.0, 0.0, ((0.0, 1.0),)),
-            (0.0, math.inf, ((0.0, 1.0),)),
-            (0.0, math.nan, ((0.0, 1.0),)),
-            (math.nan, 1.0, ((0.0, 1.0),)),
-            (-math.inf, 1.0, ((0.0, 1.0),)),
-            (0.0, 1.0, ((1.0, 0.0),)),
-            (0.0, 1.0, ((0.0, math.inf),)),
-            (0.0, 1.0, ((math.nan, 1.0),)),
-            (0.0, 1.0, ((0.0, 1.0), (-math.inf, 0.0))),
+            (0.0, 0.0, ((0.0, 1.0),), None),
+            (0.0, math.inf, ((0.0, 1.0),), None),
+            (0.0, math.nan, ((0.0, 1.0),), None),
+            (math.nan, 1.0, ((0.0, 1.0),), None),
+            (-math.inf, 1.0, ((0.0, 1.0),), None),
+            (0.0, 1.0, ((1.0, 0.0),), None),
+            (0.0, 1.0, ((0.0, math.inf),), None),
+            (0.0, 1.0, ((math.nan, 1.0),), None),
+            (0.0, 1.0, ((0.0, 1.0), (-math.inf, 0.0)), None),
+            (0.0, 1.0, ((0.0, 1.0),), ([math.nan], [[1.0]])),
+            (0.0, 1.0, ((0.0, 1.0),), ([0.0], [[math.inf]])),
+            (0.0, 1.0, ((0.0, 1.0),), ([0.0], [[math.nan]])),
         ],
     )
     def test_invalid_problem_rejected(
-        self, function_surrogate, observed, obs_variance, bounds
+        self, function_surrogate, observed, obs_variance, bounds, prior
     ):
         with pytest.raises(ConfigurationError):
             InverseProblem(
@@ -126,6 +129,7 @@ class TestFunctionals:
                 observed=observed,
                 obs_variance=obs_variance,
                 bounds=bounds,
+                prior=None if prior is None else GaussianPrior(*prior),
             )
 
 
@@ -195,6 +199,29 @@ class TestMapMultistart:
         with pytest.raises(raised, match="boom"):
             map_multistart(prob, n_starts=2, seed=0)
 
+    def test_failed_starts_are_counted(self, function_surrogate):
+        # the misfit falls towards x = 0, so no start below 0.75 ever steps
+        # into the failing part of the box; the starts above it all fail
+        def linear_below(x):
+            if x[0] > 0.75:
+                raise NumericalError("no surrogate here")
+            return x[0]
+
+        prob = InverseProblem(
+            surrogate=function_surrogate(linear_below),
+            observed=-1.0,
+            obs_variance=1.0,
+            bounds=((0.0, 1.0),),
+        )
+        # map_multistart draws its starts uniformly from default_rng(seed)
+        starts = np.random.default_rng(3).random(16)
+        summary = map_multistart(prob, n_starts=16, seed=3)
+        expected = int(np.sum(starts > 0.75))
+        assert 0 < expected < 16
+        assert summary.metadata["failed_starts"] == expected
+        assert summary.to_json_dict()["metadata"]["failed_starts"] == expected
+        assert summary.map_clusters[0].x[0] == 0.0
+
     def test_start_order_invariance(self, mixed1d_problem):
         a = map_multistart(mixed1d_problem, n_starts=16, max_iter=400, seed=4)
         b = map_multistart(mixed1d_problem, n_starts=16, max_iter=400, seed=4)
@@ -205,7 +232,7 @@ class TestMapMultistart:
     def test_cluster_set_invariant_under_endpoint_permutation(self, mixed1d_problem):
         # clustering happens on the objective-sorted endpoint list, so the
         # order starts were launched in cannot move the cluster set
-        from gpinverse.inversion import _cluster_endpoints, _ls_unchecked
+        from gpinverse.inversion import _cluster_endpoints, _ls_and_grad
 
         rng = np.random.default_rng(2)
         starts = rng.uniform(-10, 10, size=(20, 1))
@@ -215,8 +242,9 @@ class TestMapMultistart:
             [
                 np.clip(
                     minimize(
-                        lambda p: _ls_unchecked(mixed1d_problem, p),
+                        lambda p: _ls_and_grad(mixed1d_problem, p),
                         s,
+                        jac=True,
                         method="L-BFGS-B",
                         bounds=[(-10.0, 10.0)],
                         options={"maxiter": 400},
@@ -227,15 +255,16 @@ class TestMapMultistart:
                 for s in starts
             ]
         )
-        objs = np.array([_ls_unchecked(mixed1d_problem, e) for e in endpoints])
+        objs, grads = zip(*(_ls_and_grad(mixed1d_problem, e) for e in endpoints))
+        objs, grads = np.array(objs), np.array(grads)
 
         def cluster_positions(order):
             clusters = _cluster_endpoints(
                 endpoints[order],
                 objs[order],
                 objs[order],
+                grads[order],
                 mixed1d_problem,
-                lambda p: _ls_unchecked(mixed1d_problem, p),
             )
             return np.sort([float(c.x[0]) for c in clusters])
 
@@ -309,6 +338,20 @@ class TestLaplace:
         lo, hi = res.intervals[0]
         assert lo == pytest.approx(0.3 - 1.96 * sigma_g, abs=1e-3)
         assert hi == pytest.approx(0.3 + 1.96 * sigma_g, abs=1e-3)
+
+    def test_curvature_where_the_observation_is_out_of_reach(self, function_surrogate):
+        # mean x^2 never reaches -1: at the MAP x = 0 the residual is -1 and
+        # LS = (1 + x^2)^2 has curvature 4, all of it from the mean's Hessian,
+        # so -log NLS has curvature 4 / (2 sigma^2) and the variance is sigma^2 / 2
+        prob = InverseProblem(
+            surrogate=function_surrogate(lambda x: x[0] ** 2),
+            observed=-1.0,
+            obs_variance=0.5,
+            bounds=((-3.0, 3.0),),
+        )
+        res = laplace_approximation(prob, [0.0])
+        assert not res.degenerate
+        assert res.cov[0, 0] == pytest.approx(0.25, rel=1e-6)
 
     def test_interval_contains_map(self, forrester_problem):
         summary = map_multistart(forrester_problem, n_starts=16, seed=0)
@@ -423,6 +466,24 @@ class TestHighProbabilityRegion:
             bounds=((0.0, 63.0),),
         )
         assert high_probability_region(prob, 0.5, 64) == [(5.0, 9.0), (50.0, 63.0)]
+
+    def test_underflowed_profile_keeps_the_least_misfit_cells(self, function_surrogate):
+        # exp(-LS / (2 sigma^2)) is 0.0 on the whole grid, yet the region
+        # around the LS minimum must survive normalization
+        prob = InverseProblem(
+            surrogate=function_surrogate(lambda x: x[0]),
+            observed=5.0,
+            obs_variance=1e-3,
+            bounds=((0.0, 1.0),),
+        )
+        _, points, ls, nls, normalized = evaluate_profile_grid(prob, 256)
+        assert np.max(nls) == 0.0
+        assert np.max(normalized) == 1.0
+        argmin = float(points[np.argmin(ls), 0])
+        regions = high_probability_region(prob, 0.5, 256)
+        assert len(regions) == 1
+        lo, hi = regions[0]
+        assert lo <= argmin <= hi
 
     def test_threshold_validation(self, forrester_problem):
         with pytest.raises(ConfigurationError):

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpinverse.cli
+import gpinverse.inversion
+import gpinverse.presets
 from gpinverse.bo import BoConfig
 from gpinverse.cli import main
 from gpinverse.errors import (
@@ -24,6 +26,7 @@ from gpinverse.presets import (
     config_to_text,
     get_preset,
     list_presets,
+    run_experiment,
 )
 from gpinverse.sampling import McmcConfig
 
@@ -283,6 +286,25 @@ def test_cli_runs_small_config_end_to_end(tmp_path, capsys):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["benchmark"] == "forrester1d"
     assert manifest["inversion"]["observed"] == -6.02
+
+
+def test_inversion_stage_evaluates_the_profile_grid_once(tmp_path, monkeypatch):
+    # the level sets and profiles.csv share one grid pass
+    calls = []
+    original = gpinverse.inversion.evaluate_profile_grid
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gpinverse.inversion, "evaluate_profile_grid", counting)
+    monkeypatch.setattr(gpinverse.presets, "evaluate_profile_grid", counting)
+    config = config_from_text(_SMALL_RUN + _OBS + "inversion.grid_resolution = 256\n")
+    result = run_experiment(config, str(tmp_path / "out"))
+    assert len(calls) == 1
+    assert result.summary.hp_regions
+    posterior = json.loads((tmp_path / "out" / "posterior.json").read_text())
+    assert posterior["metadata"]["failed_starts"] == 0
 
 
 def test_cli_output_env_var_respected(tmp_path, monkeypatch):
