@@ -323,30 +323,6 @@ class BoTrace:
     validation_seed: int = 0
     validation_variance: float = 0.0
 
-    def csv_rows(self):
-        """(iteration, n_samples, mse) rows for convergence-curve plots."""
-        return [(r.index, r.n_samples, r.mse) for r in self.iterations]
-
-    def to_json_dict(self):
-        return {
-            "converged": self.converged,
-            "validation_seed": self.validation_seed,
-            "validation_variance": self.validation_variance,
-            "iterations": [
-                {
-                    "index": r.index,
-                    "n_samples": r.n_samples,
-                    "mse": r.mse,
-                    "mse_normalized": r.mse_normalized,
-                    "length_scale": r.length_scale,
-                    "signal_variance": r.signal_variance,
-                    "jitter": r.jitter,
-                    "acquired": np.asarray(r.acquired).tolist(),
-                }
-                for r in self.iterations
-            ],
-        }
-
 
 def _fit_for_config(data: Dataset, config: BoConfig, refit_seed: int) -> GpModel:
     if config.fixed_length_scale is not None:

@@ -179,43 +179,6 @@ class PosteriorSummary:
     hp_regions: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    def to_json_dict(self):
-        return {
-            "map_clusters": [
-                {
-                    "x": c.x.tolist(),
-                    "ls_residual": c.ls_residual,
-                    "objective": c.objective,
-                    "n_members": c.n_members,
-                    "grad_norm": c.grad_norm,
-                    "on_bound": c.on_bound,
-                }
-                for c in self.map_clusters
-            ],
-            "multimodal": self.multimodal,
-            "laplace": None
-            if self.laplace is None
-            else {
-                "degenerate": self.laplace.degenerate,
-                "message": self.laplace.message,
-                "level": self.laplace.level,
-                "cov": None
-                if self.laplace.cov is None
-                else self.laplace.cov.tolist(),
-                "intervals": None
-                if self.laplace.intervals is None
-                else [list(iv) for iv in self.laplace.intervals],
-            },
-            "credible_intervals": None
-            if self.credible_intervals is None
-            else [list(iv) for iv in self.credible_intervals],
-            "hp_regions": [
-                list(r) if np.ndim(r[0]) == 0 else [list(p) for p in r]
-                for r in self.hp_regions
-            ],
-            "metadata": self.metadata,
-        }
-
 
 def _residuals_tied(r1: float, r2: float, floor: float) -> bool:
     if r1 <= floor and r2 <= floor:

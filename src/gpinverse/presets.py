@@ -112,6 +112,13 @@ class ExperimentConfig:
             return "bo-only"
         return "inversion"
 
+    def __post_init__(self):
+        if self.mcmc_grid_resolution < 64:
+            raise ConfigurationError("mcmc_grid_resolution must be >= 64")
+        for name in self.compare_benchmarks:
+            if get_benchmark(name).dim != 1:
+                raise ConfigurationError(f"compare benchmark {name!r} is not 1-D")
+
 
 def _bo_1d(seed: int = 0, **overrides) -> BoConfig:
     base = dict(
@@ -408,21 +415,47 @@ def load_config_file(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    """Full round-trip decimal representation for reproducible CSVs."""
-    return repr(float(v))
+# Rows formatted per block of CSV text.  One Python object per cell lives
+# only for the block, so peak memory stays bounded by the column arrays.
+_CSV_BLOCK_ROWS = 1024
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n")
+def _open_artifact(result, relpath: str):
+    """Open ``relpath`` under the output directory and record it as written."""
+    path = os.path.join(result.outdir, relpath)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    result.files.append(relpath)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+def _write_csv(result, relpath: str, columns: dict) -> None:
+    """Write ``{header: 1-D column}`` as one CSV artifact.
+
+    Floats are written with their round-trip ``repr`` so repeated runs with
+    the same seed are byte-identical; ints and strings with ``str``.
+    """
+    arrays = [np.asarray(c) for c in columns.values()]
+    fmts = [repr if a.dtype.kind == "f" else str for a in arrays]
+    with _open_artifact(result, relpath) as fh:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(arrays[0]), _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            cells = [map(f, a[start:stop].tolist()) for f, a in zip(fmts, arrays)]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _json_default(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _write_json(result, relpath: str, payload) -> None:
+    """Write ``payload`` as one JSON artifact; ndarrays and dataclasses nest."""
+    with _open_artifact(result, relpath) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
@@ -440,14 +473,15 @@ class ExperimentResult:
     files: list[str] = field(default_factory=list)
 
 
-def _run_inversion_stage(config, hf, model, outdir, manifest, result):
+def _run_inversion_stage(config, hf, model, result):
     settings = config.inversion
+    record = result.manifest["inversion"]
     if settings.x_true is not None:
         observed = eval_benchmark(hf, np.asarray(settings.x_true))
-        manifest["inversion"]["observed_synthesized_from"] = list(settings.x_true)
+        record["observed_synthesized_from"] = list(settings.x_true)
     else:
         observed = settings.observed
-    manifest["inversion"]["observed"] = observed
+    record["observed"] = observed
 
     problem = InverseProblem(
         surrogate=model,
@@ -481,81 +515,73 @@ def _run_inversion_stage(config, hf, model, outdir, manifest, result):
         }
     )
 
-    _write_json(os.path.join(outdir, "posterior.json"), summary.to_json_dict())
-    result.files.append("posterior.json")
-
+    _write_json(result, "posterior.json", summary)
     _, points, ls, nls, nls_norm = profile
-    if problem.dim == 1:
-        header = ["x", "ls", "nls", "nls_normalized"]
-        rows = zip(points[:, 0], ls, nls, nls_norm)
-    else:
-        header = ["x", "y", "ls", "nls", "nls_normalized"]
-        rows = zip(points[:, 0], points[:, 1], ls, nls, nls_norm)
-    _write_csv(os.path.join(outdir, "profiles.csv"), header, rows)
-    result.files.append("profiles.csv")
+    coords = dict(zip(("x", "y"), points.T))
+    _write_csv(
+        result,
+        "profiles.csv",
+        {**coords, "ls": ls, "nls": nls, "nls_normalized": nls_norm},
+    )
 
     result.problem = problem
     result.summary = summary
-    manifest["inversion"]["n_clusters"] = len(summary.map_clusters)
-    manifest["inversion"]["multimodal"] = summary.multimodal
-    manifest["inversion"]["map"] = summary.map_clusters[0].x.tolist()
-    manifest["inversion"]["map_ls_residual"] = summary.map_clusters[0].ls_residual
-    manifest["inversion"]["hp_regions"] = summary.to_json_dict()["hp_regions"]
+    record["n_clusters"] = len(summary.map_clusters)
+    record["multimodal"] = summary.multimodal
+    record["map"] = best.x.tolist()
+    record["map_ls_residual"] = best.ls_residual
+    record["hp_regions"] = summary.hp_regions
 
 
-def _run_mcmc_stage(config, outdir, manifest, result):
+def _run_mcmc_stage(config, result):
     problem = result.problem
     chains = run_mcmc(problem, config.mcmc)
     result.chains = chains
-    chains_dir = os.path.join(outdir, "chains")
-    os.makedirs(chains_dir, exist_ok=True)
+    record = result.manifest["mcmc"]
     kde_grid = np.linspace(
         problem.bounds[0][0], problem.bounds[0][1], 2001
     )
-    overlay_rows = []
+    densities = []
     for ch in chains:
         _write_csv(
-            os.path.join(chains_dir, f"chain_{ch.chain_index:02d}.csv"),
-            ["step", *(f"x{i}" for i in range(problem.dim)), "accepted"],
-            (
-                (t, *ch.path[t], str(int(ch.accepted[t])))
-                for t in range(ch.path.shape[0])
-            ),
+            result,
+            f"chains/chain_{ch.chain_index:02d}.csv",
+            {
+                "step": np.arange(ch.path.shape[0]),
+                **{f"x{i}": column for i, column in enumerate(ch.path.T)},
+                "accepted": ch.accepted.astype(int),
+            },
         )
-        result.files.append(f"chains/chain_{ch.chain_index:02d}.csv")
         if problem.dim == 1:
             dens = kde_estimate(ch.samples[:, 0], kde_grid)
+            densities.append(dens)
             _write_csv(
-                os.path.join(chains_dir, f"kde_{ch.chain_index:02d}.csv"),
-                ["x", "density"],
-                zip(kde_grid, dens),
+                result,
+                f"chains/kde_{ch.chain_index:02d}.csv",
+                {"x": kde_grid, "density": dens},
             )
-            result.files.append(f"chains/kde_{ch.chain_index:02d}.csv")
-            overlay_rows.extend(
-                (str(ch.chain_index), x, d) for x, d in zip(kde_grid, dens)
-            )
-    if overlay_rows:
-        _write_csv(
-            os.path.join(outdir, "kde_overlay.csv"),
-            ["chain", "x", "density"],
-            overlay_rows,
-        )
-        result.files.append("kde_overlay.csv")
     if problem.dim == 1:
+        _write_csv(
+            result,
+            "kde_overlay.csv",
+            {
+                "chain": np.repeat([ch.chain_index for ch in chains], kde_grid.size),
+                "x": np.tile(kde_grid, len(chains)),
+                "density": np.concatenate(densities),
+            },
+        )
         ref = grid_posterior(problem, config.mcmc_grid_resolution)
         _write_csv(
-            os.path.join(outdir, "grid_posterior.csv"),
-            ["x", "density"],
-            zip(ref.grid, ref.density),
+            result, "grid_posterior.csv", {"x": ref.grid, "density": ref.density}
         )
-        result.files.append("grid_posterior.csv")
-        manifest["mcmc"]["grid_modes"] = ref.mode_locations.tolist()
-    manifest["mcmc"]["acceptance_rates"] = [c.acceptance_rate for c in chains]
+        record["grid_modes"] = ref.mode_locations.tolist()
+    record["acceptance_rates"] = [c.acceptance_rate for c in chains]
 
 
-def _run_compare_stage(config, outdir, manifest, result):
-    rows = []
+def _run_compare_stage(config, result):
+    benchmarks, families, n_samples, mses = [], [], [], []
     val_seed = 2000
+    record = result.manifest["compare"]
     for name in config.compare_benchmarks:
         hf = get_benchmark(name)
         bo = dataclasses.replace(
@@ -576,18 +602,19 @@ def _run_compare_stage(config, outdir, manifest, result):
             surr = fit_deterministic(fam, data)
             pred = np.array([eval_deterministic(surr, p[0]) for p in points])
             scores[fam] = float(np.mean((truth - pred) ** 2))
-        for fam, mse in scores.items():
-            rows.append((name, fam, str(data.n), mse))
-        manifest["compare"][name] = scores
+        benchmarks += [name] * len(scores)
+        families += scores
+        n_samples += [data.n] * len(scores)
+        mses += scores.values()
+        record[name] = scores
     _write_csv(
-        os.path.join(outdir, "mse.csv"),
-        ["benchmark", "family", "n_samples", "mse"],
-        rows,
+        result,
+        "mse.csv",
+        {"benchmark": benchmarks, "family": families, "n_samples": n_samples, "mse": mses},
     )
-    result.files.append("mse.csv")
-    manifest["compare"]["validation_seed"] = val_seed
-    manifest["compare"]["gp_length_scale"] = 1.0
-    manifest["compare"]["gp_signal_variance"] = 1.0
+    record["validation_seed"] = val_seed
+    record["gp_length_scale"] = 1.0
+    record["gp_signal_variance"] = 1.0
 
 
 def run_experiment(
@@ -615,7 +642,6 @@ def run_experiment(
                 f"inversion.grid_resolution {config.inversion.grid_resolution} gives "
                 f"more than {MAX_GRID_CELLS} grid cells in {hf.dim}D"
             )
-    os.makedirs(outdir, exist_ok=True)
 
     manifest: dict = {
         "preset": config.name,
@@ -629,9 +655,8 @@ def run_experiment(
     result = ExperimentResult(config=config, outdir=outdir, manifest=manifest)
 
     if config.kind == "compare":
-        _run_compare_stage(config, outdir, manifest, result)
-        _write_json(os.path.join(outdir, "manifest.json"), manifest)
-        result.files.append("manifest.json")
+        _run_compare_stage(config, result)
+        _write_json(result, "manifest.json", manifest)
         return result
 
     trace = run_bo(hf, config.bo)
@@ -644,20 +669,30 @@ def run_experiment(
         "validation_seed": trace.validation_seed,
         "validation_variance": trace.validation_variance,
     }
-    _write_json(os.path.join(outdir, "trace.json"), trace.to_json_dict())
-    _write_csv(
-        os.path.join(outdir, "trace.csv"),
-        ["iteration", "n_samples", "mse"],
-        ((str(i), str(n), m) for i, n, m in trace.csv_rows()),
+    _write_json(
+        result,
+        "trace.json",
+        {
+            "converged": trace.converged,
+            "validation_seed": trace.validation_seed,
+            "validation_variance": trace.validation_variance,
+            "iterations": trace.iterations,
+        },
     )
-    result.files.extend(["trace.json", "trace.csv"])
+    _write_csv(
+        result,
+        "trace.csv",
+        {
+            "iteration": [r.index for r in trace.iterations],
+            "n_samples": [r.n_samples for r in trace.iterations],
+            "mse": [r.mse for r in trace.iterations],
+        },
+    )
 
     if config.inversion is not None:
-        _run_inversion_stage(config, hf, trace.final_model, outdir, manifest, result)
+        _run_inversion_stage(config, hf, trace.final_model, result)
     if config.mcmc is not None:
-        manifest["mcmc"] = dict(manifest["mcmc"])
-        _run_mcmc_stage(config, outdir, manifest, result)
+        _run_mcmc_stage(config, result)
 
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
-    result.files.append("manifest.json")
+    _write_json(result, "manifest.json", manifest)
     return result

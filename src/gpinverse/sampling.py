@@ -58,7 +58,7 @@ class ChainResult:
     """Post burn-in samples plus bookkeeping for one chain."""
 
     chain_index: int
-    samples: np.ndarray  # (n_steps - burn_in, d)
+    samples: np.ndarray  # (n_steps - burn_in, d), a view of path
     path: np.ndarray  # (n_steps, d), state after every proposal
     accepted: np.ndarray  # (n_steps,) bool
     acceptance_rate: float
@@ -136,7 +136,7 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig) -> list[ChainResult]:
         results.append(
             ChainResult(
                 chain_index=i,
-                samples=path[i, config.burn_in :, :].copy(),
+                samples=path[i, config.burn_in :, :],
                 path=path[i],
                 accepted=accepted[i],
                 acceptance_rate=float(np.mean(accepted[i])),

@@ -219,7 +219,6 @@ class TestMapMultistart:
         expected = int(np.sum(starts > 0.75))
         assert 0 < expected < 16
         assert summary.metadata["failed_starts"] == expected
-        assert summary.to_json_dict()["metadata"]["failed_starts"] == expected
         assert summary.map_clusters[0].x[0] == 0.0
 
     def test_start_order_invariance(self, mixed1d_problem):

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +19,11 @@ from gpinverse.errors import (
     InferenceError,
     NumericalError,
 )
+from gpinverse.inversion import LaplaceResult, MapCluster, PosteriorSummary
 from gpinverse.presets import (
     PRESETS,
     ExperimentConfig,
+    ExperimentResult,
     InversionSettings,
     config_from_text,
     config_to_text,
@@ -119,7 +122,7 @@ def _configs(draw):
         bo=bo,
         inversion=inversion,
         mcmc=mcmc,
-        mcmc_grid_resolution=draw(st.integers(2, 4096)),
+        mcmc_grid_resolution=draw(st.integers(64, 4096)),
     )
 
 
@@ -253,6 +256,9 @@ _OBS = _INV + "inversion.observed = -6.02\n"
         _OBS + "bo.fixed_length_scale = inf\nbo.fixed_signal_variance = 1.0\n",
         _OBS + "bo.fixed_length_scale = 1.0\nbo.fixed_signal_variance = nan\n",
         "mcmc.seed = 1\n",
+        _OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 10\n",
+        "compare_benchmarks = mixed1d, mixed2d\n",
+        "compare_benchmarks = mixed1d, nosuch\n",
     ],
 )
 def test_cli_bad_setting_exits_2_before_surrogate_stage(tmp_path, lines):
@@ -260,7 +266,117 @@ def test_cli_bad_setting_exits_2_before_surrogate_stage(tmp_path, lines):
     cfg.write_text(_SMALL_RUN + lines)
     outdir = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 2
-    assert not (outdir / "trace.json").exists()
+    assert not outdir.exists()
+
+
+def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path):
+    cfg = tmp_path / "mcmc.cfg"
+    cfg.write_text(
+        _SMALL_RUN
+        + _OBS
+        + "inversion.n_starts = 4\n"
+        + "inversion.grid_resolution = 256\n"
+        + "mcmc.n_chains = 2\nmcmc.n_steps = 50\nmcmc.burn_in = 10\n"
+        + "mcmc_grid_resolution = 64\n"
+    )
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 0
+    lines = (outdir / "chains" / "chain_01.csv").read_text().splitlines()
+    assert lines[0] == "step,x0,accepted"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == [str(t) for t in range(50)]
+    assert {r[2] for r in rows} <= {"0", "1"}
+    overlay = (outdir / "kde_overlay.csv").read_text().splitlines()
+    assert len(overlay) == 1 + 2 * 2001
+    assert overlay[1].startswith("0,") and overlay[-1].startswith("1,")
+
+
+def _reference_csv(path, header, rows):
+    # The row-by-row rule the block writer replaced: numbers as
+    # repr(float(v)), strings as they are.
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else repr(float(c)) for c in row) + "\n")
+
+
+def test_block_csv_writer_matches_the_row_by_row_rule(tmp_path):
+    special = [0.1, -0.0, 1e-300, 5e-324, 1e16, float("nan"), float("inf")]
+    n = 2500  # the 1,024-row blocks end inside the file
+    floats = np.resize(np.array(special + [1.0 / 3.0]), n) * np.repeat([1.0, -1.0], n // 2)
+    ints = np.arange(n) - 7
+    labels = [f"chain{i % 3}" for i in range(n)]
+    result = ExperimentResult(config=None, outdir=str(tmp_path / "out"), manifest={})
+    gpinverse.presets._write_csv(
+        result, "sub/table.csv", {"v": floats, "i": ints, "s": labels}
+    )
+    assert result.files == ["sub/table.csv"]
+    reference = tmp_path / "reference.csv"
+    _reference_csv(
+        reference,
+        ["v", "i", "s"],
+        zip(floats.tolist(), (str(i) for i in ints.tolist()), labels),
+    )
+    written = (tmp_path / "out" / "sub" / "table.csv").read_bytes()
+    assert written == reference.read_bytes()
+    assert written.count(b"\n") == n + 1
+
+
+def test_posterior_json_is_the_summary_as_nested_lists(tmp_path):
+    cluster = MapCluster(
+        x=np.array([0.25, -1.5]),
+        ls_residual=1e-3,
+        objective=0.5,
+        n_members=3,
+        grad_norm=2e-7,
+        on_bound=False,
+    )
+    laplace = LaplaceResult(
+        cov=np.array([[0.04, 0.01], [0.01, 0.09]]),
+        intervals=((0.1, 0.4), (-2.0, -1.0)),
+        level=0.95,
+        degenerate=False,
+        message="ok",
+    )
+    summary = PosteriorSummary(
+        map_clusters=[cluster],
+        multimodal=False,
+        laplace=laplace,
+        credible_intervals=laplace.intervals,
+        hp_regions=[((0.0, 0.5), (-2.0, -1.0))],
+        metadata={"failed_starts": 0, "observed": 0.63},
+    )
+    expected = {
+        "map_clusters": [
+            {
+                "x": [0.25, -1.5],
+                "ls_residual": 1e-3,
+                "objective": 0.5,
+                "n_members": 3,
+                "grad_norm": 2e-7,
+                "on_bound": False,
+            }
+        ],
+        "multimodal": False,
+        "laplace": {
+            "degenerate": False,
+            "message": "ok",
+            "level": 0.95,
+            "cov": [[0.04, 0.01], [0.01, 0.09]],
+            "intervals": [[0.1, 0.4], [-2.0, -1.0]],
+        },
+        "credible_intervals": [[0.1, 0.4], [-2.0, -1.0]],
+        "hp_regions": [[[0.0, 0.5], [-2.0, -1.0]]],
+        "metadata": {"failed_starts": 0, "observed": 0.63},
+    }
+    result = ExperimentResult(config=None, outdir=str(tmp_path), manifest={})
+    gpinverse.presets._write_json(result, "posterior.json", summary)
+    assert json.loads((tmp_path / "posterior.json").read_text()) == expected
+
+    summary.laplace = summary.credible_intervals = None
+    gpinverse.presets._write_json(result, "posterior.json", summary)
+    loaded = json.loads((tmp_path / "posterior.json").read_text())
+    assert loaded == {**expected, "laplace": None, "credible_intervals": None}
 
 
 def test_cli_runs_small_config_end_to_end(tmp_path, capsys):

@@ -73,6 +73,13 @@ class TestMcmc:
         for chain in run_mcmc(prob, cfg):
             assert chain.acceptance_rate == chain.accepted.sum() / 500
 
+    def test_samples_are_a_view_of_the_post_burn_in_path(self, function_surrogate):
+        prob = _gaussian_target_problem(function_surrogate)
+        cfg = McmcConfig(n_chains=2, n_steps=500, burn_in=100, seed=0)
+        for chain in run_mcmc(prob, cfg):
+            assert np.shares_memory(chain.samples, chain.path)
+            np.testing.assert_array_equal(chain.samples, chain.path[100:])
+
     def test_samples_stay_in_bounds(self, function_surrogate):
         prob = _gaussian_target_problem(function_surrogate, bounds=(-0.5, 0.9))
         cfg = McmcConfig(n_chains=3, n_steps=2000, burn_in=0, proposal_scale=0.3, seed=1)
