@@ -32,6 +32,7 @@ from .gp import (
     gp_optimize_hyperparameters,
     gp_predict_grad,
     gp_predict_many,
+    log_marginal_likelihood,
 )
 
 __all__ = [
@@ -310,6 +311,7 @@ class BoIteration:
     length_scale: float
     signal_variance: float
     jitter: float
+    log_marginal_likelihood: float  # of the training outputs under this fit
     acquired: np.ndarray  # points appended after this record, possibly empty
 
 
@@ -389,6 +391,7 @@ def run_bo(hf: HighFidelityModel, config: BoConfig) -> BoTrace:
                 length_scale=model.kernel.length_scale,
                 signal_variance=model.kernel.signal_variance,
                 jitter=model.jitter,
+                log_marginal_likelihood=log_marginal_likelihood(model),
                 acquired=acquired,
             )
         )

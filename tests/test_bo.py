@@ -22,6 +22,7 @@ from gpinverse import (
     gp_fit,
     gp_predict,
     gp_predict_many,
+    log_marginal_likelihood,
     run_bo,
     upper_confidence_bound,
     validation_mse,
@@ -304,6 +305,14 @@ class TestRunBo:
         b = run_bo(hf, cfg)
         assert [r.mse for r in a.iterations] == [r.mse for r in b.iterations]
         np.testing.assert_array_equal(a.final_model.data.x, b.final_model.data.x)
+
+    def test_records_hold_each_fit_likelihood(self):
+        hf = get_benchmark("forrester1d")
+        cfg = BoConfig(max_evaluations=8, mse_threshold=1e-12, n_val=100, seed=3)
+        trace = run_bo(hf, cfg)
+        last = trace.iterations[-1].log_marginal_likelihood
+        assert last == log_marginal_likelihood(trace.final_model)
+        assert all(math.isfinite(r.log_marginal_likelihood) for r in trace.iterations)
 
     def test_acquired_points_strictly_inside_bounds(self):
         hf = get_benchmark("mixed1d")

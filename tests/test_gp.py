@@ -1,9 +1,11 @@
 """Gaussian-process regression: kernels, conditioning, likelihood, fitting."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from gpinverse import (
     ConfigurationError,
@@ -24,6 +26,25 @@ from gpinverse.gp import _kernel_from_r, _neg_lml_objective, kernel_matrix
 
 def _dataset(x, y, bounds=((-5.0, 5.0),)):
     return Dataset(x=np.asarray(x, dtype=float).reshape(len(y), -1), y=y, bounds=bounds)
+
+
+def _reference_neg_lml(ds, spec, noise):
+    """-log p(y) and the jitter used, by Rasmussen & Williams Algorithm 2.1.
+
+    Written out with an explicit identity, the ladder as a literal and
+    cho_solve, so it shares no factor or solve code with gp.py; returns
+    (inf, None) when every rung fails.
+    """
+    k = kernel_matrix(spec, ds.x, ds.x)
+    for jitter in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4):
+        try:
+            chol = np.linalg.cholesky(k + (noise + jitter) * np.eye(ds.n))
+        except np.linalg.LinAlgError:
+            continue
+        quad = float(ds.y @ sla.cho_solve((chol, True), ds.y))
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        return -(-0.5 * quad - 0.5 * logdet - 0.5 * ds.n * math.log(2.0 * math.pi)), jitter
+    return math.inf, None
 
 
 class TestKernels:
@@ -68,7 +89,8 @@ class TestKernels:
                 xa = scale * rng.normal(size=(40, dim))
                 xb = scale * rng.normal(size=(70, dim))
                 d2 = np.sum((xa[:, None, :] - xb[None, :, :]) ** 2, axis=2)
-                want = _kernel_from_r(spec, np.sqrt(np.maximum(d2, 0.0)))
+                r = np.sqrt(np.maximum(d2, 0.0))
+                want = _kernel_from_r(spec.family, spec.length_scale, spec.signal_variance, r)
                 np.testing.assert_array_equal(kernel_matrix(spec, xa, xb), want)
 
     def test_gram_matrix_is_positive_semidefinite(self):
@@ -121,6 +143,18 @@ class TestFitPredict:
         ds = _dataset([[0.2], [0.2]], [1.0, 1.0])
         with pytest.raises(DegenerateDataError):
             gp_fit(ds, KernelSpec("rbf", 1.0, 1.0), 0.0)
+
+    def test_failed_factorization_reports_condition_of_the_kernel(self):
+        # every rung shifts the diagonal in place; the estimate in the error
+        # must still be that of K + noise I, not of the last shifted matrix
+        x = np.linspace(0, 1, 12).reshape(-1, 1)
+        ds = Dataset(x=x, y=np.sin(6 * x[:, 0]), bounds=((0.0, 1.0),))
+        spec = KernelSpec("rbf", 10.0, 1e12)
+        k = kernel_matrix(spec, ds.x, ds.x)
+        want, shifted = np.linalg.cond(k), np.linalg.cond(k + 1e-4 * np.eye(ds.n))
+        assert f"{want:.3e}" != f"{shifted:.3e}"
+        with pytest.raises(NumericalError, match=re.escape(f"condition estimate {want:.3e}")):
+            gp_fit(ds, spec, 0.0)
 
     def test_prediction_reverts_to_prior_far_away(self):
         ds = _dataset([[0.0], [0.5]], [1.0, 0.5], bounds=((-100.0, 100.0),))
@@ -303,6 +337,24 @@ class TestHyperparameterFit:
                             want, jitter = math.inf, None
                         else:
                             want, jitter = -log_marginal_likelihood(model), model.jitter
+                        jitters.add(jitter)
+                        assert objective(np.array([log_ell, log_s2])) == want
+        assert None in jitters
+        assert len(jitters - {None, 0.0}) >= 3
+
+    def test_objective_equals_written_out_reference_exactly(self):
+        # gp_fit and the objective share one factor path, so the test above
+        # cannot see a drift in both; this reference shares none of it
+        x = np.linspace(0, 1, 12).reshape(-1, 1)
+        ds = Dataset(x=x, y=np.sin(6 * x[:, 0]), bounds=((0.0, 1.0),))
+        jitters = set()
+        for family in ("matern52", "rbf"):
+            for noise in (0.0, 1e-6):
+                objective = _neg_lml_objective(ds, family, noise)
+                for log_ell in np.linspace(math.log(0.01), math.log(10.0), 7):
+                    for log_s2 in np.linspace(math.log(1e-6), math.log(1e12), 7):
+                        spec = KernelSpec(family, math.exp(log_ell), math.exp(log_s2))
+                        want, jitter = _reference_neg_lml(ds, spec, noise)
                         jitters.add(jitter)
                         assert objective(np.array([log_ell, log_s2])) == want
         assert None in jitters

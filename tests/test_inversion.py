@@ -466,6 +466,35 @@ class TestHighProbabilityRegion:
         )
         assert high_probability_region(prob, 0.5, 64) == [(5.0, 9.0), (50.0, 63.0)]
 
+    def test_profile_of_another_resolution_rejected(self, function_surrogate):
+        prob = InverseProblem(
+            surrogate=function_surrogate(lambda x: x[0] ** 2),
+            observed=0.25,
+            obs_variance=0.05,
+            bounds=((-1.0, 1.0),),
+        )
+        profile = evaluate_profile_grid(prob, 128)
+        with pytest.raises(ConfigurationError, match=r"\(128,\).*\(64,\)"):
+            high_probability_region(prob, 0.9, 64, profile)
+
+    def test_profile_of_another_dimension_rejected(self, function_surrogate):
+        # 4,096 cells would reshape silently into a wrong 64 x 64 mask
+        prob_1d = InverseProblem(
+            surrogate=function_surrogate(lambda x: x[0] ** 2),
+            observed=0.25,
+            obs_variance=0.05,
+            bounds=((-1.0, 1.0),),
+        )
+        prob_2d = InverseProblem(
+            surrogate=function_surrogate(lambda x: x[0] ** 2 + x[1] ** 2),
+            observed=0.25,
+            obs_variance=0.05,
+            bounds=((-1.0, 1.0), (-1.0, 1.0)),
+        )
+        profile = evaluate_profile_grid(prob_1d, 4096)
+        with pytest.raises(ConfigurationError, match=r"\(4096,\).*\(64, 64\)"):
+            high_probability_region(prob_2d, 0.9, 64, profile)
+
     def test_underflowed_profile_keeps_the_least_misfit_cells(self, function_surrogate):
         # exp(-LS / (2 sigma^2)) is 0.0 on the whole grid, yet the region
         # around the LS minimum must survive normalization
