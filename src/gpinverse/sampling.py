@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import fft as sfft
 
 from .errors import ConfigurationError, DegenerateDataError, InferenceError, UnsupportedDimensionError
 from .inversion import InverseProblem
@@ -30,6 +31,9 @@ __all__ = [
 
 _LOG_DENSITY_FLOOR = -745.0  # below this exp() underflows to exactly 0.0
 _INIT_ATTEMPTS = 100
+_KDE_CELLS_PER_BANDWIDTH = 64  # internal KDE grid spacing is h / 64
+_KDE_TAIL = 8.0  # kernel truncated, and the internal grid padded, at 8h
+_KDE_MAX_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -162,23 +166,62 @@ def kde_estimate(
     grid: np.ndarray,
     bandwidth: Optional[float] = None,
 ) -> np.ndarray:
-    """Gaussian kernel density estimate of 1D samples on a grid.
+    """Gaussian kernel density estimate of 1D samples at the points of grid.
 
     ``bandwidth=None`` selects Silverman's rule.  The result integrates to
     one (trapezoidal, to within a couple percent) whenever the grid spans the
     sample range plus a few bandwidths.
+
+    The estimate is binned (Silverman 1982, AS 176; Wand 1994): the samples
+    are linearly binned onto an internal uniform grid of spacing
+    delta = h/64 spanning min(samples) - 8h to max(samples) + 8h, the counts
+    are convolved by FFT with the Gaussian kernel truncated at 8h, and the
+    result is interpolated linearly at the grid points (0 beyond the internal
+    grid).  Binning and interpolation each err by at most
+    delta^2 / (8 h^3 sqrt(2 pi)) and the truncation by e^-32 of the kernel
+    height, so against the exact sum over samples
+
+        |estimate - exact| <= ((delta/h)^2 / 4 + 1e-13) / (h sqrt(2 pi)),
+
+    about 6.1e-5 of the kernel height.  The internal grid is capped at 2^20
+    cells, so memory stays bounded whatever the bandwidth; a (span/h) that
+    would need more raises ``ConfigurationError``.
     """
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size < 2:
         raise DegenerateDataError("kernel density estimation needs >= 2 samples")
-    h = silverman_bandwidth(samples) if bandwidth is None else float(bandwidth)
-    if h <= 0:
-        raise ConfigurationError("bandwidth must be positive")
     grid = np.asarray(grid, dtype=float).ravel()
-    z = (grid[:, None] - samples[None, :]) / h
-    return np.exp(-0.5 * z * z).sum(axis=1) / (
+    if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(grid))):
+        raise ConfigurationError("samples and grid points must be finite")
+    h = silverman_bandwidth(samples) if bandwidth is None else float(bandwidth)
+    if not 0 < h < math.inf:
+        raise ConfigurationError("bandwidth must be positive and finite")
+
+    delta = h / _KDE_CELLS_PER_BANDWIDTH
+    lo = float(samples.min()) - _KDE_TAIL * h
+    span = float(samples.max()) + _KDE_TAIL * h - lo
+    if not span / delta <= _KDE_MAX_CELLS - 1:
+        raise ConfigurationError(
+            f"span/h = {span / h:.4g} (sample range plus 16 bandwidths) needs more "
+            f"than {_KDE_MAX_CELLS} KDE grid cells of h/{_KDE_CELLS_PER_BANDWIDTH}: "
+            f"use a larger bandwidth"
+        )
+    n_cells = math.ceil(span / delta) + 1
+    pos = (samples - lo) / delta
+    left = pos.astype(np.intp)
+    frac = pos - left
+    counts = np.bincount(left, weights=1.0 - frac, minlength=n_cells)
+    counts += np.bincount(left + 1, weights=frac, minlength=n_cells)
+
+    reach = int(_KDE_TAIL * _KDE_CELLS_PER_BANDWIDTH)
+    offsets = np.arange(-reach, reach + 1) / _KDE_CELLS_PER_BANDWIDTH
+    kernel = np.exp(-0.5 * offsets * offsets) / (
         samples.size * h * math.sqrt(2.0 * math.pi)
     )
+    n_fft = sfft.next_fast_len(n_cells + 2 * reach, real=True)
+    smoothed = sfft.irfft(sfft.rfft(counts, n_fft) * sfft.rfft(kernel, n_fft), n_fft)
+    density = np.maximum(smoothed[reach : reach + n_cells], 0.0)
+    return np.interp(grid, lo + delta * np.arange(n_cells), density, left=0.0, right=0.0)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """MCMC sampler, kernel density estimation, and the grid reference posterior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,7 +113,44 @@ class TestMcmc:
             McmcConfig(n_chains=0)
 
 
+def _dense_kde(samples, grid, h):
+    # The exact sum over samples: one Gaussian per (grid point, sample) pair.
+    z = (grid[:, None] - samples[None, :]) / h
+    return np.exp(-0.5 * z * z).sum(axis=1) / (samples.size * h * math.sqrt(2 * math.pi))
+
+
+def _kde_bound(h):
+    # kde_estimate's documented error bound for internal grid spacing h/64.
+    return ((1 / 64) ** 2 / 4 + 1e-13) / (h * math.sqrt(2 * math.pi))
+
+
 class TestKde:
+    @pytest.mark.parametrize(
+        "grid_of",
+        [
+            pytest.param(lambda s, h: np.linspace(-5.0, 5.0, 1001), id="bimodal"),
+            pytest.param(lambda s, h: np.array([0.0]), id="one-point"),
+            pytest.param(lambda s, h: np.linspace(-1.0, 0.5, 301), id="not-covering"),
+            pytest.param(
+                lambda s, h: np.concatenate(
+                    [
+                        s.min() - h * np.array([100.0, 8.5, 8.0, 7.9]),
+                        s.max() + h * np.array([7.9, 8.0, 8.5, 100.0]),
+                    ]
+                ),
+                id="beyond-8h",
+            ),
+        ],
+    )
+    def test_within_docstring_bound_of_dense_sum(self, grid_of):
+        rng = np.random.default_rng(21)
+        samples = np.concatenate([rng.normal(-2.0, 0.5, 200), rng.normal(1.5, 0.3, 100)])
+        h = silverman_bandwidth(samples)
+        grid = grid_of(samples, h)
+        dens = kde_estimate(samples, grid)
+        assert np.all(dens >= 0.0)
+        assert np.max(np.abs(dens - _dense_kde(samples, grid, h))) <= _kde_bound(h)
+
     def test_tight_cluster_peaks_at_kernel_height(self):
         samples = np.full(50, 2.0) + np.random.default_rng(0).normal(scale=1e-9, size=50)
         h = 0.25
@@ -150,6 +188,40 @@ class TestKde:
     def test_needs_two_samples(self):
         with pytest.raises(DegenerateDataError):
             kde_estimate(np.array([1.0]), np.linspace(0, 2, 10))
+
+    @pytest.mark.parametrize(
+        "samples, grid, bandwidth",
+        [
+            pytest.param([0.0, 1.0], [0.5], math.nan, id="nan-bandwidth"),
+            pytest.param([0.0, 1.0], [0.5], math.inf, id="inf-bandwidth"),
+            pytest.param([0.0, math.nan, 1.0], [0.5], None, id="nan-sample"),
+            pytest.param([0.0, math.inf, 1.0], [0.5], None, id="inf-sample"),
+            pytest.param([0.0, 1.0], [0.5, math.nan], 0.3, id="nan-grid"),
+        ],
+    )
+    def test_non_finite_input_rejected(self, samples, grid, bandwidth):
+        with pytest.raises(ConfigurationError):
+            kde_estimate(np.array(samples), np.array(grid), bandwidth=bandwidth)
+
+    def test_memory_bounded_for_any_bandwidth(self):
+        samples = np.array([0.0, 1.0])
+        grid = np.array([0.0, 0.5, 1.0])
+        # The smallest bandwidth whose internal grid fits in 2**20 cells:
+        # span/h = 1/h + 16 must stay within (2**20 - 1) / 64.
+        h_cap = 1.0 / ((2**20 - 1) / 64 - 16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="span/h"):
+                kde_estimate(samples, grid, bandwidth=1e-7)
+            with pytest.raises(ConfigurationError, match="span/h"):
+                kde_estimate(samples, grid, bandwidth=h_cap * 0.999)
+            dens = kde_estimate(samples, grid, bandwidth=h_cap * 1.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        h = h_cap * 1.001
+        assert np.max(np.abs(dens - _dense_kde(samples, grid, h))) <= _kde_bound(h)
 
 
 class TestGridPosterior:

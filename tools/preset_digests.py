@@ -1,12 +1,13 @@
-"""Run every preset and print the SHA-256 of each artifact it writes.
+"""Run presets and print the SHA-256 of each artifact they write.
 
 Usage::
 
-    PYTHONPATH=<checkout>/src python tools/preset_digests.py DIR
+    PYTHONPATH=<checkout>/src python tools/preset_digests.py DIR [PRESET ...]
 
-Each preset writes into ``DIR/<preset>``.  The output is one
-``sha256  relpath`` line per file under ``DIR``, sorted by path, so the
-digests of two checkouts can be compared with ``diff``.
+With no PRESET names every preset runs.  Each preset writes into
+``DIR/<preset>``.  The output is one ``sha256  relpath`` line per file under
+``DIR``, sorted by path, so the digests of two checkouts can be compared with
+``diff``.
 """
 
 from __future__ import annotations
@@ -19,12 +20,17 @@ from gpinverse.presets import PRESETS, run_experiment
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if not argv:
         print(__doc__, file=sys.stderr)
         return 2
-    root = argv[0]
-    for name, config in PRESETS.items():
-        run_experiment(config, os.path.join(root, name))
+    root, names = argv[0], argv[1:] or list(PRESETS)
+    unknown = [name for name in names if name not in PRESETS]
+    if unknown:
+        print(f"unknown preset(s): {', '.join(unknown)}; choose from "
+              f"{', '.join(PRESETS)}", file=sys.stderr)
+        return 2
+    for name in names:
+        run_experiment(PRESETS[name], os.path.join(root, name))
     lines = []
     for dirpath, _, files in os.walk(root):
         for f in files:
