@@ -19,7 +19,6 @@ from .bo import (
     BoConfig,
     BoTrace,
     acquire_batch,
-    acquisition_value,
     expected_improvement,
     run_bo,
     upper_confidence_bound,
@@ -41,7 +40,6 @@ from .gp import (
     KernelSpec,
     gp_fit,
     gp_optimize_hyperparameters,
-    gp_predict,
     gp_predict_many,
     kernel_eval,
     log_marginal_likelihood,
@@ -52,6 +50,7 @@ from .inversion import (
     LaplaceResult,
     MapCluster,
     PosteriorSummary,
+    evaluate_profile_grid,
     high_probability_region,
     laplace_approximation,
     ls_functional,

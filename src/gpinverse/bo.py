@@ -26,6 +26,7 @@ from .benchmarks import HighFidelityModel, eval_benchmark
 from .data import Dataset
 from .errors import ConfigurationError, GpInverseError, NumericalError
 from .gp import (
+    KERNEL_FAMILIES,
     GpModel,
     KernelSpec,
     gp_fit,
@@ -42,7 +43,6 @@ __all__ = [
     "BoTrace",
     "expected_improvement",
     "upper_confidence_bound",
-    "acquisition_value",
     "acquire_batch",
     "validation_mse",
     "run_bo",
@@ -86,13 +86,12 @@ def upper_confidence_bound(mu, sigma, kappa):
 class AcquisitionSpec:
     """Which acquisition to use and its parameters.
 
-    ``incumbent`` only matters for EI and defaults to the best (largest)
+    ``kappa`` weights sigma in UCB.  EI improves on the best (largest)
     observed training output of the model being queried.
     """
 
     family: str = "ucb"
     kappa: float = 0.0
-    incumbent: Optional[float] = None
 
     def __post_init__(self):
         if self.family not in ("ei", "ucb"):
@@ -101,20 +100,12 @@ class AcquisitionSpec:
             )
         if not 0 <= self.kappa < math.inf:
             raise ConfigurationError("kappa must be finite and nonnegative")
-        if self.incumbent is not None and not math.isfinite(self.incumbent):
-            raise ConfigurationError("incumbent must be finite")
-
-
-def _incumbent_for(model: GpModel, spec: AcquisitionSpec) -> float:
-    if spec.incumbent is not None:
-        return float(spec.incumbent)
-    return float(np.max(model.data.y))
 
 
 def _scores(model, spec, mu, sigma):
     if spec.family == "ucb":
         return upper_confidence_bound(mu, sigma, spec.kappa)
-    return expected_improvement(mu, sigma, _incumbent_for(model, spec))
+    return expected_improvement(mu, sigma, float(np.max(model.data.y)))
 
 
 def _acquisition_and_grad(model, spec, x):
@@ -132,18 +123,12 @@ def _acquisition_and_grad(model, spec, x):
     dsigma = dvar / (2.0 * np.where(positive, sigma, 1.0))[:, None]
     if spec.family == "ucb":
         return upper_confidence_bound(mu, sigma, spec.kappa), dmu + spec.kappa * dsigma
-    incumbent = _incumbent_for(model, spec)
+    incumbent = float(np.max(model.data.y))
     improve = mu - incumbent
     z = np.where(positive, improve / np.where(positive, sigma, 1.0), 0.0)
     cdf = np.where(positive, ssp.ndtr(z), improve > 0)
     grad = cdf[:, None] * dmu + _norm_pdf(z)[:, None] * dsigma
     return expected_improvement(mu, sigma, incumbent), grad
-
-
-def acquisition_value(model: GpModel, spec: AcquisitionSpec, x) -> float:
-    """Acquisition score at a single point."""
-    mu, var = gp_predict_many(model, x)
-    return float(_scores(model, spec, mu, np.sqrt(var))[0])
 
 
 def _probe_grid(bounds) -> np.ndarray:
@@ -214,13 +199,8 @@ def acquire_batch(
             [grid_scores, _penalized_scores(model, spec, ends, picked, radii)]
         )
         best = np.max(scores)
-        tied = np.nonzero(scores >= best)[0]
-        if tied.size > 1:
-            order = np.lexsort(candidates[tied].T[::-1])
-            choice = candidates[tied[order[0]]]
-        else:
-            choice = candidates[tied[0]]
-        picked.append(choice.copy())
+        tied = candidates[scores >= best]
+        picked.append(tied[np.lexsort(tied.T[::-1])[0]])
     return np.array(picked)
 
 
@@ -286,8 +266,16 @@ class BoConfig:
             raise ConfigurationError(
                 "n_val must be >= 100 for a meaningful validation estimate"
             )
-        if not 0 <= self.kappa < math.inf:
-            raise ConfigurationError("kappa must be finite and nonnegative")
+        AcquisitionSpec(family=self.acquisition, kappa=self.kappa)  # checks both
+        if self.kernel_family not in KERNEL_FAMILIES:
+            raise ConfigurationError(
+                f"unknown kernel family {self.kernel_family!r}; "
+                f"choose from {KERNEL_FAMILIES}"
+            )
+        if self.restarts < 1:
+            raise ConfigurationError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if not 0 <= self.noise_variance < math.inf:
             raise ConfigurationError("noise_variance must be finite and nonnegative")
         if (self.fixed_length_scale is None) != (self.fixed_signal_variance is None):

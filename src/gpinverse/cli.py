@@ -18,7 +18,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .presets import PRESETS, get_preset, load_config_file, run_experiment
+from .presets import get_preset, list_presets, load_config_file, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,7 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare-surrogates", help="surrogate-family comparison on one benchmark"
     )
     cmp_parser.add_argument("--benchmark", required=True)
-    cmp_parser.add_argument("--samples", type=int, default=14)
+    cmp_parser.add_argument(
+        "--samples", type=int, default=14,
+        help="sample budget shared by every family (the BO max_evaluations)",
+    )
     cmp_parser.add_argument("--out", default=None)
     return parser
 
@@ -72,7 +75,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "list-presets":
-            for name, description in ((p.name, p.description) for p in PRESETS.values()):
+            for name, description in list_presets():
                 print(f"{name}\n    {description}")
             return EXIT_OK
 
@@ -96,7 +99,6 @@ def main(argv=None) -> int:
                 base,
                 name=f"compare-{args.benchmark}",
                 compare_benchmarks=(args.benchmark,),
-                compare_n_samples=args.samples,
                 bo=dataclasses.replace(base.bo, max_evaluations=args.samples),
             )
             outdir = _resolve_outdir(args.out, config.name)

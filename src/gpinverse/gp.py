@@ -46,7 +46,6 @@ __all__ = [
     "kernel_eval",
     "kernel_matrix",
     "gp_fit",
-    "gp_predict",
     "gp_predict_many",
     "gp_predict_grad",
     "log_marginal_likelihood",
@@ -86,11 +85,6 @@ class KernelSpec:
             raise ConfigurationError("length_scale must be positive")
         if not self.signal_variance > 0:
             raise ConfigurationError("signal_variance must be positive")
-
-    @property
-    def smoothness(self) -> float:
-        """2.5 for matern52; infinity for the analytic rbf kernel."""
-        return 2.5 if self.family == "matern52" else math.inf
 
 
 def _kernel_from_r(family: str, ell: float, s2: float, r: np.ndarray) -> np.ndarray:
@@ -302,12 +296,6 @@ def gp_predict_grad(model: GpModel, x: np.ndarray):
     cap = model.kernel.signal_variance + model.noise_variance
     dvar[(var == 0.0) | (var == cap)] = 0.0
     return mean, var, dmean, dvar
-
-
-def gp_predict(model: GpModel, x: np.ndarray) -> tuple[float, float]:
-    """Posterior mean and (clamped nonnegative) variance at one point."""
-    mean, var = gp_predict_many(model, np.atleast_2d(np.asarray(x, dtype=float)))
-    return float(mean[0]), float(var[0])
 
 
 def _lml(y: np.ndarray, chol: np.ndarray, alpha: np.ndarray) -> float:

@@ -129,10 +129,14 @@ def _ls_and_grad(problem: InverseProblem, x: np.ndarray) -> tuple[float, np.ndar
     return resid * resid, -2.0 * resid * grad[0]
 
 
+def _ls_many(problem: InverseProblem, points: np.ndarray) -> np.ndarray:
+    """LS at each row of an (m, d) array, from the batched surrogate mean."""
+    return np.square(problem.observed - problem.surrogate.predict_mean(points))
+
+
 def ls_functional(problem: InverseProblem, x) -> float:
     """Squared misfit between the observation and the surrogate mean."""
-    mean = problem.surrogate.predict_mean(check_in_bounds(problem.bounds, x)[None, :])
-    return float(np.square(problem.observed - mean[0]))
+    return float(_ls_many(problem, check_in_bounds(problem.bounds, x)[None, :])[0])
 
 
 def nls_profile(problem: InverseProblem, x) -> float:
@@ -286,7 +290,7 @@ def _multistart(
             "every optimization start diverged: " + "; ".join(failures)
         )
     endpoints = np.array(endpoints)
-    ls_values = (problem.observed - problem.surrogate.predict_mean(endpoints)) ** 2
+    ls_values = _ls_many(problem, endpoints)
     clusters = _cluster_endpoints(
         endpoints, np.array(objectives), ls_values, np.array(grads), problem
     )
@@ -439,8 +443,7 @@ def evaluate_profile_grid(problem: InverseProblem, grid_resolution: int):
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
-    mean = problem.surrogate.predict_mean(points)
-    ls = (problem.observed - mean) ** 2
+    ls = _ls_many(problem, points)
     two_s2 = 2.0 * problem.obs_variance
     nls = np.exp(-ls / two_s2)
     peak = float(np.max(nls))
@@ -448,43 +451,29 @@ def evaluate_profile_grid(problem: InverseProblem, grid_resolution: int):
     return axes, points, ls, nls, normalized
 
 
-def high_probability_region(
-    problem: InverseProblem,
-    threshold: float,
-    grid_resolution: int = 512,
-    profile=None,
-):
+def high_probability_region(profile, threshold: float):
     """Connected components of {normalized NLS >= threshold} on a grid.
 
-    1D problems return a list of (lo, hi) intervals; 2D problems return
-    axis-aligned bounding boxes ((xlo, xhi), (ylo, yhi)) of 4-connected cell
-    groups, listed in raster order of each component's first cell.  A level
-    band thinner than the grid's diagonal step, such as the neighbourhood of
-    a curve of exact solutions on a steep surrogate, has cells that touch
-    only at corners, so it splits into several 4-connected components, each
-    reported as its own box.  ``profile`` is ``evaluate_profile_grid(problem,
-    grid_resolution)`` when the caller already has it; otherwise the grid is
-    evaluated here; a profile of another shape is a ConfigurationError.
+    ``profile`` is the tuple ``evaluate_profile_grid`` returns, with at least
+    64 points per axis.  1D profiles give a list of (lo, hi) intervals; 2D
+    profiles give axis-aligned bounding boxes ((xlo, xhi), (ylo, yhi)) of
+    4-connected cell groups, listed in raster order of each component's first
+    cell.  A level band thinner than the grid's diagonal step, such as the
+    neighbourhood of a curve of exact solutions on a steep surrogate, has
+    cells that touch only at corners, so it splits into several 4-connected
+    components, each reported as its own box.
     """
     if not 0.0 < threshold < 1.0:
         raise ConfigurationError("threshold must lie strictly inside (0, 1)")
-    if grid_resolution < 64:
-        raise ConfigurationError("grid_resolution must be >= 64")
-    if profile is None:
-        profile = evaluate_profile_grid(problem, grid_resolution)
     axes, _, _, _, normalized = profile
-    shape, want = tuple(len(ax) for ax in axes), (grid_resolution,) * problem.dim
-    if shape != want:
-        raise ConfigurationError(
-            f"profile grid has shape {shape}; grid_resolution {grid_resolution} "
-            f"in {problem.dim}-D needs {want}"
-        )
-    mask = normalized.reshape(want) >= threshold
+    shape = tuple(len(ax) for ax in axes)
+    if min(shape) < 64:
+        raise ConfigurationError("grid_resolution must be >= 64")
     # The default structure joins only cells that share a face, and labels
     # are numbered in raster order, so find_objects lists components in order.
-    labels, _ = ndimage.label(mask)
+    labels, _ = ndimage.label(normalized.reshape(shape) >= threshold)
     boxes = [
         tuple((float(ax[s.start]), float(ax[s.stop - 1])) for ax, s in zip(axes, slices))
         for slices in ndimage.find_objects(labels)
     ]
-    return [box[0] for box in boxes] if problem.dim == 1 else boxes
+    return [box[0] for box in boxes] if len(axes) == 1 else boxes

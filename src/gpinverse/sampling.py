@@ -17,7 +17,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import ConfigurationError, DegenerateDataError, InferenceError, UnsupportedDimensionError
-from .inversion import InverseProblem
+from .inversion import InverseProblem, _ls_many, evaluate_profile_grid
 
 __all__ = [
     "McmcConfig",
@@ -76,11 +76,9 @@ def _chain_rng(seed: int, chain_index: int) -> np.random.Generator:
 def _log_density_fn(problem: InverseProblem):
     lo, hi = np.asarray(problem.bounds, dtype=float).T
     two_s2 = 2.0 * problem.obs_variance
-    observed = problem.observed
 
     def log_density_many(x: np.ndarray) -> np.ndarray:
-        mean = problem.surrogate.predict_mean(x)
-        logp = -((observed - mean) ** 2) / two_s2
+        logp = -_ls_many(problem, x) / two_s2
         inside = np.all((x >= lo) & (x <= hi), axis=1)
         return np.where(inside, logp, -np.inf)
 
@@ -151,8 +149,10 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig) -> list[ChainResult]:
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
-    """1.06 * std * n^(-1/5); raises for degenerate (constant) samples."""
+    """1.06 * std * n^(-1/5); raises for non-finite or constant samples."""
     samples = np.asarray(samples, dtype=float).ravel()
+    if not np.all(np.isfinite(samples)):
+        raise ConfigurationError("samples must be finite")
     std = float(np.std(samples, ddof=1))
     if std == 0.0:
         raise DegenerateDataError(
@@ -238,7 +238,7 @@ MODE_FLOOR_FRACTION = 0.05  # local maxima below 5% of the peak are noise
 
 
 def grid_posterior(problem: InverseProblem, resolution: int = 512) -> GridPosterior:
-    """Reference posterior: NLS on a dense 1D grid, trapezoid-normalized.
+    """Reference posterior: evaluate_profile_grid's NLS, trapezoid-normalized.
 
     Modes are strict interior local maxima of the density above 5% of its
     peak.  Only one-dimensional problems are supported; the sampler itself
@@ -250,10 +250,7 @@ def grid_posterior(problem: InverseProblem, resolution: int = 512) -> GridPoster
         raise UnsupportedDimensionError(
             "grid_posterior builds a 1D reference density"
         )
-    lo, hi = problem.bounds[0]
-    xs = np.linspace(lo, hi, resolution)
-    mean = problem.surrogate.predict_mean(xs.reshape(-1, 1))
-    nls = np.exp(-((problem.observed - mean) ** 2) / (2.0 * problem.obs_variance))
+    (xs,), _, _, nls, _ = evaluate_profile_grid(problem, resolution)
     integral = float(np.trapezoid(nls, xs))
     if integral <= 0:
         raise InferenceError("posterior mass underflowed to zero on the grid")

@@ -16,7 +16,6 @@ from gpinverse import (
     ShapeError,
     gp_fit,
     gp_optimize_hyperparameters,
-    gp_predict,
     gp_predict_many,
     kernel_eval,
     log_marginal_likelihood,
@@ -118,19 +117,19 @@ class TestFitPredict:
         ds = _dataset([[0.0], [1.0]], [0.0, 1.0], bounds=((0.0, 1.0),))
         spec = KernelSpec("rbf", 1.0, 1.0)
         model = gp_fit(ds, spec, 1e-6)
-        mean0, _ = gp_predict(model, [0.0])
+        (mean0,), _ = gp_predict_many(model, [[0.0]])
         assert mean0 == pytest.approx(0.0, abs=1e-4)
         # dense oracle at an interior point
         k = kernel_matrix(spec, ds.x, ds.x) + 1e-6 * np.eye(2)
         ks = kernel_matrix(spec, ds.x, np.array([[0.5]]))
         want = float((ks.T @ np.linalg.solve(k, ds.y))[0])
-        got, _ = gp_predict(model, [0.5])
+        (got,), _ = gp_predict_many(model, [[0.5]])
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_single_point_interpolates(self):
         ds = _dataset([[0.0]], [3.0])
         model = gp_fit(ds, KernelSpec("matern52", 1.0, 4.0), 1e-6)
-        mean, var = gp_predict(model, [0.0])
+        (mean,), (var,) = gp_predict_many(model, [[0.0]])
         assert mean == pytest.approx(3.0, abs=1e-3)
         assert var <= 1e-4
 
@@ -159,7 +158,7 @@ class TestFitPredict:
     def test_prediction_reverts_to_prior_far_away(self):
         ds = _dataset([[0.0], [0.5]], [1.0, 0.5], bounds=((-100.0, 100.0),))
         model = gp_fit(ds, KernelSpec("rbf", 1.0, 2.0), 1e-6)
-        mean, var = gp_predict(model, [80.0])
+        (mean,), (var,) = gp_predict_many(model, [[80.0]])
         assert mean == pytest.approx(0.0, abs=1e-6)
         assert var == pytest.approx(2.0, abs=1e-6)
 
@@ -170,7 +169,7 @@ class TestFitPredict:
         ds = _dataset(x.reshape(-1, 1), y)
         model = gp_fit(ds, KernelSpec("matern52", 1.0, 1.0), 1e-6)
         for xi, yi in zip(x, y):
-            mean, var = gp_predict(model, [xi])
+            (mean,), (var,) = gp_predict_many(model, [[xi]])
             assert mean == pytest.approx(yi, abs=1e-3)
             assert var <= 1e-4
 
@@ -233,7 +232,7 @@ class TestFitPredict:
         y = rng.normal(size=5)
         spec = KernelSpec("rbf", 1.0, 1.0)
         base = gp_fit(_dataset(x, y), spec, 1e-6)
-        mean_dup, _ = gp_predict(base, x[2])
+        mean_dup, _ = gp_predict_many(base, x[2:3])
         bigger = gp_fit(
             _dataset(np.vstack([x, x[2] + 1e-9]), np.append(y, mean_dup)), spec, 1e-6
         )

@@ -381,28 +381,32 @@ class TestLaplace:
 
 class TestHighProbabilityRegion:
     def test_forrester_interval_matches_reference_range(self, forrester_problem):
-        regions = high_probability_region(forrester_problem, 0.95, 2048)
+        profile = evaluate_profile_grid(forrester_problem, 2048)
+        regions = high_probability_region(profile, 0.95)
         assert len(regions) == 1
         lo, hi = regions[0]
         assert lo == pytest.approx(0.735, abs=0.01)
         assert hi == pytest.approx(0.78, abs=0.01)
 
     def test_mixed1d_union_within_reduced_domain(self, mixed1d_problem):
-        regions = high_probability_region(mixed1d_problem, 0.95, 2048)
+        profile = evaluate_profile_grid(mixed1d_problem, 2048)
+        regions = high_probability_region(profile, 0.95)
         assert len(regions) >= 3
         assert all(-7.6 <= lo and hi <= 5.1 for lo, hi in regions)
 
     def test_near_zero_threshold_covers_domain(self, forrester_problem):
         # any threshold below the profile minimum keeps every grid cell
-        regions = high_probability_region(forrester_problem, 1e-200, 256)
+        profile = evaluate_profile_grid(forrester_problem, 256)
+        regions = high_probability_region(profile, 1e-200)
         assert len(regions) == 1
         lo, hi = regions[0]
         assert lo == pytest.approx(0.0, abs=1e-9)
         assert hi == pytest.approx(1.0, abs=1e-9)
 
     def test_regions_shrink_with_threshold(self, mixed1d_problem):
-        loose = high_probability_region(mixed1d_problem, 0.5, 1024)
-        tight = high_probability_region(mixed1d_problem, 0.95, 1024)
+        profile = evaluate_profile_grid(mixed1d_problem, 1024)
+        loose = high_probability_region(profile, 0.5)
+        tight = high_probability_region(profile, 0.95)
         for lo_t, hi_t in tight:
             assert any(lo_l <= lo_t and hi_t <= hi_l for lo_l, hi_l in loose)
 
@@ -413,7 +417,7 @@ class TestHighProbabilityRegion:
             obs_variance=0.05,
             bounds=((-1.0, 1.0), (-1.0, 1.0)),
         )
-        boxes = high_probability_region(prob, 0.9, 64)
+        boxes = high_probability_region(evaluate_profile_grid(prob, 64), 0.9)
         assert boxes
         for (xlo, xhi), (ylo, yhi) in boxes:
             assert -1 <= xlo <= xhi <= 1
@@ -428,7 +432,7 @@ class TestHighProbabilityRegion:
             obs_variance=0.05,
             bounds=((-1.0, 1.0), (-1.0, 1.0)),
         )
-        boxes = high_probability_region(prob, 0.9, 64)
+        boxes = high_probability_region(evaluate_profile_grid(prob, 64), 0.9)
         assert len(boxes) == 1
         for lo, hi in boxes[0]:
             assert -0.33 <= lo <= -0.28
@@ -449,7 +453,7 @@ class TestHighProbabilityRegion:
             obs_variance=1.0,
             bounds=((0.0, 63.0), (0.0, 63.0)),
         )
-        assert high_probability_region(prob, 0.5, 64) == [
+        assert high_probability_region(evaluate_profile_grid(prob, 64), 0.5) == [
             ((10.0, 19.0), (20.0, 29.0)),
             ((20.0, 29.0), (10.0, 19.0)),
         ]
@@ -464,36 +468,8 @@ class TestHighProbabilityRegion:
             obs_variance=1.0,
             bounds=((0.0, 63.0),),
         )
-        assert high_probability_region(prob, 0.5, 64) == [(5.0, 9.0), (50.0, 63.0)]
-
-    def test_profile_of_another_resolution_rejected(self, function_surrogate):
-        prob = InverseProblem(
-            surrogate=function_surrogate(lambda x: x[0] ** 2),
-            observed=0.25,
-            obs_variance=0.05,
-            bounds=((-1.0, 1.0),),
-        )
-        profile = evaluate_profile_grid(prob, 128)
-        with pytest.raises(ConfigurationError, match=r"\(128,\).*\(64,\)"):
-            high_probability_region(prob, 0.9, 64, profile)
-
-    def test_profile_of_another_dimension_rejected(self, function_surrogate):
-        # 4,096 cells would reshape silently into a wrong 64 x 64 mask
-        prob_1d = InverseProblem(
-            surrogate=function_surrogate(lambda x: x[0] ** 2),
-            observed=0.25,
-            obs_variance=0.05,
-            bounds=((-1.0, 1.0),),
-        )
-        prob_2d = InverseProblem(
-            surrogate=function_surrogate(lambda x: x[0] ** 2 + x[1] ** 2),
-            observed=0.25,
-            obs_variance=0.05,
-            bounds=((-1.0, 1.0), (-1.0, 1.0)),
-        )
-        profile = evaluate_profile_grid(prob_1d, 4096)
-        with pytest.raises(ConfigurationError, match=r"\(4096,\).*\(64, 64\)"):
-            high_probability_region(prob_2d, 0.9, 64, profile)
+        regions = high_probability_region(evaluate_profile_grid(prob, 64), 0.5)
+        assert regions == [(5.0, 9.0), (50.0, 63.0)]
 
     def test_underflowed_profile_keeps_the_least_misfit_cells(self, function_surrogate):
         # exp(-LS / (2 sigma^2)) is 0.0 on the whole grid, yet the region
@@ -504,20 +480,21 @@ class TestHighProbabilityRegion:
             obs_variance=1e-3,
             bounds=((0.0, 1.0),),
         )
-        _, points, ls, nls, normalized = evaluate_profile_grid(prob, 256)
+        profile = evaluate_profile_grid(prob, 256)
+        _, points, ls, nls, normalized = profile
         assert np.max(nls) == 0.0
         assert np.max(normalized) == 1.0
         argmin = float(points[np.argmin(ls), 0])
-        regions = high_probability_region(prob, 0.5, 256)
+        regions = high_probability_region(profile, 0.5)
         assert len(regions) == 1
         lo, hi = regions[0]
         assert lo <= argmin <= hi
 
     def test_threshold_validation(self, forrester_problem):
         with pytest.raises(ConfigurationError):
-            high_probability_region(forrester_problem, 1.5, 128)
+            high_probability_region(evaluate_profile_grid(forrester_problem, 128), 1.5)
         with pytest.raises(ConfigurationError):
-            high_probability_region(forrester_problem, 0.9, 32)
+            high_probability_region(evaluate_profile_grid(forrester_problem, 32), 0.9)
 
     def test_grid_cell_cap(self, function_surrogate):
         def unused(x):
@@ -530,6 +507,6 @@ class TestHighProbabilityRegion:
             bounds=((0.0, 1.0), (0.0, 1.0)),
         )
         with pytest.raises(ConfigurationError, match="cells"):
-            high_probability_region(prob, 0.5, 513)
+            high_probability_region(evaluate_profile_grid(prob, 513), 0.5)
         with pytest.raises(ConfigurationError, match="cells"):
             evaluate_profile_grid(prob, 2048)

@@ -1,5 +1,6 @@
 """Preset registry, config round-trip, CLI behavior, and artifact layout."""
 
+import importlib.util
 import json
 import os
 
@@ -76,7 +77,8 @@ def test_config_round_trips_through_text_format():
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-_seeds = st.integers(-(2**62), 2**62)
+_seeds = st.integers(0, 2**62)  # BO and MAP seeds must be >= 0
+_chain_seeds = st.integers(-(2**62), 2**62)  # chain streams reduce mod 2^63
 
 
 @st.composite
@@ -113,7 +115,7 @@ def _configs(draw):
         n_steps=n_steps,
         burn_in=draw(st.integers(0, n_steps - 1)),
         proposal_scale=draw(st.floats(0.0, 1.0, exclude_min=True)),
-        seed=draw(_seeds),
+        seed=draw(_chain_seeds),
     )
     return ExperimentConfig(
         name="drawn",
@@ -255,8 +257,14 @@ _OBS = _INV + "inversion.observed = -6.02\n"
         _OBS + "bo.noise_variance = inf\n",
         _OBS + "bo.fixed_length_scale = inf\nbo.fixed_signal_variance = 1.0\n",
         _OBS + "bo.fixed_length_scale = 1.0\nbo.fixed_signal_variance = nan\n",
+        _OBS + "bo.acquisition = foo\n",
+        _OBS + "bo.kernel_family = foo\n",
+        _OBS + "bo.restarts = 0\n",
+        _OBS + "bo.seed = -1\n",
+        _OBS + "inversion.map_seed = -1\n",
         "mcmc.seed = 1\n",
         _OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 10\n",
+        _OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 262145\n",
         "compare_benchmarks = mixed1d, mixed2d\n",
         "compare_benchmarks = mixed1d, nosuch\n",
     ],
@@ -267,6 +275,32 @@ def test_cli_bad_setting_exits_2_before_surrogate_stage(tmp_path, lines):
     outdir = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 2
     assert not outdir.exists()
+
+
+def test_cli_negative_seed_override_exits_2(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    argv = ["run", "--preset", "forrester-inverse", "--seed", "-1", "--out", str(outdir)]
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_cli_compare_budget_is_bo_max_evaluations(tmp_path):
+    cfg = tmp_path / "compare.cfg"
+    cfg.write_text(
+        "benchmark = forrester1d\n"
+        "bo.n_init = 5\n"
+        "bo.max_evaluations = 8\n"
+        "bo.mse_threshold = 1e-12\n"
+        "bo.n_val = 100\n"
+        "compare_benchmarks = forrester1d\n"
+    )
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["bo"]["max_evaluations"] == 8
+    rows = (outdir / "mse.csv").read_text().splitlines()[1:]
+    assert rows and {row.split(",")[2] for row in rows} == {"8"}
 
 
 def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path):
@@ -436,3 +470,47 @@ def test_cli_output_env_var_respected(tmp_path, monkeypatch):
     )
     assert main(["run", "--config", str(cfg)]) == 0
     assert (tmp_path / "envroot" / "tiny-env" / "manifest.json").exists()
+
+
+def _perfbench_tracing():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_tracing_hooks_wrap_and_restore_the_package(tmp_path):
+    # every name the benchmark's --trace mode wraps must exist, take its
+    # arguments in the order the work functions read, and come back unwrapped
+    tracing = _perfbench_tracing()
+    targets = [
+        (getattr(gpinverse, module), attr)
+        for modules, attr, _, _ in tracing.WRAPPED
+        for module in modules
+    ]
+    originals = [getattr(mod, attr) for mod, attr in targets]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for mod, attr in targets:
+            assert hasattr(getattr(mod, attr), "__wrapped__"), f"{mod.__name__}.{attr}"
+        config = config_from_text(
+            _SMALL_RUN
+            + _OBS
+            + "inversion.n_starts = 2\ninversion.grid_resolution = 64\n"
+            + "mcmc.n_chains = 1\nmcmc.n_steps = 20\nmcmc.burn_in = 5\n"
+            + "mcmc_grid_resolution = 64\n"
+        )
+        gpinverse.cli.run_experiment(config, str(tmp_path / "out"))
+    finally:
+        tracer.uninstall()
+    assert [getattr(mod, attr) for mod, attr in targets] == originals
+    recorded = {tracer.names[i] for i in tracer.arrays()["name_id"]}
+    assert {
+        "presets.run_experiment",
+        "inversion.evaluate_profile_grid",
+        "inversion.high_probability_region",
+        "sampling.kde_estimate",
+        "sampling.grid_posterior",
+    } <= recorded

@@ -185,6 +185,11 @@ class TestKde:
         with pytest.raises(DegenerateDataError):
             kde_estimate(np.full(10, 1.0), np.linspace(0, 2, 10))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_silverman_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            silverman_bandwidth([0.0, bad, 1.0])
+
     def test_needs_two_samples(self):
         with pytest.raises(DegenerateDataError):
             kde_estimate(np.array([1.0]), np.linspace(0, 2, 10))
