@@ -54,7 +54,6 @@ from .inversion import (
     high_probability_region,
     laplace_approximation,
     ls_functional,
-    map_gaussian_prior,
     map_multistart,
     nls_profile,
 )

@@ -1,14 +1,21 @@
 """Least-squares Bayesian inversion on a trained surrogate.
 
-Under Gaussian observation noise and a uniform prior the MAP problem reduces
-to minimizing the squared misfit LS(x) = (observed - surrogate_mean(x))^2,
-and the unnormalized posterior is NLS(x) = exp(-LS(x) / (2 sigma_obs^2)).
-This module provides the multistart bounded MAP search, cluster detection
-for multimodal problems, the Laplace (inverse-Hessian) covariance with
-marginal credible intervals, and threshold level-set extraction on a grid.
+With Gaussian observation noise, the squared misfit
+LS(x) = (observed - surrogate_mean(x))^2 and an optional Gaussian prior
+N(m, Gamma), every stage reads one objective in LS units,
+
+    Phi(x) = LS(x) + sigma_obs^2 (x - m)' Gamma^-1 (x - m),
+
+which is 2 sigma_obs^2 times the negative log-posterior up to a constant.
+Without a prior (a uniform prior on the box) Phi is LS.  The unnormalized
+posterior is NLS(x) = exp(-Phi(x) / (2 sigma_obs^2)).  This module provides
+the multistart bounded MAP search, cluster detection for multimodal
+problems, the Laplace (inverse-Hessian) covariance with marginal credible
+intervals, and threshold level-set extraction on a grid.
 Every derivative comes from the surrogate's exact mean gradient and Hessian:
 grad LS = -2 (observed - mean) grad mean and
-hess LS = 2 grad mean grad mean^T - 2 (observed - mean) hess mean.
+hess LS = 2 grad mean grad mean^T - 2 (observed - mean) hess mean; the prior
+adds 2 sigma_obs^2 Gamma^-1 (x - m) and 2 sigma_obs^2 Gamma^-1.
 """
 
 from __future__ import annotations
@@ -33,11 +40,14 @@ __all__ = [
     "ls_functional",
     "nls_profile",
     "map_multistart",
-    "map_gaussian_prior",
     "laplace_approximation",
     "high_probability_region",
     "evaluate_profile_grid",
 ]
+
+# Largest grad Phi norm (LS units) at which laplace_approximation accepts a
+# point as stationary.
+_STATIONARY_GRAD_TOL = 1e-4
 
 # Upper bound on the cells of one profile grid: the surrogate mean is
 # evaluated at every cell and profiles.csv gets one row a cell.
@@ -51,10 +61,11 @@ def _residual_floor(observed: float) -> float:
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Multivariate Gaussian prior with mean vector and covariance matrix."""
+    """Gaussian prior N(mean, cov), cov symmetric positive definite."""
 
     mean: np.ndarray
     cov: np.ndarray
+    precision: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).ravel()
@@ -66,12 +77,8 @@ class GaussianPrior:
             )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ConfigurationError("prior mean and covariance must be finite")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    def precision(self) -> np.ndarray:
-        sym = 0.5 * (self.cov + self.cov.T)
-        if not np.allclose(sym, self.cov, rtol=1e-8, atol=1e-12):
+        sym = 0.5 * (cov + cov.T)
+        if not np.allclose(sym, cov, rtol=1e-8, atol=1e-12):
             raise ConfigurationError("prior covariance must be symmetric")
         try:
             np.linalg.cholesky(sym)
@@ -79,7 +86,9 @@ class GaussianPrior:
             raise ConfigurationError(
                 "prior covariance must be positive definite"
             )
-        return np.linalg.inv(sym)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "precision", np.linalg.inv(sym))
 
 
 @dataclass(frozen=True)
@@ -102,6 +111,8 @@ class InverseProblem:
     prior: Optional[GaussianPrior] = None
 
     def __post_init__(self):
+        if not self.bounds:
+            raise ConfigurationError("bounds must give at least one dimension")
         if not math.isfinite(self.observed):
             raise ConfigurationError("observed must be finite")
         if not 0 < self.obs_variance < math.inf:
@@ -122,16 +133,35 @@ class InverseProblem:
         return np.array([hi - lo for lo, hi in self.bounds])
 
 
-def _ls_and_grad(problem: InverseProblem, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """LS(x) and its gradient -2 (observed - mean) grad mean at one point."""
-    mean, grad = problem.surrogate.mean_grad(np.atleast_2d(x))
-    resid = problem.observed - float(mean[0])
-    return resid * resid, -2.0 * resid * grad[0]
-
-
 def _ls_many(problem: InverseProblem, points: np.ndarray) -> np.ndarray:
     """LS at each row of an (m, d) array, from the batched surrogate mean."""
     return np.square(problem.observed - problem.surrogate.predict_mean(points))
+
+
+def _prior_term(problem: InverseProblem, points: np.ndarray):
+    """Phi - LS and its gradient at each row of an (m, d) array, given a prior."""
+    dx = points - problem.prior.mean
+    scaled = problem.obs_variance * (dx @ problem.prior.precision)
+    return np.einsum("ij,ij->i", scaled, dx), 2.0 * scaled
+
+
+def _objective_and_grad(problem: InverseProblem, x) -> tuple[float, np.ndarray]:
+    """Phi(x) and its gradient at one point."""
+    x = np.atleast_2d(x)
+    mean, grad = problem.surrogate.mean_grad(x)
+    resid = problem.observed - float(mean[0])
+    value, grad = resid * resid, -2.0 * resid * grad[0]
+    if problem.prior is None:
+        return value, grad
+    term, dterm = _prior_term(problem, x)
+    return value + float(term[0]), grad + dterm[0]
+
+
+def _log_posterior_many(problem: InverseProblem, points: np.ndarray):
+    """LS and the log posterior -Phi / (2 sigma_obs^2) at each row of points."""
+    ls = _ls_many(problem, points)
+    phi = ls if problem.prior is None else ls + _prior_term(problem, points)[0]
+    return ls, -phi / (2.0 * problem.obs_variance)
 
 
 def ls_functional(problem: InverseProblem, x) -> float:
@@ -140,18 +170,23 @@ def ls_functional(problem: InverseProblem, x) -> float:
 
 
 def nls_profile(problem: InverseProblem, x) -> float:
-    """Unnormalized posterior density exp(-LS / (2 sigma_obs^2)).
+    """Unnormalized posterior density NLS = exp(-Phi / (2 sigma_obs^2)).
 
     The max-normalized companion (peak scaled to 1) is produced by
     ``evaluate_profile_grid`` and used for level-set extraction.
     """
-    ls = ls_functional(problem, x)
-    return math.exp(-ls / (2.0 * problem.obs_variance))
+    point = check_in_bounds(problem.bounds, x)[None, :]
+    return math.exp(float(_log_posterior_many(problem, point)[1][0]))
 
 
 @dataclass(frozen=True)
 class MapCluster:
-    """One merged group of converged optimization endpoints."""
+    """One merged group of converged optimization endpoints.
+
+    ``objective`` is Phi at ``x``, in LS units, and ``grad_norm`` the norm of
+    grad Phi; ``ls_residual`` is LS alone, equal to ``objective`` without a
+    prior.
+    """
 
     x: np.ndarray
     ls_residual: float
@@ -251,14 +286,28 @@ def _cluster_endpoints(
     return clusters
 
 
-def _multistart(
+def _flag_multimodal(clusters: Sequence[MapCluster], observed: float) -> bool:
+    if len(clusters) < 2:
+        return False
+    floor = _residual_floor(observed)
+    best = max(clusters[0].objective, floor)
+    near = sum(1 for c in clusters if c.objective <= 10.0 * best)
+    return near >= 2
+
+
+def map_multistart(
     problem: InverseProblem,
-    objective_fun,
-    n_starts: int,
-    max_iter: int,
-    seed: int,
+    n_starts: int = 16,
+    max_iter: int = 400,
+    seed: int = 0,
 ) -> PosteriorSummary:
-    """Clustered L-BFGS-B minima of ``objective_fun(x) -> (value, gradient)``."""
+    """Bounded quasi-Newton minimization of Phi from seeded uniform starts.
+
+    Returns the clustered endpoint set ordered best-first and flags
+    multimodality when at least two clusters sit within a factor 10 of the
+    best objective.  ``metadata["failed_starts"]`` counts the starts whose
+    optimization raised or returned a non-finite result.
+    """
     if n_starts < 1:
         raise ConfigurationError("n_starts must be >= 1")
     rng = np.random.default_rng(seed)
@@ -269,7 +318,7 @@ def _multistart(
     for k, x0 in enumerate(starts):
         try:
             res = sopt.minimize(
-                objective_fun,
+                lambda x: _objective_and_grad(problem, x),
                 x0,
                 jac=True,
                 method="L-BFGS-B",
@@ -306,92 +355,36 @@ def _multistart(
     )
 
 
-def _flag_multimodal(clusters: Sequence[MapCluster], observed: float) -> bool:
-    if len(clusters) < 2:
-        return False
-    floor = _residual_floor(observed)
-    best = max(clusters[0].objective, floor)
-    near = sum(1 for c in clusters if c.objective <= 10.0 * best)
-    return near >= 2
-
-
-def map_multistart(
-    problem: InverseProblem,
-    n_starts: int = 16,
-    max_iter: int = 400,
-    seed: int = 0,
-) -> PosteriorSummary:
-    """Bounded quasi-Newton LS minimization from seeded uniform starts.
-
-    Returns the clustered endpoint set ordered best-first and flags
-    multimodality when at least two clusters sit within a factor 10 of the
-    best residual.  ``metadata["failed_starts"]`` counts the starts whose
-    optimization raised or returned a non-finite result.
-    """
-    return _multistart(
-        problem, lambda x: _ls_and_grad(problem, x), n_starts, max_iter, seed
-    )
-
-
-def map_gaussian_prior(
-    problem: InverseProblem,
-    n_starts: int = 16,
-    max_iter: int = 400,
-    seed: int = 0,
-) -> PosteriorSummary:
-    """MAP with a Gaussian prior: misfit plus quadratic regularization.
-
-    Minimizes LS(x) / (2 sigma_obs^2) + (x - mu)' Gamma^-1 (x - mu) / 2 with
-    the same multistart and clustering protocol as the uniform-prior search.
-    """
-    if problem.prior is None:
-        raise ConfigurationError(
-            "map_gaussian_prior requires a problem with a Gaussian prior"
-        )
-    precision = problem.prior.precision()
-    mu = problem.prior.mean
-    two_s2 = 2.0 * problem.obs_variance
-
-    def objective(x):
-        ls, grad = _ls_and_grad(problem, x)
-        dx = x - mu
-        pdx = precision @ dx
-        return ls / two_s2 + 0.5 * float(dx @ pdx), grad / two_s2 + pdx
-
-    summary = _multistart(problem, objective, n_starts, max_iter, seed)
-    summary.metadata["prior"] = "gaussian"
-    return summary
-
-
 Z_95 = 1.96
 
 
-def laplace_approximation(
-    problem: InverseProblem,
-    x_map,
-    grad_tol: float = 1e-4,
-) -> LaplaceResult:
+def laplace_approximation(problem: InverseProblem, x_map) -> LaplaceResult:
     """Inverse-Hessian Gaussian approximation at a MAP point.
 
-    The Hessian of -log NLS = LS / (2 sigma_obs^2) comes from the
-    surrogate's exact mean gradient and Hessian, so it needs no step size
-    and holds on a bound too.  A point whose LS gradient norm reaches
-    ``grad_tol`` is rejected as not stationary.  A Hessian that is not
-    positive definite yields a degeneracy signal instead of credible
-    intervals, since a single Gaussian mode would badly understate the
-    uncertainty in that case.
+    The Hessian of the negative log-posterior Phi / (2 sigma_obs^2) comes
+    from the surrogate's exact mean gradient and Hessian, plus the prior
+    precision when the problem has a prior, so it needs no step size and
+    holds on a bound too.  A point whose grad Phi norm reaches 1e-4 is
+    rejected as not stationary.  A Hessian that is not positive definite
+    yields a degeneracy signal instead of credible intervals, since a single
+    Gaussian mode would badly understate the uncertainty in that case.
     """
     x = check_in_bounds(problem.bounds, x_map)
     mean, dmean = problem.surrogate.mean_grad(x[None, :])
     resid = problem.observed - float(mean[0])
     dmean = dmean[0]
-    grad_norm = float(np.linalg.norm(-2.0 * resid * dmean))
-    if grad_norm >= grad_tol:
-        raise InferenceError(
-            f"point is not stationary: gradient norm {grad_norm:.3e} >= {grad_tol:g}"
-        )
+    grad = -2.0 * resid * dmean
     hess = np.outer(dmean, dmean) - resid * problem.surrogate.mean_hessian(x)
     hess = 0.5 * (hess + hess.T) / problem.obs_variance
+    if problem.prior is not None:
+        grad = grad + _prior_term(problem, x[None, :])[1][0]
+        hess = hess + problem.prior.precision
+    grad_norm = float(np.linalg.norm(grad))
+    if not grad_norm < _STATIONARY_GRAD_TOL:
+        raise InferenceError(
+            f"point is not stationary: gradient norm {grad_norm:.3e} >= "
+            f"{_STATIONARY_GRAD_TOL:g}"
+        )
 
     eigs = np.linalg.eigvalsh(hess)
     scale = max(abs(float(eigs[-1])), 1e-300)
@@ -427,9 +420,11 @@ def evaluate_profile_grid(problem: InverseProblem, grid_resolution: int):
 
     Returns (axes, points, ls, nls, nls_normalized) where ``axes`` is the
     per-dimension coordinate vector list and ``points`` the full grid in row
-    order (C order for 2D).  A grid of more than MAX_GRID_CELLS cells is
-    rejected.  Where NLS underflows to zero on the whole grid, the normalized
-    profile is exp(-(LS - min LS) / (2 sigma_obs^2)) instead.
+    order (C order for 2D).  ``ls`` is the misfit alone and
+    ``nls = exp(-Phi / (2 sigma_obs^2))`` includes the prior.  A grid of more
+    than MAX_GRID_CELLS cells is rejected.  Where NLS underflows to zero on
+    the whole grid, the normalized profile is exp(log NLS - max log NLS)
+    instead.
     """
     if grid_resolution < 2:
         raise ConfigurationError("grid_resolution must be >= 2")
@@ -443,11 +438,10 @@ def evaluate_profile_grid(problem: InverseProblem, grid_resolution: int):
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
-    ls = _ls_many(problem, points)
-    two_s2 = 2.0 * problem.obs_variance
-    nls = np.exp(-ls / two_s2)
+    ls, log_nls = _log_posterior_many(problem, points)
+    nls = np.exp(log_nls)
     peak = float(np.max(nls))
-    normalized = nls / peak if peak > 0 else np.exp(-(ls - ls.min()) / two_s2)
+    normalized = nls / peak if peak > 0 else np.exp(log_nls - log_nls.max())
     return axes, points, ls, nls, normalized
 
 

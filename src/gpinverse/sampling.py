@@ -1,7 +1,9 @@
 """Sampling-based posterior diagnostics on the surrogate.
 
-Random-walk Metropolis chains target the unnormalized density
-NLS(x) = exp(-LS(x) / (2 sigma_obs^2)) restricted to the parameter box.
+Random-walk Metropolis chains target the unnormalized posterior
+NLS(x) = exp(-Phi(x) / (2 sigma_obs^2)) restricted to the parameter box, where
+Phi is the inversion module's objective: the misfit LS plus the Gaussian
+prior term when the problem has a prior.
 Per-chain kernel density estimates and a dense-grid reference posterior give
 a qualitative picture of multimodality that the local Laplace summary cannot
 provide.
@@ -17,7 +19,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import ConfigurationError, DegenerateDataError, InferenceError, UnsupportedDimensionError
-from .inversion import InverseProblem, _ls_many, evaluate_profile_grid
+from .inversion import InverseProblem, _log_posterior_many, evaluate_profile_grid
 
 __all__ = [
     "McmcConfig",
@@ -75,10 +77,9 @@ def _chain_rng(seed: int, chain_index: int) -> np.random.Generator:
 
 def _log_density_fn(problem: InverseProblem):
     lo, hi = np.asarray(problem.bounds, dtype=float).T
-    two_s2 = 2.0 * problem.obs_variance
 
     def log_density_many(x: np.ndarray) -> np.ndarray:
-        logp = -_ls_many(problem, x) / two_s2
+        logp = _log_posterior_many(problem, x)[1]
         inside = np.all((x >= lo) & (x <= hi), axis=1)
         return np.where(inside, logp, -np.inf)
 
@@ -87,6 +88,9 @@ def _log_density_fn(problem: InverseProblem):
 
 def run_mcmc(problem: InverseProblem, config: McmcConfig) -> list[ChainResult]:
     """Independent random-walk Metropolis chains on the NLS density.
+
+    The log density is -Phi / (2 sigma_obs^2), so a problem's Gaussian prior
+    shapes the chains as it does the MAP, Laplace and level-set stages.
 
     Each chain draws from its own generator seeded by (seed, chain_index),
     starts at a uniform in-bounds point with nonzero density, and proposes

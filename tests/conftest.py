@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from gpinverse import GaussianPrior, InverseProblem
 from gpinverse.presets import get_preset, run_experiment
 
 
@@ -55,6 +56,27 @@ class FunctionSurrogate:
 @pytest.fixture(scope="session")
 def function_surrogate():
     return FunctionSurrogate
+
+
+@pytest.fixture
+def linear_gaussian():
+    """A problem whose posterior is Gaussian, with that posterior's moments.
+
+    The surrogate mean is a*x, the observation y has noise variance s2, and
+    the prior is N(m, g), so the posterior is N(mean, var) with
+    1/var = a^2/s2 + 1/g and mean = var (a y / s2 + m / g).  The box spans
+    more than 12 posterior standard deviations on each side of the mean.
+    """
+    a, y, s2, m, g = 2.0, 1.0, 0.5, -0.3, 0.4
+    var = 1.0 / (a * a / s2 + 1.0 / g)
+    problem = InverseProblem(
+        surrogate=FunctionSurrogate(lambda x: a * x[0]),
+        observed=y,
+        obs_variance=s2,
+        bounds=((-4.0, 4.0),),
+        prior=GaussianPrior(mean=[m], cov=[[g]]),
+    )
+    return problem, var * (a * y / s2 + m / g), var
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,6 @@ from gpinverse import (
     high_probability_region,
     laplace_approximation,
     ls_functional,
-    map_gaussian_prior,
     map_multistart,
     nls_profile,
 )
@@ -118,6 +117,9 @@ class TestFunctionals:
             (0.0, 1.0, ((0.0, 1.0),), ([math.nan], [[1.0]])),
             (0.0, 1.0, ((0.0, 1.0),), ([0.0], [[math.inf]])),
             (0.0, 1.0, ((0.0, 1.0),), ([0.0], [[math.nan]])),
+            (0.0, 1.0, (), None),
+            (0.0, 1.0, ((0.0, 1.0),), ([0.0], [[0.0]])),
+            (0.0, 1.0, ((0.0, 1.0), (0.0, 1.0)), ([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])),
         ],
     )
     def test_invalid_problem_rejected(
@@ -231,7 +233,7 @@ class TestMapMultistart:
     def test_cluster_set_invariant_under_endpoint_permutation(self, mixed1d_problem):
         # clustering happens on the objective-sorted endpoint list, so the
         # order starts were launched in cannot move the cluster set
-        from gpinverse.inversion import _cluster_endpoints, _ls_and_grad
+        from gpinverse.inversion import _cluster_endpoints, _objective_and_grad
 
         rng = np.random.default_rng(2)
         starts = rng.uniform(-10, 10, size=(20, 1))
@@ -241,7 +243,7 @@ class TestMapMultistart:
             [
                 np.clip(
                     minimize(
-                        lambda p: _ls_and_grad(mixed1d_problem, p),
+                        lambda p: _objective_and_grad(mixed1d_problem, p),
                         s,
                         jac=True,
                         method="L-BFGS-B",
@@ -254,7 +256,7 @@ class TestMapMultistart:
                 for s in starts
             ]
         )
-        objs, grads = zip(*(_ls_and_grad(mixed1d_problem, e) for e in endpoints))
+        objs, grads = zip(*(_objective_and_grad(mixed1d_problem, e) for e in endpoints))
         objs, grads = np.array(objs), np.array(grads)
 
         def cluster_positions(order):
@@ -290,33 +292,54 @@ class TestGaussianPrior:
         prob = self._linear_problem(
             function_surrogate, 1.0, GaussianPrior(mean=[0.0], cov=[[1.0]])
         )
-        summary = map_gaussian_prior(prob, n_starts=8, max_iter=200, seed=0)
+        summary = map_multistart(prob, n_starts=8, max_iter=200, seed=0)
         assert summary.map_clusters[0].x[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_diffuse_prior_recovers_uniform_map(self, function_surrogate):
         diffuse = self._linear_problem(
             function_surrogate, 1.0, GaussianPrior(mean=[0.0], cov=[[1e8]])
         )
-        summary = map_gaussian_prior(diffuse, n_starts=8, max_iter=400, seed=0)
+        summary = map_multistart(diffuse, n_starts=8, max_iter=400, seed=0)
         assert summary.map_clusters[0].x[0] == pytest.approx(1.0, abs=1e-2)
 
     def test_tight_likelihood_off_prior_dominates_when_flat(self, function_surrogate):
         flat_likelihood = self._linear_problem(
             function_surrogate, 1e10, GaussianPrior(mean=[0.3], cov=[[1.0]])
         )
-        summary = map_gaussian_prior(flat_likelihood, n_starts=8, max_iter=400, seed=0)
+        summary = map_multistart(flat_likelihood, n_starts=8, max_iter=400, seed=0)
         assert summary.map_clusters[0].x[0] == pytest.approx(0.3, abs=1e-3)
 
-    def test_singular_prior_covariance_rejected(self, function_surrogate):
-        prob = self._linear_problem(
-            function_surrogate, 1.0, GaussianPrior(mean=[0.0], cov=[[0.0]])
+    def test_closed_form_posterior_mode(self, linear_gaussian):
+        prob, mean, _ = linear_gaussian
+        summary = map_multistart(prob, n_starts=8, seed=0)
+        best = summary.map_clusters[0]
+        assert best.x[0] == pytest.approx(mean, abs=1e-6)
+        # objective is Phi, in LS units; ls_residual is the misfit alone
+        ls = (1.0 - 2.0 * best.x[0]) ** 2
+        assert best.ls_residual == pytest.approx(ls, rel=1e-9)
+        assert best.objective == pytest.approx(
+            ls + 0.5 * (best.x[0] + 0.3) ** 2 / 0.4, rel=1e-9
         )
-        with pytest.raises(ConfigurationError):
-            map_gaussian_prior(prob, n_starts=2, seed=0)
 
-    def test_uniform_problem_rejected(self, forrester_problem):
-        with pytest.raises(ConfigurationError):
-            map_gaussian_prior(forrester_problem, n_starts=2, seed=0)
+    def test_closed_form_laplace_variance(self, linear_gaussian):
+        prob, mean, var = linear_gaussian
+        res = laplace_approximation(prob, [mean])
+        assert not res.degenerate
+        assert res.cov[0, 0] == pytest.approx(var, rel=1e-6)
+
+    def test_laplace_rejects_the_least_squares_point(self, linear_gaussian):
+        # x = 0.5 fits the observation exactly, but the prior pulls the
+        # posterior mode away from it, so grad Phi is not zero there
+        prob, _, _ = linear_gaussian
+        with pytest.raises(InferenceError, match="not stationary"):
+            laplace_approximation(prob, [0.5])
+
+    def test_nls_profile_is_the_posterior_shape(self, linear_gaussian):
+        prob, mean, var = linear_gaussian
+        peak = nls_profile(prob, [mean])
+        for x in (-1.0, 0.0, 0.9):
+            expected = math.exp(-((x - mean) ** 2) / (2.0 * var))
+            assert nls_profile(prob, [x]) / peak == pytest.approx(expected, rel=1e-9)
 
 
 class TestLaplace:
@@ -373,8 +396,6 @@ class TestLaplace:
         assert res.intervals is None
 
     def test_nonstationary_point_rejected(self, forrester_problem):
-        from gpinverse import InferenceError
-
         with pytest.raises(InferenceError, match="not stationary"):
             laplace_approximation(forrester_problem, [0.4])
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from gpinverse import (
     ConfigurationError,
@@ -227,6 +228,20 @@ class TestKde:
         assert peak < 64 * 2**20
         h = h_cap * 1.001
         assert np.max(np.abs(dens - _dense_kde(samples, grid, h))) <= _kde_bound(h)
+
+
+class TestLinearGaussianPosterior:
+    def test_grid_posterior_matches_closed_form(self, linear_gaussian):
+        prob, mean, var = linear_gaussian
+        ref = grid_posterior(prob, resolution=2048)
+        exact = stats.norm(mean, math.sqrt(var)).pdf(ref.grid)
+        assert np.max(np.abs(ref.density - exact)) <= 1e-3 * np.max(exact)
+
+    def test_chains_match_closed_form(self, linear_gaussian):
+        prob, mean, var = linear_gaussian
+        cfg = McmcConfig(n_chains=4, n_steps=18000, burn_in=2000, seed=0)
+        thinned = np.concatenate([c.samples[::20, 0] for c in run_mcmc(prob, cfg)])
+        assert stats.kstest(thinned, stats.norm(mean, math.sqrt(var)).cdf).pvalue > 0.01
 
 
 class TestGridPosterior:
