@@ -314,7 +314,7 @@ class BoTrace:
     validation_variance: float = 0.0
 
 
-def _fit_for_config(data: Dataset, config: BoConfig, refit_seed: int) -> GpModel:
+def _fit_for_config(data: Dataset, config: BoConfig) -> GpModel:
     if config.fixed_length_scale is not None:
         spec = KernelSpec(
             family=config.kernel_family,
@@ -327,7 +327,6 @@ def _fit_for_config(data: Dataset, config: BoConfig, refit_seed: int) -> GpModel
         family=config.kernel_family,
         noise_variance=config.noise_variance,
         restarts=config.restarts,
-        seed=refit_seed,
     )
 
 
@@ -348,7 +347,7 @@ def run_bo(hf: HighFidelityModel, config: BoConfig) -> BoTrace:
     iteration = 0
     while True:
         try:
-            model = _fit_for_config(data, config, refit_seed=config.seed + 65537 * iteration)
+            model = _fit_for_config(data, config)
         except GpInverseError as exc:
             raise NumericalError(
                 f"surrogate fit failed at iteration {iteration} "

@@ -107,7 +107,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except (ConfigurationError, DomainError, ShapeError, FileNotFoundError) as exc:
+    except (ConfigurationError, DomainError, ShapeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalError, DegenerateDataError) as exc:

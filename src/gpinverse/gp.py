@@ -15,9 +15,13 @@ from GpModel.predict_mean in row chunks, and its exact gradient and Hessian in
 x, with no step sizes.
 
 Hyperparameters (length scale, signal variance) are fitted by maximizing the
-log marginal likelihood with a bounded derivative-free search in log space,
-restarted from several seeded points.  The likelihood objective computes the
-pairwise distances and the input checks once per dataset.  The
+log marginal likelihood in log space: a fixed probe grid over the bounded
+box, then bounded L-BFGS-B ascents with the exact likelihood gradient
+(Rasmussen & Williams 2006, section 5.4.1) from its best cells, as the
+acquisition step does for x.  Nothing in the fit is random.  Each
+likelihood value goes through gp_fit's factor-and-solve path, so it is
+bit-identical to the likelihood of the model gp_fit returns.  The pairwise
+distances and the input checks are computed once per dataset.  The
 observation-noise variance is a fixed input, not a fitted quantity.
 """
 
@@ -61,6 +65,10 @@ _SQRT5 = math.sqrt(5.0)
 # Query rows per kernel block in GpModel.predict_mean, so that the (n, rows)
 # block stays a few MB however large the profile grid is.
 _MEAN_CHUNK_ROWS = 4096
+
+# Cells per axis of the log (length scale, signal variance) probe grid that
+# seeds the hyperparameter ascents.
+_PROBE_POINTS_PER_AXIS = 7
 
 
 @dataclass(frozen=True)
@@ -310,27 +318,43 @@ def log_marginal_likelihood(model: GpModel) -> float:
 
 
 def _neg_lml_objective(data: Dataset, family: str, noise_variance: float):
-    """Negative log marginal likelihood of log (length scale, signal variance).
+    """-LML of theta = log (length scale, signal variance) and its gradient.
 
     The input checks and the pairwise distances depend only on the dataset,
-    so they run once here.  Each call builds the kernel from the distances
-    and goes through gp_fit's _cholesky_with_jitter and _lml, so it equals
-    -log_marginal_likelihood(gp_fit(...)) exactly; it returns inf where the
-    factorization fails at every jitter.  The noise and jitter go onto the
-    kernel's diagonal in place (exact: the off-diagonal terms only ever
-    gained 0.0), and the solve is LAPACK potrs without cho_solve's finite
-    check.  The factorization stays on np.linalg.cholesky: scipy's dpotrf
-    links another OpenBLAS build than numpy's and changed 4,441 of 21,645
-    recorded objective values, which moves the Powell paths and so the
-    fitted kernels.
+    so they run once here.  Each call returns (value, gradient).  The value
+    goes through gp_fit's _cholesky_with_jitter and _lml, so it is
+    bit-identical to -log_marginal_likelihood(gp_fit(...)) at the same theta
+    and the winning ascent's likelihood is the fitted model's; it is inf,
+    with a zero gradient, where the factorization fails at every jitter.
+    That shared path factors with np.linalg.cholesky, not scipy's dpotrf,
+    which links another OpenBLAS build and differs in the last bits.  The
+    gradient is -1/2 tr((alpha alpha^T - K^-1) dK/dtheta) (Rasmussen &
+    Williams 2006, eq. 5.9) at the jitter rung that factored, with K^-1 from
+    LAPACK potri on the same factor.  dK/dlog s2 is the noise-free kernel;
+    dK/dlog l is k r^2/l^2 for the RBF and
+    s2 t^2 (1 + t) exp(-t) / 3 with t = sqrt(5) r/l for the Matern 5/2.
     """
     _check_fit_inputs(data, noise_variance)
     r = cdist(data.x, data.x)
 
-    def neg_lml(theta: np.ndarray) -> float:
-        k = _kernel_from_r(family, math.exp(theta[0]), math.exp(theta[1]), r)
-        factor = _cholesky_with_jitter(k, noise_variance, data.y)
-        return math.inf if factor is None else -_lml(data.y, factor[0], factor[1])
+    def neg_lml(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        ell, s2 = math.exp(theta[0]), math.exp(theta[1])
+        k = _kernel_from_r(family, ell, s2, r)
+        factor = _cholesky_with_jitter(k.copy(), noise_variance, data.y)
+        if factor is None:
+            return math.inf, np.zeros(2)
+        chol, alpha, _ = factor
+        if family == "rbf":
+            dk_dlog_ell = k * (r * r) / (ell * ell)
+        else:
+            t = _SQRT5 * r / ell
+            dk_dlog_ell = s2 / 3.0 * t * t * (1.0 + t) * np.exp(-t)
+        # potri fills the lower triangle and leaves the upper one zero
+        kinv = sla.lapack.dpotri(chol, lower=1)[0]
+        kinv = kinv + kinv.T
+        kinv.flat[:: len(alpha) + 1] *= 0.5
+        grad = [alpha @ dk @ alpha - np.vdot(kinv, dk) for dk in (dk_dlog_ell, k)]
+        return -_lml(data.y, chol, alpha), -0.5 * np.array(grad)
 
     return neg_lml
 
@@ -348,14 +372,19 @@ def gp_optimize_hyperparameters(
     family: str,
     noise_variance: float,
     restarts: int = 4,
-    seed: int = 0,
 ) -> GpModel:
     """Fit (length scale, signal variance) by marginal-likelihood maximization.
 
-    The search runs in log space with a bounded Powell method.  Restart 0
-    starts from the center of the log box; the rest are seeded uniform draws.
-    The restart with the highest log marginal likelihood wins, earlier
-    restarts winning ties, so results are deterministic for a fixed seed.
+    The search runs in the log box of _hyper_bounds.  -LML is evaluated on
+    a 7 x 7 (_PROBE_POINTS_PER_AXIS) grid over that box; bounded L-BFGS-B
+    ascents with the exact gradient then start from the ``restarts`` best
+    finite cells (a stable sort, so equal cells keep grid order).  The best
+    finite endpoint wins, earlier ascents winning ties.  Nothing is random.
+
+    Known limit: on ill-conditioned zero-noise RBF designs the ascent can
+    stop below a derivative-free search: on 12 equispaced points of sin(6x)
+    on [0, 1] with 3 restarts it ends 0.036 nats below a seeded Powell
+    search.  No preset fits such a design.
     """
     if data.n < 2:
         raise DegenerateDataError(
@@ -363,11 +392,7 @@ def gp_optimize_hyperparameters(
         )
     if restarts < 1:
         raise ConfigurationError("restarts must be >= 1")
-    (ell_lo, ell_hi), (s2_lo, s2_hi) = _hyper_bounds(data)
-    log_bounds = [
-        (math.log(ell_lo), math.log(ell_hi)),
-        (math.log(s2_lo), math.log(s2_hi)),
-    ]
+    log_bounds = [(math.log(lo), math.log(hi)) for lo, hi in _hyper_bounds(data)]
 
     failed = "all hyperparameter restarts failed to produce a valid factorization"
     try:
@@ -375,23 +400,17 @@ def gp_optimize_hyperparameters(
     except DegenerateDataError as exc:
         raise NumericalError(f"{failed}: {exc}") from exc
 
-    rng = np.random.default_rng(seed)
-    center = np.array([0.5 * (lo + hi) for lo, hi in log_bounds])
-    starts = [center]
-    for _ in range(restarts - 1):
-        starts.append(
-            np.array([rng.uniform(lo, hi) for lo, hi in log_bounds])
-        )
+    axes = [np.linspace(lo, hi, _PROBE_POINTS_PER_AXIS) for lo, hi in log_bounds]
+    cells = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    values = np.array([neg_lml(theta)[0] for theta in cells])
+    finite = np.flatnonzero(np.isfinite(values))
+    starts = cells[finite[np.argsort(values[finite], kind="stable")[:restarts]]]
 
     best_val = math.inf
     best_theta = None
     for theta0 in starts:
         res = sopt.minimize(
-            neg_lml,
-            theta0,
-            method="Powell",
-            bounds=log_bounds,
-            options={"xtol": 1e-4, "ftol": 1e-6, "maxiter": 200},
+            neg_lml, theta0, method="L-BFGS-B", jac=True, bounds=log_bounds
         )
         if math.isfinite(res.fun) and res.fun < best_val:
             best_val = res.fun

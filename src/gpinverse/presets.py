@@ -413,8 +413,12 @@ def config_from_text(text: str) -> ExperimentConfig:
 
 
 def load_config_file(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path!r}: {exc}") from exc
+    return config_from_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +621,17 @@ def _run_compare_stage(config, result):
     record["gp_signal_variance"] = 1.0
 
 
+def _check_outdir(outdir: str) -> None:
+    """Raise ConfigurationError unless outdir is, or can be made, a directory."""
+    path = os.path.abspath(outdir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigurationError(
+            f"output directory {outdir!r}: {path!r} exists and is not a directory"
+        )
+
+
 def run_experiment(
     config: ExperimentConfig,
     outdir: str,
@@ -627,6 +642,7 @@ def run_experiment(
     The manifest records every configuration value and derived quantity so
     that any number in any output file can be recomputed from it.
     """
+    _check_outdir(outdir)
     if seed_override is not None:
         config = dataclasses.replace(
             config, bo=dataclasses.replace(config.bo, seed=seed_override)

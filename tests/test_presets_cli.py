@@ -166,6 +166,43 @@ def test_cli_missing_config_file_exits_2(tmp_path):
     assert code == 2
 
 
+def test_cli_config_directory_exits_2(tmp_path, capsys):
+    code = main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("benchmark = mixed1d\n# d\u00e9j\u00e0 vu\n".encode("latin-1"))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def _fail_if_bo_runs(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("BO ran before the output directory was checked")
+
+    monkeypatch.setattr(gpinverse.presets, "run_bo", fail)
+
+
+def test_cli_out_naming_a_file_exits_2_before_bo(tmp_path, monkeypatch, capsys):
+    _fail_if_bo_runs(monkeypatch)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["run", "--preset", "forrester-inverse", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_cli_out_below_a_file_exits_2_before_bo(tmp_path, monkeypatch, capsys):
+    _fail_if_bo_runs(monkeypatch)
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / "sub" / "dir"
+    assert main(["run", "--preset", "forrester-inverse", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
 def test_cli_unknown_preset_exits_2(tmp_path):
     assert main(["run", "--preset", "nope", "--out", str(tmp_path / "o")]) == 2
 
