@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -44,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--config", help="path to a key = value config file")
     run.add_argument(
         "--seed", type=int, default=None,
-        help="override the surrogate-construction seed",
+        help="replace bo.seed, the surrogate-construction seed",
     )
     run.add_argument("--out", default=None, help="output directory")
 
@@ -55,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cmp_parser.add_argument("--benchmark", required=True)
     cmp_parser.add_argument(
-        "--samples", type=int, default=14,
+        "--samples", type=int,
+        default=get_preset("compare-surrogates").bo.max_evaluations,
         help="sample budget shared by every family (the BO max_evaluations)",
     )
     cmp_parser.add_argument("--out", default=None)
@@ -84,16 +86,18 @@ def main(argv=None) -> int:
                 config = get_preset(args.preset)
             else:
                 config = load_config_file(args.config)
+            if args.seed is not None:
+                config = dataclasses.replace(
+                    config, bo=dataclasses.replace(config.bo, seed=args.seed)
+                )
             outdir = _resolve_outdir(args.out, config.name)
-            result = run_experiment(config, outdir, seed_override=args.seed)
+            result = run_experiment(config, outdir)
             print(f"wrote {len(result.files)} artifact(s) to {outdir}")
             for f in result.files:
                 print(f"  {f}")
             return EXIT_OK
 
         if args.command == "compare-surrogates":
-            import dataclasses
-
             base = get_preset("compare-surrogates")
             config = dataclasses.replace(
                 base,

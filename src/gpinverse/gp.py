@@ -371,7 +371,7 @@ def gp_optimize_hyperparameters(
     data: Dataset,
     family: str,
     noise_variance: float,
-    restarts: int = 4,
+    restarts: int,
 ) -> GpModel:
     """Fit (length scale, signal variance) by marginal-likelihood maximization.
 

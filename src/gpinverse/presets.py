@@ -2,7 +2,8 @@
 
 Each preset is a complete, deterministic experiment description: which
 benchmark, how the surrogate is built, what observation is inverted, and
-which diagnostics run afterwards.  ``run_experiment`` executes one and
+which diagnostics run afterwards.  A preset passes only the settings that
+differ from the dataclass defaults.  ``run_experiment`` executes one and
 writes all artifacts (manifest, traces, posterior summary, profiles,
 chains) into an output directory.  Numeric CSV content is written with
 full round-trip precision so repeated runs with the same seed are
@@ -51,9 +52,6 @@ __all__ = [
     "load_config_file",
 ]
 
-ONE_DIM_BENCHMARKS = ("mixed1d", "levy1d", "griewank1d", "forrester1d")
-
-
 @dataclass(frozen=True)
 class InversionSettings:
     """Observation and search settings for the inversion stage.
@@ -99,205 +97,154 @@ class ExperimentConfig:
     A comparison (``compare_benchmarks`` set) runs ``bo`` as given on each
     benchmark and fits every family to the samples it drew, so
     ``bo.max_evaluations`` is their shared budget; a ``bo.mse_threshold``
-    met earlier stops it short, and mse.csv records the count.
+    met earlier stops it short, and mse.csv records the count.  It has no
+    inversion or mcmc stage.
     """
 
     name: str
     benchmark: str
     description: str
-    bo: BoConfig
+    bo: BoConfig = BoConfig()
     inversion: Optional[InversionSettings] = None
     mcmc: Optional[McmcConfig] = None
     mcmc_grid_resolution: int = 512
     compare_benchmarks: tuple[str, ...] = ()
-
-    @property
-    def kind(self) -> str:
-        if self.compare_benchmarks:
-            return "compare"
-        if self.inversion is None:
-            return "bo-only"
-        return "inversion"
 
     def __post_init__(self):
         if not 64 <= self.mcmc_grid_resolution <= MAX_GRID_CELLS:
             raise ConfigurationError(
                 f"mcmc_grid_resolution must lie in [64, {MAX_GRID_CELLS}]"
             )
+        if self.mcmc is not None and self.inversion is None:
+            raise ConfigurationError("mcmc stage requires an inversion stage")
+        if self.compare_benchmarks and (
+            self.inversion is not None or self.mcmc is not None
+        ):
+            raise ConfigurationError(
+                "a comparison (compare_benchmarks) takes no inversion or mcmc settings"
+            )
         for name in self.compare_benchmarks:
             if get_benchmark(name).dim != 1:
                 raise ConfigurationError(f"compare benchmark {name!r} is not 1-D")
 
 
-def _bo_1d(seed: int = 0, **overrides) -> BoConfig:
-    base = dict(
-        n_init=5,
-        n_acq=1,
-        max_evaluations=25,
-        mse_threshold=1e-3,
-        mse_mode="absolute",
-        n_val=1000,
-        kernel_family="matern52",
-        noise_variance=1e-6,
-        acquisition="ucb",
-        kappa=200.0,
-        restarts=3,
-        seed=seed,
-    )
-    base.update(overrides)
-    return BoConfig(**base)
-
-
-def _build_presets() -> dict[str, ExperimentConfig]:
-    presets = {}
-
-    presets["forrester-inverse"] = ExperimentConfig(
-        name="forrester-inverse",
-        benchmark="forrester1d",
-        description=(
-            "Forrester surrogate + inversion of observed -6.02: a well-posed "
-            "single-mode posterior with a narrow high-probability interval "
-            "around 0.76 and Laplace credible interval"
+PRESETS = {
+    p.name: p
+    for p in (
+        ExperimentConfig(
+            name="forrester-inverse",
+            benchmark="forrester1d",
+            description=(
+                "Forrester surrogate + inversion of observed -6.02: a well-posed "
+                "single-mode posterior with a narrow high-probability interval "
+                "around 0.76 and Laplace credible interval"
+            ),
+            inversion=InversionSettings(observed=-6.02, obs_variance=0.72),
         ),
-        bo=_bo_1d(seed=0),
-        inversion=InversionSettings(
-            observed=-6.02, obs_variance=0.72, n_starts=16, map_seed=0
+        ExperimentConfig(
+            name="mixed1d-inverse",
+            benchmark="mixed1d",
+            description=(
+                "Mixed Gaussian-periodic 1D surrogate + inversion of observed "
+                "0.63: an ill-posed multimodal posterior with four admissible "
+                "parameter configurations and a reduced high-probability union"
+            ),
+            inversion=InversionSettings(observed=0.63, obs_variance=0.0016, n_starts=24),
         ),
-    )
-
-    presets["mixed1d-inverse"] = ExperimentConfig(
-        name="mixed1d-inverse",
-        benchmark="mixed1d",
-        description=(
-            "Mixed Gaussian-periodic 1D surrogate + inversion of observed "
-            "0.63: an ill-posed multimodal posterior with four admissible "
-            "parameter configurations and a reduced high-probability union"
+        ExperimentConfig(
+            name="levy1d-inverse",
+            benchmark="levy1d",
+            description=(
+                "Levy 1D surrogate + inversion of an observation synthesized at "
+                "0.76: sharply concentrated posterior on a rugged landscape, "
+                "with a mirror mode from the near-quadratic core"
+            ),
+            bo=BoConfig(max_evaluations=30, mse_threshold=5e-3),
+            inversion=InversionSettings(x_true=(0.76,), obs_variance=0.0025),
         ),
-        bo=_bo_1d(seed=0),
-        inversion=InversionSettings(
-            observed=0.63, obs_variance=0.0016, n_starts=24, map_seed=0
+        ExperimentConfig(
+            name="griewank1d-inverse",
+            benchmark="griewank1d",
+            description=(
+                "Griewank 1D surrogate + inversion of observed 0.8: a "
+                "periodically non-identifiable posterior with many equally "
+                "plausible parameter configurations"
+            ),
+            bo=BoConfig(max_evaluations=35, mse_threshold=2e-3),
+            inversion=InversionSettings(observed=0.8, n_starts=24),
         ),
-    )
-
-    presets["levy1d-inverse"] = ExperimentConfig(
-        name="levy1d-inverse",
-        benchmark="levy1d",
-        description=(
-            "Levy 1D surrogate + inversion of an observation synthesized at "
-            "0.76: sharply concentrated posterior on a rugged landscape, "
-            "with a mirror mode from the near-quadratic core"
+        ExperimentConfig(
+            name="mixed2d-inverse",
+            benchmark="mixed2d",
+            description=(
+                "Mixed Gaussian-periodic 2D surrogate + inversion of an "
+                "observation synthesized at (1.248, 1.812): reports the MAP "
+                "cluster, least-squares residual, and per-parameter summary"
+            ),
+            bo=BoConfig(max_evaluations=45, mse_threshold=5e-3),
+            inversion=InversionSettings(
+                x_true=(1.248, 1.812),
+                obs_variance=0.1444,
+                n_starts=24,
+                map_seed=3,
+                grid_resolution=128,
+            ),
         ),
-        bo=_bo_1d(seed=0, max_evaluations=30, mse_threshold=5e-3),
-        inversion=InversionSettings(
-            x_true=(0.76,), obs_variance=0.0025, n_starts=16, map_seed=0
+        ExperimentConfig(
+            name="rosenbrock2d-inverse",
+            benchmark="rosenbrock2d",
+            description=(
+                "Rosenbrock 2D surrogate + inversion of an observation "
+                "synthesized at (-1.5, -0.6): anisotropic valley geometry; the "
+                "scalar observation admits a curve of exact solutions"
+            ),
+            bo=BoConfig(
+                max_evaluations=15,
+                mse_mode="normalized",
+                kernel_family="rbf",
+                fixed_length_scale=8.0,
+                fixed_signal_variance=1e10,
+            ),
+            inversion=InversionSettings(
+                x_true=(-1.5, -0.6), obs_variance=2500.0, n_starts=32, grid_resolution=128
+            ),
         ),
-    )
-
-    presets["griewank1d-inverse"] = ExperimentConfig(
-        name="griewank1d-inverse",
-        benchmark="griewank1d",
-        description=(
-            "Griewank 1D surrogate + inversion of observed 0.8: a "
-            "periodically non-identifiable posterior with many equally "
-            "plausible parameter configurations"
+        ExperimentConfig(
+            name="compare-surrogates",
+            benchmark="mixed1d",
+            description=(
+                "Surrogate-family comparison on the four 1D benchmarks: GP "
+                "(Matern 5/2 and RBF, unit length scale) versus Lagrange, "
+                "Legendre, and cubic-spline baselines at a shared 14-sample "
+                "budget, scored by validation MSE"
+            ),
+            bo=BoConfig(max_evaluations=14, mse_threshold=1e-12),
+            compare_benchmarks=("mixed1d", "levy1d", "griewank1d", "forrester1d"),
         ),
-        bo=_bo_1d(seed=0, max_evaluations=35, mse_threshold=2e-3),
-        inversion=InversionSettings(
-            observed=0.8, obs_variance=0.01, n_starts=24, map_seed=0
+        ExperimentConfig(
+            name="mixed1d-mcmc",
+            benchmark="mixed1d",
+            description=(
+                "Mixed 1D posterior diagnostics: 10 independent random-walk "
+                "Metropolis chains on the surrogate posterior, per-chain kernel "
+                "density estimates, and a dense-grid reference posterior with "
+                "mode detection"
+            ),
+            inversion=InversionSettings(observed=0.63, obs_variance=0.0016, n_starts=24),
+            mcmc=McmcConfig(n_steps=40000, burn_in=4000, proposal_scale=0.2),
         ),
-    )
-
-    presets["mixed2d-inverse"] = ExperimentConfig(
-        name="mixed2d-inverse",
-        benchmark="mixed2d",
-        description=(
-            "Mixed Gaussian-periodic 2D surrogate + inversion of an "
-            "observation synthesized at (1.248, 1.812): reports the MAP "
-            "cluster, least-squares residual, and per-parameter summary"
-        ),
-        bo=_bo_1d(seed=0, max_evaluations=45, mse_threshold=5e-3),
-        inversion=InversionSettings(
-            x_true=(1.248, 1.812),
-            obs_variance=0.1444,
-            n_starts=24,
-            map_seed=3,
-            grid_resolution=128,
-        ),
-    )
-
-    presets["rosenbrock2d-inverse"] = ExperimentConfig(
-        name="rosenbrock2d-inverse",
-        benchmark="rosenbrock2d",
-        description=(
-            "Rosenbrock 2D surrogate + inversion of an observation "
-            "synthesized at (-1.5, -0.6): anisotropic valley geometry; the "
-            "scalar observation admits a curve of exact solutions"
-        ),
-        bo=_bo_1d(
-            seed=0,
-            max_evaluations=15,
-            mse_threshold=1e-3,
-            mse_mode="normalized",
-            kernel_family="rbf",
-            fixed_length_scale=8.0,
-            fixed_signal_variance=1e10,
-        ),
-        inversion=InversionSettings(
-            x_true=(-1.5, -0.6),
-            obs_variance=2500.0,
-            n_starts=32,
-            map_seed=0,
-            grid_resolution=128,
+        ExperimentConfig(
+            name="mixed1d-ei-demo",
+            benchmark="mixed1d",
+            description=(
+                "Expected-improvement demonstration on Mixed 1D: the "
+                "improvement-seeking acquisition concentrates samples near the "
+                "incumbent optimum instead of covering the domain"
+            ),
+            bo=BoConfig(acquisition="ei", kappa=0.0, max_evaluations=20),
         ),
     )
-
-    presets["compare-surrogates"] = ExperimentConfig(
-        name="compare-surrogates",
-        benchmark="mixed1d",
-        description=(
-            "Surrogate-family comparison on the four 1D benchmarks: GP "
-            "(Matern 5/2 and RBF, unit length scale) versus Lagrange, "
-            "Legendre, and cubic-spline baselines at a shared 14-sample "
-            "budget, scored by validation MSE"
-        ),
-        bo=_bo_1d(seed=0, max_evaluations=14, mse_threshold=1e-12),
-        compare_benchmarks=ONE_DIM_BENCHMARKS,
-    )
-
-    presets["mixed1d-mcmc"] = ExperimentConfig(
-        name="mixed1d-mcmc",
-        benchmark="mixed1d",
-        description=(
-            "Mixed 1D posterior diagnostics: 10 independent random-walk "
-            "Metropolis chains on the surrogate posterior, per-chain kernel "
-            "density estimates, and a dense-grid reference posterior with "
-            "mode detection"
-        ),
-        bo=_bo_1d(seed=0),
-        inversion=InversionSettings(
-            observed=0.63, obs_variance=0.0016, n_starts=24, map_seed=0
-        ),
-        mcmc=McmcConfig(
-            n_chains=10, n_steps=40000, burn_in=4000, proposal_scale=0.2, seed=0
-        ),
-        mcmc_grid_resolution=512,
-    )
-
-    presets["mixed1d-ei-demo"] = ExperimentConfig(
-        name="mixed1d-ei-demo",
-        benchmark="mixed1d",
-        description=(
-            "Expected-improvement demonstration on Mixed 1D: the "
-            "improvement-seeking acquisition concentrates samples near the "
-            "incumbent optimum instead of covering the domain"
-        ),
-        bo=_bo_1d(seed=0, acquisition="ei", kappa=0.0, max_evaluations=20),
-    )
-
-    return presets
-
-
-PRESETS = _build_presets()
+}
 
 
 def list_presets() -> list[tuple[str, str]]:
@@ -332,22 +279,15 @@ def _format_value(v) -> str:
 
 def config_to_text(config: ExperimentConfig) -> str:
     """Serialize a config to the flat dotted key = value format."""
-    lines = []
-    for key in ("name", "benchmark", "description"):
-        lines.append(f"{key} = {getattr(config, key)}")
-    for f in dataclasses.fields(BoConfig):
-        v = getattr(config.bo, f.name)
-        if v is not None:
-            lines.append(f"bo.{f.name} = {_format_value(v)}")
-    if config.inversion is not None:
-        for f in dataclasses.fields(InversionSettings):
-            v = getattr(config.inversion, f.name)
-            if v is not None:
-                lines.append(f"inversion.{f.name} = {_format_value(v)}")
-    if config.mcmc is not None:
-        for f in dataclasses.fields(McmcConfig):
-            lines.append(f"mcmc.{f.name} = {_format_value(getattr(config.mcmc, f.name))}")
-        lines.append(f"mcmc_grid_resolution = {config.mcmc_grid_resolution}")
+    scalars = ("name", "benchmark", "description", "mcmc_grid_resolution")
+    lines = [f"{k} = {getattr(config, k)}" for k in scalars]
+    for section in _SECTIONS:
+        settings = getattr(config, section)
+        if settings is not None:
+            for f in dataclasses.fields(settings):
+                v = getattr(settings, f.name)
+                if v is not None:
+                    lines.append(f"{section}.{f.name} = {_format_value(v)}")
     if config.compare_benchmarks:
         lines.append(
             "compare_benchmarks = " + _format_value(config.compare_benchmarks)
@@ -371,7 +311,8 @@ def config_from_text(text: str) -> ExperimentConfig:
     """Parse the flat dotted format back into an ExperimentConfig.
 
     Each value is parsed as the annotated type of its field; a value that
-    does not parse raises ConfigurationError naming its line and key.
+    does not parse, or a key given twice, raises ConfigurationError naming
+    its line and key.
     """
     entries: dict[str, dict[str, tuple[int, str]]] = {"": {}, **{s: {} for s in _SECTIONS}}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -381,9 +322,15 @@ def config_from_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        section, _, name = key.strip().rpartition(".")
+        key = key.strip()
+        section, _, name = key.rpartition(".")
         if section not in entries:
             raise ConfigurationError(f"line {lineno}: unknown section {section!r}")
+        if name in entries[section]:
+            first = entries[section][name][0]
+            raise ConfigurationError(
+                f"line {lineno}: {key} repeats the key set on line {first}"
+            )
         entries[section][name] = (lineno, value.strip())
 
     def parse(cls, section: str) -> dict:
@@ -407,7 +354,7 @@ def config_from_text(text: str) -> ExperimentConfig:
     sections = {
         section: cls(**parse(cls, section))
         for section, cls in _SECTIONS.items()
-        if section == "bo" or entries[section]
+        if entries[section]
     }
     return ExperimentConfig(**{"name": "custom", "description": "", **scalars}, **sections)
 
@@ -632,24 +579,14 @@ def _check_outdir(outdir: str) -> None:
         )
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    outdir: str,
-    seed_override: Optional[int] = None,
-) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
     """Execute one experiment and write its artifacts under ``outdir``.
 
     The manifest records every configuration value and derived quantity so
     that any number in any output file can be recomputed from it.
     """
     _check_outdir(outdir)
-    if seed_override is not None:
-        config = dataclasses.replace(
-            config, bo=dataclasses.replace(config.bo, seed=seed_override)
-        )
     hf = get_benchmark(config.benchmark)
-    if config.mcmc is not None and config.inversion is None:
-        raise ConfigurationError("mcmc stage requires an inversion stage")
     if config.inversion is not None:
         if config.inversion.x_true is not None:
             check_in_bounds(hf.bounds, config.inversion.x_true, what="inversion.x_true")
@@ -666,11 +603,11 @@ def run_experiment(
         "bo": dataclasses.asdict(config.bo),
         "inversion": dataclasses.asdict(config.inversion) if config.inversion else None,
         "mcmc": dataclasses.asdict(config.mcmc) if config.mcmc else None,
-        "compare": {} if config.kind == "compare" else None,
+        "compare": {} if config.compare_benchmarks else None,
     }
     result = ExperimentResult(config=config, outdir=outdir, manifest=manifest)
 
-    if config.kind == "compare":
+    if config.compare_benchmarks:
         _run_compare_stage(config, result)
         _write_json(result, "manifest.json", manifest)
         return result

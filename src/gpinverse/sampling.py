@@ -241,7 +241,7 @@ class GridPosterior:
 MODE_FLOOR_FRACTION = 0.05  # local maxima below 5% of the peak are noise
 
 
-def grid_posterior(problem: InverseProblem, resolution: int = 512) -> GridPosterior:
+def grid_posterior(problem: InverseProblem, resolution: int) -> GridPosterior:
     """Reference posterior: evaluate_profile_grid's NLS, trapezoid-normalized.
 
     Modes are strict interior local maxima of the density above 5% of its

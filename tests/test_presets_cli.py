@@ -123,7 +123,7 @@ def _configs(draw):
         description="drawn config",
         bo=bo,
         inversion=inversion,
-        mcmc=mcmc,
+        mcmc=draw(st.sampled_from((None, mcmc))),
         mcmc_grid_resolution=draw(st.integers(64, 4096)),
     )
 
@@ -143,6 +143,10 @@ def test_malformed_config_lines_rejected():
         config_from_text("bo.not_a_field = 3\nbenchmark = mixed1d\n")
     with pytest.raises(ConfigurationError):
         config_from_text("bo.n_init = 5\n")  # missing benchmark
+    with pytest.raises(ConfigurationError, match="line 4: bo.seed .* line 2"):
+        config_from_text("benchmark = mixed1d\nbo.seed = 1\n# note\nbo.seed = 2\n")
+    with pytest.raises(ConfigurationError, match="line 2: benchmark .* line 1"):
+        config_from_text("benchmark = mixed1d\nbenchmark = mixed2d\n")
 
 
 def test_cli_list_presets_exits_zero(capsys):
@@ -273,44 +277,52 @@ _SMALL_RUN = (
 )
 _INV = "inversion.obs_variance = 0.72\n"
 _OBS = _INV + "inversion.observed = -6.02\n"
+_RUN_INV = _SMALL_RUN + _INV
+_RUN_OBS = _SMALL_RUN + _OBS
+_COMPARE = _SMALL_RUN + "compare_benchmarks = forrester1d\n"
 
 
 @pytest.mark.parametrize(
-    "lines",
+    "text",
     [
-        _OBS + "inversion.hp_threshold = 1.5\n",
-        _OBS + "inversion.hp_threshold = 0.0\n",
-        _INV + "inversion.observed = nan\n",
-        _INV + "inversion.observed = inf\n",
-        _INV + "inversion.x_true = nan\n",
-        _INV + "inversion.x_true = 5.0\n",
-        _OBS + "inversion.grid_resolution = 32\n",
-        _OBS + "inversion.n_starts = 0\n",
-        _OBS + "inversion.max_iter = 0\n",
-        _OBS + "inversion.obs_variance = inf\n",
-        _OBS + "benchmark = mixed2d\n",
-        _OBS + "bo.kappa = nan\n",
-        _OBS + "bo.noise_variance = -1.0\n",
-        _OBS + "bo.noise_variance = inf\n",
-        _OBS + "bo.fixed_length_scale = inf\nbo.fixed_signal_variance = 1.0\n",
-        _OBS + "bo.fixed_length_scale = 1.0\nbo.fixed_signal_variance = nan\n",
-        _OBS + "bo.acquisition = foo\n",
-        _OBS + "bo.kernel_family = foo\n",
-        _OBS + "bo.restarts = 0\n",
-        _OBS + "bo.seed = -1\n",
-        _OBS + "inversion.map_seed = -1\n",
-        "mcmc.seed = 1\n",
-        _OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 10\n",
-        _OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 262145\n",
-        "compare_benchmarks = mixed1d, mixed2d\n",
-        "compare_benchmarks = mixed1d, nosuch\n",
+        _RUN_OBS + "inversion.hp_threshold = 1.5\n",
+        _RUN_OBS + "inversion.hp_threshold = 0.0\n",
+        _RUN_INV + "inversion.observed = nan\n",
+        _RUN_INV + "inversion.observed = inf\n",
+        _RUN_INV + "inversion.x_true = nan\n",
+        _RUN_INV + "inversion.x_true = 5.0\n",
+        _RUN_OBS + "inversion.grid_resolution = 32\n",
+        _RUN_OBS + "inversion.n_starts = 0\n",
+        _RUN_OBS + "inversion.max_iter = 0\n",
+        _RUN_OBS + "inversion.obs_variance = inf\n",
+        # 2048 cells per axis exceed the grid cap in 2-D
+        _SMALL_RUN.replace("forrester1d", "mixed2d") + _OBS,
+        _RUN_OBS + "bo.kappa = nan\n",
+        _RUN_OBS + "bo.noise_variance = -1.0\n",
+        _RUN_OBS + "bo.noise_variance = inf\n",
+        _RUN_OBS + "bo.fixed_length_scale = inf\nbo.fixed_signal_variance = 1.0\n",
+        _RUN_OBS + "bo.fixed_length_scale = 1.0\nbo.fixed_signal_variance = nan\n",
+        _RUN_OBS + "bo.acquisition = foo\n",
+        _RUN_OBS + "bo.kernel_family = foo\n",
+        _RUN_OBS + "bo.restarts = 0\n",
+        _RUN_OBS + "bo.seed = -1\n",
+        _RUN_OBS + "inversion.map_seed = -1\n",
+        _RUN_OBS + "bo.seed = 1\nbo.seed = 2\n",
+        _SMALL_RUN + "mcmc.seed = 1\n",
+        _RUN_OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 10\n",
+        _RUN_OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 262145\n",
+        _SMALL_RUN + "compare_benchmarks = mixed1d, mixed2d\n",
+        _SMALL_RUN + "compare_benchmarks = mixed1d, nosuch\n",
+        _COMPARE + _OBS,
+        _COMPARE + "mcmc.seed = 1\n",
     ],
 )
-def test_cli_bad_setting_exits_2_before_surrogate_stage(tmp_path, lines):
+def test_cli_bad_setting_exits_2_before_surrogate_stage(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(_SMALL_RUN + lines)
+    cfg.write_text(text)
     outdir = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
     assert not outdir.exists()
 
 
@@ -320,6 +332,19 @@ def test_cli_negative_seed_override_exits_2(tmp_path, capsys):
     assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_cli_seed_option_replaces_bo_seed(tmp_path):
+    # --seed 7 over bo.seed = 3 runs exactly what bo.seed = 7 runs
+    for seed in (3, 7):
+        (tmp_path / f"seed{seed}.cfg").write_text(_SMALL_RUN + f"bo.seed = {seed}\n")
+    cli, cfg = tmp_path / "cli", tmp_path / "cfg"
+    argv = ["run", "--config", str(tmp_path / "seed3.cfg"), "--seed", "7"]
+    assert main(argv + ["--out", str(cli)]) == 0
+    assert main(["run", "--config", str(tmp_path / "seed7.cfg"), "--out", str(cfg)]) == 0
+    assert json.loads((cli / "manifest.json").read_text())["bo"]["seed"] == 7
+    for name in ("manifest.json", "trace.json"):
+        assert (cli / name).read_bytes() == (cfg / name).read_bytes()
 
 
 def test_cli_compare_budget_is_bo_max_evaluations(tmp_path):
@@ -338,6 +363,17 @@ def test_cli_compare_budget_is_bo_max_evaluations(tmp_path):
     assert manifest["bo"]["max_evaluations"] == 8
     rows = (outdir / "mse.csv").read_text().splitlines()[1:]
     assert rows and {row.split(",")[2] for row in rows} == {"8"}
+
+
+def test_cli_compare_surrogates_defaults_to_the_preset_budget(tmp_path):
+    outdir = tmp_path / "out"
+    argv = ["compare-surrogates", "--benchmark", "forrester1d", "--out", str(outdir)]
+    assert main(argv) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["preset"] == "compare-forrester1d"
+    assert manifest["bo"]["max_evaluations"] == get_preset("compare-surrogates").bo.max_evaluations
+    rows = (outdir / "mse.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"forrester1d"}
 
 
 def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path):
