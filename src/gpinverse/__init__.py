@@ -22,7 +22,6 @@ from .bo import (
     expected_improvement,
     run_bo,
     upper_confidence_bound,
-    validation_mse,
 )
 from .data import Dataset
 from .errors import (
@@ -41,7 +40,6 @@ from .gp import (
     gp_fit,
     gp_optimize_hyperparameters,
     gp_predict_many,
-    kernel_eval,
     log_marginal_likelihood,
 )
 from .inversion import (
@@ -53,9 +51,8 @@ from .inversion import (
     evaluate_profile_grid,
     high_probability_region,
     laplace_approximation,
-    ls_functional,
+    log_posterior,
     map_multistart,
-    nls_profile,
 )
 from .sampling import (
     ChainResult,

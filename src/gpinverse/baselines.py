@@ -89,10 +89,13 @@ def fit_deterministic(family: str, data: Dataset) -> DeterministicSurrogate:
     return DeterministicSurrogate(family=family, fitted=fitted, domain=domain)
 
 
-def eval_deterministic(s: DeterministicSurrogate, x: float) -> float:
-    """Evaluate the surrogate at one in-domain point."""
+def eval_deterministic(s: DeterministicSurrogate, x) -> np.ndarray:
+    """Evaluate the surrogate at each point of a 1-D array of in-domain points."""
     lo, hi = s.domain
-    x = float(x)
-    if not (lo <= x <= hi):
-        raise DomainError(f"query {x!r} outside surrogate domain [{lo}, {hi}]")
-    return float(s.fitted(x))
+    x = np.asarray(x, dtype=float)
+    outside = ~((x >= lo) & (x <= hi))
+    if np.any(outside):
+        raise DomainError(
+            f"query {x[outside][0]!r} outside surrogate domain [{lo}, {hi}]"
+        )
+    return np.asarray(s.fitted(x), dtype=float)

@@ -32,20 +32,19 @@ class HighFidelityModel:
     """A named analytical benchmark: exact evaluator on a box domain."""
 
     name: str
-    dim: int
     bounds: tuple[tuple[float, float], ...]
     evaluator: Callable[[np.ndarray], float]
 
     def __post_init__(self):
-        if self.dim != len(self.bounds):
-            raise ShapeError(
-                f"{self.name}: dim={self.dim} but {len(self.bounds)} bound pairs"
-            )
         for i, (lo, hi) in enumerate(self.bounds):
             if not lo < hi:
                 raise ConfigurationError(
                     f"{self.name}: bounds for dimension {i} are not increasing"
                 )
+
+    @property
+    def dim(self) -> int:
+        return len(self.bounds)
 
 
 def _mixed_gaussian_periodic_1d(x: np.ndarray) -> float:
@@ -92,18 +91,14 @@ def _rosenbrock_2d(x: np.ndarray) -> float:
 BENCHMARKS: dict[str, HighFidelityModel] = {
     m.name: m
     for m in [
+        HighFidelityModel("mixed1d", ((-10.0, 10.0),), _mixed_gaussian_periodic_1d),
+        HighFidelityModel("levy1d", ((-6.0, 6.0),), _levy_1d),
+        HighFidelityModel("griewank1d", ((-15.0, 15.0),), _griewank_1d),
+        HighFidelityModel("forrester1d", ((0.0, 1.0),), _forrester_1d),
         HighFidelityModel(
-            "mixed1d", 1, ((-10.0, 10.0),), _mixed_gaussian_periodic_1d
+            "mixed2d", ((-1.0, 2.0), (0.0, 3.0)), _mixed_gaussian_periodic_2d
         ),
-        HighFidelityModel("levy1d", 1, ((-6.0, 6.0),), _levy_1d),
-        HighFidelityModel("griewank1d", 1, ((-15.0, 15.0),), _griewank_1d),
-        HighFidelityModel("forrester1d", 1, ((0.0, 1.0),), _forrester_1d),
-        HighFidelityModel(
-            "mixed2d", 2, ((-1.0, 2.0), (0.0, 3.0)), _mixed_gaussian_periodic_2d
-        ),
-        HighFidelityModel(
-            "rosenbrock2d", 2, ((-2.0, 2.0), (-1.0, 2.0)), _rosenbrock_2d
-        ),
+        HighFidelityModel("rosenbrock2d", ((-2.0, 2.0), (-1.0, 2.0)), _rosenbrock_2d),
     ]
 }
 

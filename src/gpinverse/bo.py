@@ -44,7 +44,6 @@ __all__ = [
     "expected_improvement",
     "upper_confidence_bound",
     "acquire_batch",
-    "validation_mse",
     "run_bo",
 ]
 
@@ -202,17 +201,6 @@ def acquire_batch(
         tied = candidates[scores >= best]
         picked.append(tied[np.lexsort(tied.T[::-1])[0]])
     return np.array(picked)
-
-
-def validation_mse(
-    model: GpModel, hf: HighFidelityModel, n_val: int, seed: int
-) -> float:
-    """Mean squared surrogate error on seeded uniform validation points."""
-    if n_val < 1:
-        raise ConfigurationError("n_val must be >= 1")
-    points, truth = _validation_set(hf, n_val, seed)
-    pred, _ = gp_predict_many(model, points)
-    return float(np.mean((truth - pred) ** 2))
 
 
 def _validation_set(

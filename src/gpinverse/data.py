@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import ShapeError
 
+__all__ = ["Dataset"]
+
 
 @dataclass(frozen=True)
 class Dataset:

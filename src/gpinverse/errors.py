@@ -4,6 +4,12 @@ Exit-code mapping used by the CLI lives in ``gpinverse.cli``; library code
 raises these types and never calls ``sys.exit`` itself.
 """
 
+__all__ = [
+    "GpInverseError", "ShapeError", "DomainError", "ConfigurationError",
+    "UnsupportedDimensionError", "DegenerateDataError", "NumericalError",
+    "InferenceError",
+]
+
 
 class GpInverseError(Exception):
     """Base class for all errors raised by this package."""

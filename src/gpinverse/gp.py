@@ -47,7 +47,6 @@ from .errors import (
 __all__ = [
     "KernelSpec",
     "GpModel",
-    "kernel_eval",
     "kernel_matrix",
     "gp_fit",
     "gp_predict_many",
@@ -118,15 +117,6 @@ def _kernel_dgrad_over_r(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     if spec.family == "rbf":
         return _kernel_from_r("rbf", ell, s2, r) / ell**4
     return s2 * 25.0 / (3.0 * ell**4) * np.exp(-_SQRT5 * r / ell)
-
-
-def kernel_eval(spec: KernelSpec, x: np.ndarray, x2: np.ndarray) -> float:
-    """k(x, x2) for two points of equal dimension."""
-    x = np.asarray(x, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    if x.shape != x2.shape:
-        raise ShapeError(f"points have shapes {x.shape} and {x2.shape}")
-    return float(kernel_matrix(spec, x, x2)[0, 0])
 
 
 def kernel_matrix(spec: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:

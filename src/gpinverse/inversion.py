@@ -37,8 +37,7 @@ __all__ = [
     "MapCluster",
     "LaplaceResult",
     "PosteriorSummary",
-    "ls_functional",
-    "nls_profile",
+    "log_posterior",
     "map_multistart",
     "laplace_approximation",
     "high_probability_region",
@@ -133,11 +132,6 @@ class InverseProblem:
         return np.array([hi - lo for lo, hi in self.bounds])
 
 
-def _ls_many(problem: InverseProblem, points: np.ndarray) -> np.ndarray:
-    """LS at each row of an (m, d) array, from the batched surrogate mean."""
-    return np.square(problem.observed - problem.surrogate.predict_mean(points))
-
-
 def _prior_term(problem: InverseProblem, points: np.ndarray):
     """Phi - LS and its gradient at each row of an (m, d) array, given a prior."""
     dx = points - problem.prior.mean
@@ -157,26 +151,14 @@ def _objective_and_grad(problem: InverseProblem, x) -> tuple[float, np.ndarray]:
     return value + float(term[0]), grad + dterm[0]
 
 
-def _log_posterior_many(problem: InverseProblem, points: np.ndarray):
-    """LS and the log posterior -Phi / (2 sigma_obs^2) at each row of points."""
-    ls = _ls_many(problem, points)
+def log_posterior(problem: InverseProblem, points: np.ndarray):
+    """LS and log NLS = -Phi / (2 sigma_obs^2) at each row of an (m, d) array.
+
+    Rows outside ``bounds`` are evaluated too; the MCMC density masks them.
+    """
+    ls = np.square(problem.observed - problem.surrogate.predict_mean(points))
     phi = ls if problem.prior is None else ls + _prior_term(problem, points)[0]
     return ls, -phi / (2.0 * problem.obs_variance)
-
-
-def ls_functional(problem: InverseProblem, x) -> float:
-    """Squared misfit between the observation and the surrogate mean."""
-    return float(_ls_many(problem, check_in_bounds(problem.bounds, x)[None, :])[0])
-
-
-def nls_profile(problem: InverseProblem, x) -> float:
-    """Unnormalized posterior density NLS = exp(-Phi / (2 sigma_obs^2)).
-
-    The max-normalized companion (peak scaled to 1) is produced by
-    ``evaluate_profile_grid`` and used for level-set extraction.
-    """
-    point = check_in_bounds(problem.bounds, x)[None, :]
-    return math.exp(float(_log_posterior_many(problem, point)[1][0]))
 
 
 @dataclass(frozen=True)
@@ -339,7 +321,7 @@ def map_multistart(
             "every optimization start diverged: " + "; ".join(failures)
         )
     endpoints = np.array(endpoints)
-    ls_values = _ls_many(problem, endpoints)
+    ls_values = log_posterior(problem, endpoints)[0]
     clusters = _cluster_endpoints(
         endpoints, np.array(objectives), ls_values, np.array(grads), problem
     )
@@ -438,7 +420,7 @@ def evaluate_profile_grid(problem: InverseProblem, grid_resolution: int):
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
-    ls, log_nls = _log_posterior_many(problem, points)
+    ls, log_nls = log_posterior(problem, points)
     nls = np.exp(log_nls)
     peak = float(np.max(nls))
     normalized = nls / peak if peak > 0 else np.exp(log_nls - log_nls.max())

@@ -98,7 +98,8 @@ class ExperimentConfig:
     benchmark and fits every family to the samples it drew, so
     ``bo.max_evaluations`` is their shared budget; a ``bo.mse_threshold``
     met earlier stops it short, and mse.csv records the count.  It has no
-    inversion or mcmc stage.
+    inversion or mcmc stage.  ``mcmc_grid_resolution`` sizes the mcmc
+    stage's reference grid and keeps its default when there is no such stage.
     """
 
     name: str
@@ -117,6 +118,9 @@ class ExperimentConfig:
             )
         if self.mcmc is not None and self.inversion is None:
             raise ConfigurationError("mcmc stage requires an inversion stage")
+        default_grid = ExperimentConfig.mcmc_grid_resolution
+        if self.mcmc is None and self.mcmc_grid_resolution != default_grid:
+            raise ConfigurationError("mcmc_grid_resolution is set without an mcmc stage")
         if self.compare_benchmarks and (
             self.inversion is not None or self.mcmc is not None
         ):
@@ -494,6 +498,7 @@ def _run_mcmc_stage(config, result):
     chains = run_mcmc(problem, config.mcmc)
     result.chains = chains
     record = result.manifest["mcmc"]
+    record["mcmc_grid_resolution"] = config.mcmc_grid_resolution
     kde_grid = np.linspace(
         problem.bounds[0][0], problem.bounds[0][1], 2001
     )
@@ -551,7 +556,7 @@ def _run_compare_stage(config, result):
             scores["gp-" + fam] = float(np.mean((truth - pred) ** 2))
         for fam in DETERMINISTIC_FAMILIES:
             surr = fit_deterministic(fam, data)
-            pred = np.array([eval_deterministic(surr, p[0]) for p in points])
+            pred = eval_deterministic(surr, points[:, 0])
             scores[fam] = float(np.mean((truth - pred) ** 2))
         benchmarks += [name] * len(scores)
         families += scores

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import ConfigurationError, DegenerateDataError, InferenceError, UnsupportedDimensionError
-from .inversion import InverseProblem, _log_posterior_many, evaluate_profile_grid
+from .inversion import InverseProblem, evaluate_profile_grid, log_posterior
 
 __all__ = [
     "McmcConfig",
@@ -75,17 +75,6 @@ def _chain_rng(seed: int, chain_index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) % (2**63), int(chain_index)])
 
 
-def _log_density_fn(problem: InverseProblem):
-    lo, hi = np.asarray(problem.bounds, dtype=float).T
-
-    def log_density_many(x: np.ndarray) -> np.ndarray:
-        logp = _log_posterior_many(problem, x)[1]
-        inside = np.all((x >= lo) & (x <= hi), axis=1)
-        return np.where(inside, logp, -np.inf)
-
-    return log_density_many
-
-
 def run_mcmc(problem: InverseProblem, config: McmcConfig) -> list[ChainResult]:
     """Independent random-walk Metropolis chains on the NLS density.
 
@@ -103,7 +92,10 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig) -> list[ChainResult]:
     lo, hi = np.asarray(problem.bounds, dtype=float).T
     widths = hi - lo
     step = config.proposal_scale * widths
-    log_density = _log_density_fn(problem)
+
+    def log_density(x: np.ndarray) -> np.ndarray:
+        inside = np.all((x >= lo) & (x <= hi), axis=1)
+        return np.where(inside, log_posterior(problem, x)[1], -np.inf)
 
     rngs = [_chain_rng(config.seed, i) for i in range(config.n_chains)]
     current = np.zeros((config.n_chains, d))

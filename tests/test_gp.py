@@ -18,7 +18,6 @@ from gpinverse import (
     gp_fit,
     gp_optimize_hyperparameters,
     gp_predict_many,
-    kernel_eval,
     log_marginal_likelihood,
     sample_initial_design,
 )
@@ -56,34 +55,32 @@ def _reference_neg_lml(ds, spec, noise):
 class TestKernels:
     def test_rbf_at_zero_distance_is_signal_variance(self):
         spec = KernelSpec("rbf", 1.3, 2.7)
-        assert kernel_eval(spec, [0.4, -1.0], [0.4, -1.0]) == pytest.approx(2.7)
+        assert kernel_matrix(spec, [[0.4, -1.0]], [[0.4, -1.0]])[0, 0] == pytest.approx(2.7)
 
     def test_matern_at_zero_distance_is_signal_variance(self):
         spec = KernelSpec("matern52", 0.5, 0.9)
-        assert kernel_eval(spec, [1.0], [1.0]) == pytest.approx(0.9)
+        assert kernel_matrix(spec, [[1.0]], [[1.0]])[0, 0] == pytest.approx(0.9)
 
     def test_rbf_at_unit_length_scale(self):
         # ||x - x2|| = sqrt(2) with unit scale gives exp(-1)
         spec = KernelSpec("rbf", 1.0, 1.0)
-        got = kernel_eval(spec, [1.0, 0.0], [0.0, 1.0])
+        got = kernel_matrix(spec, [[1.0, 0.0]], [[0.0, 1.0]])[0, 0]
         assert got == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_matern_matches_closed_form(self):
         spec = KernelSpec("matern52", 0.7, 1.9)
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            a, b = rng.normal(size=2), rng.normal(size=2)
-            r = float(np.linalg.norm(a - b))
-            t = math.sqrt(5.0) * r / 0.7
-            want = 1.9 * (1.0 + t + t * t / 3.0) * math.exp(-t)
-            assert kernel_eval(spec, a, b) == pytest.approx(want, rel=1e-12)
+        a, b = rng.normal(size=(100, 2)), rng.normal(size=(100, 2))
+        t = math.sqrt(5.0) * np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2) / 0.7
+        want = 1.9 * (1.0 + t + t * t / 3.0) * np.exp(-t)
+        np.testing.assert_allclose(kernel_matrix(spec, a, b), want, rtol=1e-12)
 
     def test_kernel_symmetry_is_exact(self):
         rng = np.random.default_rng(77)
         for spec in (KernelSpec("rbf", 0.8, 1.1), KernelSpec("matern52", 1.5, 0.4)):
-            for _ in range(200):
-                a, b = rng.normal(size=3), rng.normal(size=3)
-                assert kernel_eval(spec, a, b) == kernel_eval(spec, b, a)
+            a, b = rng.normal(size=(200, 3)), rng.normal(size=(200, 3))
+            k_ab, k_ba = kernel_matrix(spec, a, b), kernel_matrix(spec, b, a)
+            np.testing.assert_array_equal(k_ab, k_ba.T)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matrix_equals_difference_tensor_formula_exactly(self, dim):
@@ -110,7 +107,7 @@ class TestKernels:
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            kernel_eval(KernelSpec("rbf", 1.0, 1.0), [0.0], [0.0, 1.0])
+            kernel_matrix(KernelSpec("rbf", 1.0, 1.0), [[0.0]], [[0.0, 1.0]])
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigurationError):

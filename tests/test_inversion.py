@@ -7,16 +7,14 @@ import pytest
 
 from gpinverse import (
     ConfigurationError,
-    DomainError,
     GaussianPrior,
     InferenceError,
     InverseProblem,
     NumericalError,
     high_probability_region,
     laplace_approximation,
-    ls_functional,
+    log_posterior,
     map_multistart,
-    nls_profile,
 )
 from gpinverse.inversion import evaluate_profile_grid
 
@@ -61,8 +59,8 @@ class TestFunctionals:
             obs_variance=1.0,
             bounds=((0.0, 1.0),),
         )
-        assert ls_functional(prob, [0.5]) == 0.0
-        assert nls_profile(prob, [0.5]) == 1.0
+        ls, log_nls = log_posterior(prob, np.array([[0.5]]))
+        assert ls[0] == 0.0 and math.exp(log_nls[0]) == 1.0
 
     def test_ls_squared_misfit_arithmetic(self, function_surrogate):
         prob = InverseProblem(
@@ -71,7 +69,7 @@ class TestFunctionals:
             obs_variance=1.0,
             bounds=((0.0, 1.0),),
         )
-        assert ls_functional(prob, [0.1]) == pytest.approx(0.0289, rel=1e-12)
+        assert log_posterior(prob, np.array([[0.1]]))[0][0] == pytest.approx(0.0289, rel=1e-12)
 
     def test_nls_at_two_sigma_squared(self, function_surrogate):
         s2 = 0.37
@@ -82,11 +80,8 @@ class TestFunctionals:
             bounds=((0.0, 1.0),),
         )
         # LS = 2 sigma^2 exactly, so NLS = e^-1
-        assert nls_profile(prob, [0.5]) == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-    def test_out_of_bounds_rejected(self, forrester_problem):
-        with pytest.raises(DomainError):
-            ls_functional(forrester_problem, [1.2])
+        log_nls = log_posterior(prob, np.array([[0.5]]))[1][0]
+        assert math.exp(log_nls) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_ls_nls_order_anticorrespondence(self, function_surrogate):
         prob = InverseProblem(
@@ -96,11 +91,10 @@ class TestFunctionals:
             bounds=((0.0, 1.0),),
         )
         rng = np.random.default_rng(17)
-        for _ in range(1000):
-            x1, x2 = rng.random(2)
-            ls1, ls2 = ls_functional(prob, [x1]), ls_functional(prob, [x2])
-            n1, n2 = nls_profile(prob, [x1]), nls_profile(prob, [x2])
-            assert (ls1 < ls2) == (n1 > n2) or ls1 == ls2
+        ls, log_nls = log_posterior(prob, rng.random((2000, 1)))
+        ls, nls = ls.reshape(-1, 2), np.exp(log_nls).reshape(-1, 2)
+        ok = (ls[:, 0] < ls[:, 1]) == (nls[:, 0] > nls[:, 1])
+        assert np.all(ok | (ls[:, 0] == ls[:, 1]))
 
     @pytest.mark.parametrize(
         "observed, obs_variance, bounds, prior",
@@ -336,10 +330,10 @@ class TestGaussianPrior:
 
     def test_nls_profile_is_the_posterior_shape(self, linear_gaussian):
         prob, mean, var = linear_gaussian
-        peak = nls_profile(prob, [mean])
-        for x in (-1.0, 0.0, 0.9):
-            expected = math.exp(-((x - mean) ** 2) / (2.0 * var))
-            assert nls_profile(prob, [x]) / peak == pytest.approx(expected, rel=1e-9)
+        x = np.array([mean, -1.0, 0.0, 0.9])
+        nls = np.exp(log_posterior(prob, x[:, None])[1])
+        expected = np.exp(-((x[1:] - mean) ** 2) / (2.0 * var))
+        np.testing.assert_allclose(nls[1:] / nls[0], expected, rtol=1e-9)
 
 
 class TestLaplace:

@@ -1,8 +1,11 @@
 """Preset registry, config round-trip, CLI behavior, and artifact layout."""
 
+import ast
+import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 
 import numpy as np
 import pytest
@@ -117,14 +120,19 @@ def _configs(draw):
         proposal_scale=draw(st.floats(0.0, 1.0, exclude_min=True)),
         seed=draw(_chain_seeds),
     )
+    mcmc = draw(st.sampled_from((None, mcmc)))
     return ExperimentConfig(
         name="drawn",
         benchmark="mixed1d",
         description="drawn config",
         bo=bo,
         inversion=inversion,
-        mcmc=draw(st.sampled_from((None, mcmc))),
-        mcmc_grid_resolution=draw(st.integers(64, 4096)),
+        mcmc=mcmc,
+        mcmc_grid_resolution=(
+            ExperimentConfig.mcmc_grid_resolution
+            if mcmc is None
+            else draw(st.integers(64, 4096))
+        ),
     )
 
 
@@ -257,8 +265,10 @@ def test_config_values_parse_as_their_annotated_types():
         "bo.fixed_length_scale = 8\n"
         "bo.fixed_signal_variance = 1e10\n"
         "inversion.x_true = -1.5, -0.6\n"
+        "mcmc.proposal_scale = 0.25\n"
     )
     assert parsed.mcmc_grid_resolution == 256
+    assert parsed.mcmc.proposal_scale == 0.25
     assert parsed.bo.kernel_family == "rbf"
     assert parsed.bo.fixed_length_scale == 8.0
     assert parsed.inversion.x_true == (-1.5, -0.6)
@@ -311,6 +321,8 @@ _COMPARE = _SMALL_RUN + "compare_benchmarks = forrester1d\n"
         _SMALL_RUN + "mcmc.seed = 1\n",
         _RUN_OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 10\n",
         _RUN_OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 262145\n",
+        # the reference grid belongs to the mcmc stage, which is not set
+        _RUN_OBS + "mcmc_grid_resolution = 300\n",
         _SMALL_RUN + "compare_benchmarks = mixed1d, mixed2d\n",
         _SMALL_RUN + "compare_benchmarks = mixed1d, nosuch\n",
         _COMPARE + _OBS,
@@ -393,6 +405,8 @@ def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     assert [r[0] for r in rows] == [str(t) for t in range(50)]
     assert {r[2] for r in rows} <= {"0", "1"}
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["mcmc"]["mcmc_grid_resolution"] == 64
     overlay = (outdir / "kde_overlay.csv").read_text().splitlines()
     assert len(overlay) == 1 + 2 * 2001
     assert overlay[1].startswith("0,") and overlay[-1].startswith("1,")
@@ -587,3 +601,27 @@ def test_perfbench_tracing_hooks_wrap_and_restore_the_package(tmp_path):
         "sampling.kde_estimate",
         "sampling.grid_posterior",
     } <= recorded
+
+
+def test_public_names_are_bound_and_package_reexports_are_declared():
+    # A name deleted from a module must leave its __all__ and the package's
+    # re-exports with it.
+    modules = {
+        info.name: importlib.import_module(f"gpinverse.{info.name}")
+        for info in pkgutil.iter_modules(gpinverse.__path__)
+    }
+    for name, module in modules.items():
+        for attr in getattr(module, "__all__", ()):
+            assert hasattr(module, attr), f"gpinverse.{name}.__all__ names unbound {attr!r}"
+    with open(gpinverse.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    reexports = [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert reexports
+    for name, attr in reexports:
+        if not attr.startswith("_"):
+            assert attr in modules[name].__all__, f"gpinverse.{name}.{attr}"

@@ -259,11 +259,10 @@ class TestGridPosterior:
         assert abs(ref.mode_locations[0] - mu) <= cell
 
     def test_density_proportional_to_nls(self, function_surrogate):
-        from gpinverse import nls_profile
-
         prob = _gaussian_target_problem(function_surrogate)
         ref = grid_posterior(prob, resolution=128)
-        nls = np.array([nls_profile(prob, [x]) for x in ref.grid])
+        # closed form of the stub: f(x) = x, so NLS = exp(-(obs - x)^2 / 2 sigma^2)
+        nls = np.exp(-((prob.observed - ref.grid) ** 2) / (2.0 * prob.obs_variance))
         corr = np.corrcoef(nls, ref.density)[0, 1]
         assert corr >= 1.0 - 1e-12
 
