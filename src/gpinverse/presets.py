@@ -26,7 +26,7 @@ from .baselines import FAMILIES as DETERMINISTIC_FAMILIES
 from .baselines import eval_deterministic, fit_deterministic
 from .benchmarks import check_in_bounds, eval_benchmark, get_benchmark
 from .bo import BoConfig, BoTrace, run_bo, _validation_set
-from .errors import ConfigurationError, InferenceError
+from .errors import ConfigurationError, InferenceError, ShapeError
 from .gp import KernelSpec, gp_fit, gp_predict_many
 from .inversion import (
     MAX_GRID_CELLS,
@@ -98,8 +98,9 @@ class ExperimentConfig:
     benchmark and fits every family to the samples it drew, so
     ``bo.max_evaluations`` is their shared budget; a ``bo.mse_threshold``
     met earlier stops it short, and mse.csv records the count.  It has no
-    inversion or mcmc stage.  ``mcmc_grid_resolution`` sizes the mcmc
-    stage's reference grid and keeps its default when there is no such stage.
+    inversion or mcmc stage.  ``mcmc_grid_resolution`` sizes the reference
+    grid of an mcmc stage on a 1-D benchmark and keeps its default otherwise,
+    since no other stage evaluates that grid.
     """
 
     name: str
@@ -119,8 +120,14 @@ class ExperimentConfig:
         if self.mcmc is not None and self.inversion is None:
             raise ConfigurationError("mcmc stage requires an inversion stage")
         default_grid = ExperimentConfig.mcmc_grid_resolution
-        if self.mcmc is None and self.mcmc_grid_resolution != default_grid:
-            raise ConfigurationError("mcmc_grid_resolution is set without an mcmc stage")
+        if self.mcmc_grid_resolution != default_grid:
+            if self.mcmc is None:
+                raise ConfigurationError("mcmc_grid_resolution is set without an mcmc stage")
+            if get_benchmark(self.benchmark).dim != 1:
+                raise ConfigurationError(
+                    "mcmc_grid_resolution is set but the mcmc stage builds its "
+                    f"reference grid only on a 1-D benchmark, not {self.benchmark!r}"
+                )
         if self.compare_benchmarks and (
             self.inversion is not None or self.mcmc is not None
         ):
@@ -377,8 +384,10 @@ def load_config_file(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-# Rows formatted per block of CSV text.  One Python object per cell lives
-# only for the block, so peak memory stays bounded by the column arrays.
+# Rows formatted per block of CSV text.  Each distinct float bit pattern of
+# a block is formatted with ``repr`` once and its text reused for every cell
+# holding it; one Python object per cell lives only for the block, so peak
+# memory stays bounded by the column arrays.
 _CSV_BLOCK_ROWS = 1024
 
 
@@ -390,20 +399,42 @@ def _open_artifact(result, relpath: str):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
+def _cell_texts(block: np.ndarray) -> list[str]:
+    """Text of each cell of one column block.
+
+    Floats get ``repr`` once per distinct ``float64`` bit pattern, found on
+    the bits so ``-0.0`` stays apart from ``0.0`` and each NaN matches
+    itself; ints and strings get ``str``.
+    """
+    if block.dtype.kind != "f":
+        return list(map(str, block.tolist()))
+    values = block.astype(np.float64)
+    _, first, inverse = np.unique(
+        values.view(np.int64), return_index=True, return_inverse=True
+    )
+    texts = np.array(list(map(repr, values[first].tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def _write_csv(result, relpath: str, columns: dict) -> None:
     """Write ``{header: 1-D column}`` as one CSV artifact.
 
     Floats are written with their round-trip ``repr`` so repeated runs with
-    the same seed are byte-identical; ints and strings with ``str``.
+    the same seed are byte-identical; ints and strings with ``str``.  Each
+    block of rows formats one ``repr`` per distinct float bit pattern, which
+    gives the same bytes as ``repr`` per cell.  Columns of unequal length
+    raise ShapeError before the file is opened.
     """
     arrays = [np.asarray(c) for c in columns.values()]
-    fmts = [repr if a.dtype.kind == "f" else str for a in arrays]
+    lengths = [len(a) for a in arrays]
+    if len(set(lengths)) > 1:
+        sizes = ", ".join(f"{name}={n}" for name, n in zip(columns, lengths))
+        raise ShapeError(f"{relpath}: columns differ in length ({sizes})")
     with _open_artifact(result, relpath) as fh:
         fh.write(",".join(columns) + "\n")
-        for start in range(0, len(arrays[0]), _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
-            cells = [map(f, a[start:stop].tolist()) for f, a in zip(fmts, arrays)]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        for start in range(0, lengths[0], _CSV_BLOCK_ROWS):
+            cells = [_cell_texts(a[start:start + _CSV_BLOCK_ROWS]) for a in arrays]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _json_default(obj):

@@ -22,6 +22,7 @@ from gpinverse.errors import (
     DegenerateDataError,
     InferenceError,
     NumericalError,
+    ShapeError,
 )
 from gpinverse.inversion import LaplaceResult, MapCluster, PosteriorSummary
 from gpinverse.presets import (
@@ -260,18 +261,23 @@ def test_cli_unparsable_value_exits_2_naming_line_and_key(tmp_path, capsys):
 def test_config_values_parse_as_their_annotated_types():
     parsed = config_from_text(
         "benchmark = rosenbrock2d\n"
-        "mcmc_grid_resolution = 256\n"
         "bo.kernel_family = rbf\n"
         "bo.fixed_length_scale = 8\n"
         "bo.fixed_signal_variance = 1e10\n"
         "inversion.x_true = -1.5, -0.6\n"
         "mcmc.proposal_scale = 0.25\n"
     )
-    assert parsed.mcmc_grid_resolution == 256
     assert parsed.mcmc.proposal_scale == 0.25
     assert parsed.bo.kernel_family == "rbf"
     assert parsed.bo.fixed_length_scale == 8.0
     assert parsed.inversion.x_true == (-1.5, -0.6)
+    parsed = config_from_text(
+        "benchmark = mixed1d\n"
+        "mcmc_grid_resolution = 256\n"
+        "inversion.x_true = 0.5\n"
+        "mcmc.n_chains = 2\n"
+    )
+    assert parsed.mcmc_grid_resolution == 256
     with pytest.raises(ConfigurationError, match="line 2: inversion.x_true"):
         config_from_text("benchmark = mixed2d\ninversion.x_true = 1.0, abc\n")
     with pytest.raises(ConfigurationError, match="line 1"):
@@ -335,6 +341,28 @@ def test_cli_bad_setting_exits_2_before_surrogate_stage(tmp_path, capsys, text):
     outdir = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_cli_mcmc_grid_resolution_on_a_2d_benchmark_exits_2(tmp_path, monkeypatch, capsys):
+    # the mcmc stage builds its reference grid only in 1-D, so on mixed2d the
+    # key would be recorded in the manifest without being used
+    _fail_if_bo_runs(monkeypatch)
+    text = (
+        _SMALL_RUN.replace("forrester1d", "mixed2d")
+        + _INV
+        + "inversion.x_true = 0.5, 1.5\n"
+        + "inversion.grid_resolution = 64\n"
+        + "mcmc.n_steps = 100\nmcmc.burn_in = 10\n"
+    )
+    assert config_from_text(text).mcmc_grid_resolution == 512
+    cfg = tmp_path / "mcmc2d.cfg"
+    cfg.write_text(text + "mcmc_grid_resolution = 300\n")
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: mcmc_grid_resolution")
+    assert "'mixed2d'" in err
     assert not outdir.exists()
 
 
@@ -441,6 +469,50 @@ def test_block_csv_writer_matches_the_row_by_row_rule(tmp_path):
     written = (tmp_path / "out" / "sub" / "table.csv").read_bytes()
     assert written == reference.read_bytes()
     assert written.count(b"\n") == n + 1
+
+
+def _write_table(tmp_path, columns):
+    result = ExperimentResult(config=None, outdir=str(tmp_path / "out"), manifest={})
+    gpinverse.presets._write_csv(result, "table.csv", columns)
+    return (tmp_path / "out" / "table.csv").read_bytes()
+
+
+def test_block_csv_writer_formats_distinct_bit_patterns_like_the_row_by_row_rule(tmp_path):
+    n = 2500  # the 1,024-row blocks end inside the file
+    payload_nans = np.array(
+        [0x7FF8000000000001, 0xFFF80000DEADBEEF - (1 << 64)], dtype=np.int64
+    ).view(np.float64)
+    signed_zeros = np.resize([0.0, -0.0, 0.0, 2.5, -0.0], n)
+    mixed = np.resize(np.concatenate([payload_nans, [0.1, -0.0, 0.0, 0.1]]), n)
+    single = np.float32([0.1, -0.0, 1e-40, 3.4e38, np.nan, -np.inf, 1.0 / 3.0])
+    columns = {
+        "zeros": signed_zeros,
+        "nans": mixed,
+        "f32": np.resize(single, n),
+        "same": np.full(n, 0.1),  # one value on both sides of each block boundary
+    }
+    assert mixed.view(np.int64)[0] == 0x7FF8000000000001 and np.signbit(signed_zeros[1])
+    reference = tmp_path / "reference.csv"
+    _reference_csv(reference, list(columns), zip(*(c.tolist() for c in columns.values())))
+    written = _write_table(tmp_path, columns)
+    assert written == reference.read_bytes()
+    assert b"-0.0" in written and b"nan" in written
+    assert repr(float(np.float32(0.1))).encode() in written  # widened, not 0.1
+    assert written.count(b"\n") == n + 1
+
+
+def test_block_csv_writer_writes_only_the_header_of_a_zero_row_table(tmp_path):
+    columns = {"x": np.zeros(0), "n": np.zeros(0, dtype=int), "s": []}
+    assert _write_table(tmp_path, columns) == b"x,n,s\n"
+
+
+def test_block_csv_writer_rejects_columns_of_unequal_length(tmp_path):
+    result = ExperimentResult(config=None, outdir=str(tmp_path / "out"), manifest={})
+    columns = {"x": np.zeros(3), "y": np.zeros(4), "step": np.arange(3)}
+    with pytest.raises(ShapeError, match=r"x=3, y=4, step=3"):
+        gpinverse.presets._write_csv(result, "table.csv", columns)
+    assert result.files == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_posterior_json_is_the_summary_as_nested_lists(tmp_path):

@@ -19,6 +19,18 @@ import sys
 from gpinverse.presets import PRESETS, run_experiment
 
 
+_CHUNK_BYTES = 1 << 20
+
+
+def _sha256(path: str) -> str:
+    """Hex SHA-256 of one file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_CHUNK_BYTES), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__, file=sys.stderr)
@@ -35,9 +47,7 @@ def main(argv: list[str]) -> int:
     for dirpath, _, files in os.walk(root):
         for f in files:
             path = os.path.join(dirpath, f)
-            with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-            lines.append((os.path.relpath(path, root), digest))
+            lines.append((os.path.relpath(path, root), _sha256(path)))
     for relpath, digest in sorted(lines):
         print(f"{digest}  {relpath}")
     return 0
