@@ -52,6 +52,12 @@ GRID_POINTS_PER_DIM_2D = 64
 ASCENT_STARTS = 8  # best probe-grid points, under the penalized score, per pick
 EXCLUSION_FRACTION = 0.01  # pending-point radius as a fraction of domain width
 
+# Upper bounds on the counts that size a run's arrays: the training set
+# sizes the n x n kernel factor and the (n, m) cross-kernel of every batch
+# prediction, and the validation set is predicted in one batch of n_val rows.
+MAX_EVALUATIONS = 1000
+MAX_VALIDATION_POINTS = 10_000
+
 
 def _norm_pdf(z):
     return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
@@ -244,15 +250,18 @@ class BoConfig:
             raise ConfigurationError("n_init must be >= 2")
         if self.n_acq < 1:
             raise ConfigurationError("n_acq must be >= 1")
-        if self.max_evaluations < self.n_init:
-            raise ConfigurationError("max_evaluations must be >= n_init")
+        if not self.n_init <= self.max_evaluations <= MAX_EVALUATIONS:
+            raise ConfigurationError(
+                f"max_evaluations must lie in [n_init, {MAX_EVALUATIONS}]"
+            )
         if not self.mse_threshold > 0:
             raise ConfigurationError("mse_threshold must be positive")
         if self.mse_mode not in ("absolute", "normalized"):
             raise ConfigurationError("mse_mode must be 'absolute' or 'normalized'")
-        if self.n_val < 100:
+        if not 100 <= self.n_val <= MAX_VALIDATION_POINTS:
             raise ConfigurationError(
-                "n_val must be >= 100 for a meaningful validation estimate"
+                f"n_val must lie in [100, {MAX_VALIDATION_POINTS}]: at least 100 "
+                "for a meaningful validation estimate"
             )
         AcquisitionSpec(family=self.acquisition, kappa=self.kappa)  # checks both
         if self.kernel_family not in KERNEL_FAMILIES:

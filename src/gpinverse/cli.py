@@ -50,17 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="output directory")
 
     sub.add_parser("list-presets", help="list preset names and descriptions")
-
-    cmp_parser = sub.add_parser(
-        "compare-surrogates", help="surrogate-family comparison on one benchmark"
-    )
-    cmp_parser.add_argument("--benchmark", required=True)
-    cmp_parser.add_argument(
-        "--samples", type=int,
-        default=get_preset("compare-surrogates").bo.max_evaluations,
-        help="sample budget shared by every family (the BO max_evaluations)",
-    )
-    cmp_parser.add_argument("--out", default=None)
     return parser
 
 
@@ -81,36 +70,20 @@ def main(argv=None) -> int:
                 print(f"{name}\n    {description}")
             return EXIT_OK
 
-        if args.command == "run":
-            if args.preset:
-                config = get_preset(args.preset)
-            else:
-                config = load_config_file(args.config)
-            if args.seed is not None:
-                config = dataclasses.replace(
-                    config, bo=dataclasses.replace(config.bo, seed=args.seed)
-                )
-            outdir = _resolve_outdir(args.out, config.name)
-            result = run_experiment(config, outdir)
-            print(f"wrote {len(result.files)} artifact(s) to {outdir}")
-            for f in result.files:
-                print(f"  {f}")
-            return EXIT_OK
-
-        if args.command == "compare-surrogates":
-            base = get_preset("compare-surrogates")
+        if args.preset:
+            config = get_preset(args.preset)
+        else:
+            config = load_config_file(args.config)
+        if args.seed is not None:
             config = dataclasses.replace(
-                base,
-                name=f"compare-{args.benchmark}",
-                compare_benchmarks=(args.benchmark,),
-                bo=dataclasses.replace(base.bo, max_evaluations=args.samples),
+                config, bo=dataclasses.replace(config.bo, seed=args.seed)
             )
-            outdir = _resolve_outdir(args.out, config.name)
-            result = run_experiment(config, outdir)
-            print(f"wrote {len(result.files)} artifact(s) to {outdir}")
-            return EXIT_OK
-
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        outdir = _resolve_outdir(args.out, config.name)
+        result = run_experiment(config, outdir)
+        print(f"wrote {len(result.files)} artifact(s) to {outdir}")
+        for f in result.files:
+            print(f"  {f}")
+        return EXIT_OK
     except (ConfigurationError, DomainError, ShapeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -52,6 +52,17 @@ _STATIONARY_GRAD_TOL = 1e-4
 # evaluated at every cell and profiles.csv gets one row a cell.
 MAX_GRID_CELLS = 512**2
 
+# Upper bound on the MAP starts: each runs its own L-BFGS-B search, and the
+# clustering compares every endpoint with every cluster found so far.
+MAX_MAP_STARTS = 1024
+
+# L-BFGS-B iteration limit of each MAP start.
+MAP_MAX_ITER = 400
+
+# Level of the high-probability set the experiment pipeline reports: the
+# cells whose NLS is at least this fraction of the grid's peak.
+HP_THRESHOLD = 0.95
+
 # Residuals below this scale are numerically indistinguishable from an exact
 # match of the observation; used to break ties between equally good minima.
 def _residual_floor(observed: float) -> float:
@@ -196,7 +207,6 @@ class PosteriorSummary:
     map_clusters: list[MapCluster]
     multimodal: bool
     laplace: Optional[LaplaceResult] = None
-    credible_intervals: Optional[tuple[tuple[float, float], ...]] = None
     hp_regions: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
@@ -277,21 +287,18 @@ def _flag_multimodal(clusters: Sequence[MapCluster], observed: float) -> bool:
     return near >= 2
 
 
-def map_multistart(
-    problem: InverseProblem,
-    n_starts: int = 16,
-    max_iter: int = 400,
-    seed: int = 0,
-) -> PosteriorSummary:
+def map_multistart(problem: InverseProblem, n_starts: int, seed: int) -> PosteriorSummary:
     """Bounded quasi-Newton minimization of Phi from seeded uniform starts.
 
-    Returns the clustered endpoint set ordered best-first and flags
-    multimodality when at least two clusters sit within a factor 10 of the
-    best objective.  ``metadata["failed_starts"]`` counts the starts whose
-    optimization raised or returned a non-finite result.
+    Each of the ``n_starts`` (1 to MAX_MAP_STARTS) starts runs L-BFGS-B for
+    at most MAP_MAX_ITER iterations.  Returns the clustered endpoint set
+    ordered best-first and flags multimodality when at least two clusters
+    sit within a factor 10 of the best objective.
+    ``metadata["failed_starts"]`` counts the starts whose optimization
+    raised or returned a non-finite result.
     """
-    if n_starts < 1:
-        raise ConfigurationError("n_starts must be >= 1")
+    if not 1 <= n_starts <= MAX_MAP_STARTS:
+        raise ConfigurationError(f"n_starts must lie in [1, {MAX_MAP_STARTS}]")
     rng = np.random.default_rng(seed)
     lo, hi = np.asarray(problem.bounds, dtype=float).T
     starts = lo + rng.random((n_starts, problem.dim)) * (hi - lo)
@@ -305,7 +312,7 @@ def map_multistart(
                 jac=True,
                 method="L-BFGS-B",
                 bounds=problem.bounds,
-                options={"maxiter": max_iter},
+                options={"maxiter": MAP_MAX_ITER},
             )
         except (GpInverseError, ValueError, np.linalg.LinAlgError) as exc:
             failures.append(f"start {k}: {exc}")
@@ -328,12 +335,7 @@ def map_multistart(
     return PosteriorSummary(
         map_clusters=clusters,
         multimodal=_flag_multimodal(clusters, problem.observed),
-        metadata={
-            "n_starts": n_starts,
-            "max_iter": max_iter,
-            "seed": seed,
-            "failed_starts": len(failures),
-        },
+        metadata={"failed_starts": len(failures)},
     )
 
 

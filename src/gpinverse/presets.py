@@ -29,7 +29,9 @@ from .bo import BoConfig, BoTrace, run_bo, _validation_set
 from .errors import ConfigurationError, InferenceError, ShapeError
 from .gp import KernelSpec, gp_fit, gp_predict_many
 from .inversion import (
+    HP_THRESHOLD,
     MAX_GRID_CELLS,
+    MAX_MAP_STARTS,
     InverseProblem,
     PosteriorSummary,
     evaluate_profile_grid,
@@ -37,7 +39,7 @@ from .inversion import (
     laplace_approximation,
     map_multistart,
 )
-from .sampling import McmcConfig, grid_posterior, kde_estimate, run_mcmc
+from .sampling import MAX_CHAIN_VALUES, McmcConfig, grid_posterior, kde_estimate, run_mcmc
 
 __all__ = [
     "InversionSettings",
@@ -64,10 +66,8 @@ class InversionSettings:
     observed: Optional[float] = None
     x_true: Optional[tuple[float, ...]] = None
     obs_variance: float = 0.01
-    hp_threshold: float = 0.95
     grid_resolution: int = 2048
     n_starts: int = 16
-    max_iter: int = 400
     map_seed: int = 0
 
     def __post_init__(self):
@@ -80,12 +80,10 @@ class InversionSettings:
         values = (self.observed,) if self.x_true is None else self.x_true
         if not all(math.isfinite(v) for v in values):
             raise ConfigurationError("observed and x_true must be finite")
-        if not 0.0 < self.hp_threshold < 1.0:
-            raise ConfigurationError("hp_threshold must lie strictly inside (0, 1)")
         if self.grid_resolution < 64:
             raise ConfigurationError("grid_resolution must be >= 64")
-        if self.n_starts < 1 or self.max_iter < 1:
-            raise ConfigurationError("n_starts and max_iter must be >= 1")
+        if not 1 <= self.n_starts <= MAX_MAP_STARTS:
+            raise ConfigurationError(f"n_starts must lie in [1, {MAX_MAP_STARTS}]")
         if self.map_seed < 0:
             raise ConfigurationError("map_seed must be >= 0")
 
@@ -94,13 +92,17 @@ class InversionSettings:
 class ExperimentConfig:
     """One runnable experiment: benchmark, surrogate stage, optional stages.
 
-    A comparison (``compare_benchmarks`` set) runs ``bo`` as given on each
-    benchmark and fits every family to the samples it drew, so
-    ``bo.max_evaluations`` is their shared budget; a ``bo.mse_threshold``
-    met earlier stops it short, and mse.csv records the count.  It has no
-    inversion or mcmc stage.  ``mcmc_grid_resolution`` sizes the reference
-    grid of an mcmc stage on a 1-D benchmark and keeps its default otherwise,
-    since no other stage evaluates that grid.
+    The inversion stage reports the high-probability set at the fixed level
+    ``inversion.HP_THRESHOLD`` (0.95), and each MAP start runs at most
+    ``inversion.MAP_MAX_ITER`` (400) L-BFGS-B iterations.  An mcmc stage
+    holds ``n_chains * n_steps * d`` path floats, at most
+    ``sampling.MAX_CHAIN_VALUES``.  A comparison (``compare_benchmarks``
+    set) runs ``bo`` as given on each benchmark and fits every family to the
+    samples it drew, so ``bo.max_evaluations`` is their shared budget; a
+    ``bo.mse_threshold`` met earlier stops it short, and mse.csv records the
+    count.  It has no inversion or mcmc stage.  ``mcmc_grid_resolution``
+    sizes the reference grid of an mcmc stage on a 1-D benchmark and keeps
+    its default otherwise, since no other stage evaluates that grid.
     """
 
     name: str
@@ -119,6 +121,13 @@ class ExperimentConfig:
             )
         if self.mcmc is not None and self.inversion is None:
             raise ConfigurationError("mcmc stage requires an inversion stage")
+        if self.mcmc is not None:
+            dim = get_benchmark(self.benchmark).dim
+            if self.mcmc.n_chains * self.mcmc.n_steps * dim > MAX_CHAIN_VALUES:
+                raise ConfigurationError(
+                    f"mcmc.n_chains * mcmc.n_steps * {dim} dimension(s) exceeds "
+                    f"the {MAX_CHAIN_VALUES} chain path values allowed"
+                )
         default_grid = ExperimentConfig.mcmc_grid_resolution
         if self.mcmc_grid_resolution != default_grid:
             if self.mcmc is None:
@@ -482,29 +491,15 @@ def _run_inversion_stage(config, hf, model, result):
         obs_variance=settings.obs_variance,
         bounds=hf.bounds,
     )
-    summary = map_multistart(
-        problem,
-        n_starts=settings.n_starts,
-        max_iter=settings.max_iter,
-        seed=settings.map_seed,
-    )
+    summary = map_multistart(problem, settings.n_starts, settings.map_seed)
     profile = evaluate_profile_grid(problem, settings.grid_resolution)
-    summary.hp_regions = high_probability_region(profile, settings.hp_threshold)
+    summary.hp_regions = high_probability_region(profile, HP_THRESHOLD)
+    summary.metadata["hp_threshold"] = HP_THRESHOLD
     best = summary.map_clusters[0]
     try:
-        laplace = laplace_approximation(problem, best.x)
-        summary.laplace = laplace
-        summary.credible_intervals = laplace.intervals
+        summary.laplace = laplace_approximation(problem, best.x)
     except InferenceError as exc:
         summary.metadata["laplace_skipped"] = str(exc)
-    summary.metadata.update(
-        {
-            "observed": float(observed),
-            "obs_variance": settings.obs_variance,
-            "hp_threshold": settings.hp_threshold,
-            "grid_resolution": settings.grid_resolution,
-        }
-    )
 
     _write_json(result, "posterior.json", summary)
     _, points, ls, nls, nls_norm = profile

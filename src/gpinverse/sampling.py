@@ -37,10 +37,18 @@ _KDE_CELLS_PER_BANDWIDTH = 64  # internal KDE grid spacing is h / 64
 _KDE_TAIL = 8.0  # kernel truncated, and the internal grid padded, at 8h
 _KDE_MAX_CELLS = 1 << 20
 
+# Upper bound on n_chains * n_steps * d, the floats of the chain paths that
+# run_mcmc holds and the chain CSVs write out.
+MAX_CHAIN_VALUES = 4_000_000
+
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Chain count, length, burn-in, and proposal width (domain fraction)."""
+    """Chain count, length, burn-in, and proposal width (domain fraction).
+
+    ``burn_in`` leaves each chain at least 2 samples, the fewest a kernel
+    density estimate takes.
+    """
 
     n_chains: int = 10
     n_steps: int = 20000
@@ -51,10 +59,11 @@ class McmcConfig:
     def __post_init__(self):
         if self.n_chains < 1:
             raise ConfigurationError("n_chains must be >= 1")
-        if self.n_steps < 1:
-            raise ConfigurationError("n_steps must be >= 1")
-        if not 0 <= self.burn_in < self.n_steps:
-            raise ConfigurationError("burn_in must satisfy 0 <= burn_in < n_steps")
+        if not 0 <= self.burn_in <= self.n_steps - 2:
+            raise ConfigurationError(
+                "burn_in must satisfy 0 <= burn_in <= n_steps - 2, leaving each "
+                "chain >= 2 samples"
+            )
         if not 0.0 < self.proposal_scale <= 1.0:
             raise ConfigurationError("proposal_scale must lie in (0, 1]")
 
@@ -68,7 +77,6 @@ class ChainResult:
     path: np.ndarray  # (n_steps, d), state after every proposal
     accepted: np.ndarray  # (n_steps,) bool
     acceptance_rate: float
-    initial_state: np.ndarray
 
 
 def _chain_rng(seed: int, chain_index: int) -> np.random.Generator:
@@ -110,7 +118,6 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig) -> list[ChainResult]:
                 f"chain {i}: no initialization with nonzero posterior density "
                 f"found in {_INIT_ATTEMPTS} attempts"
             )
-    initial = current.copy()
     logp = log_density(current)
 
     n_steps, n_chains = config.n_steps, config.n_chains
@@ -138,7 +145,6 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig) -> list[ChainResult]:
                 path=path[i],
                 accepted=accepted[i],
                 acceptance_rate=float(np.mean(accepted[i])),
-                initial_state=initial[i],
             )
         )
     return results

@@ -131,7 +131,7 @@ class TestFunctionals:
 
 class TestMapMultistart:
     def test_forrester_single_cluster_at_reference_map(self, forrester_problem):
-        summary = map_multistart(forrester_problem, n_starts=16, max_iter=400, seed=0)
+        summary = map_multistart(forrester_problem, n_starts=16, seed=0)
         best = summary.map_clusters[0]
         assert abs(best.x[0] - 0.76) <= 0.02
         assert best.ls_residual <= 1e-9
@@ -140,7 +140,7 @@ class TestMapMultistart:
         assert not summary.multimodal
 
     def test_mixed1d_finds_at_least_three_clusters(self, mixed1d_problem):
-        summary = map_multistart(mixed1d_problem, n_starts=24, max_iter=400, seed=0)
+        summary = map_multistart(mixed1d_problem, n_starts=24, seed=0)
         near_zero = [c for c in summary.map_clusters if c.ls_residual <= 1e-9]
         assert len(near_zero) >= 3
         assert summary.multimodal
@@ -157,7 +157,7 @@ class TestMapMultistart:
             obs_variance=2500.0,
             bounds=((-2.0, 2.0), (-1.0, 2.0)),
         )
-        summary = map_multistart(prob, n_starts=32, max_iter=400, seed=0)
+        summary = map_multistart(prob, n_starts=32, seed=0)
         assert summary.map_clusters[0].ls_residual <= 1e-6
         dists = [
             float(np.linalg.norm(c.x - np.array([-1.5, -0.6])))
@@ -167,7 +167,7 @@ class TestMapMultistart:
         assert min(dists) <= 0.25  # the target lies on the recovered level set
 
     def test_reported_maps_are_stationary_or_flagged(self, mixed1d_problem):
-        summary = map_multistart(mixed1d_problem, n_starts=16, max_iter=400, seed=1)
+        summary = map_multistart(mixed1d_problem, n_starts=16, seed=1)
         for c in summary.map_clusters:
             assert c.grad_norm < 1e-3 or c.on_bound
 
@@ -218,8 +218,8 @@ class TestMapMultistart:
         assert summary.map_clusters[0].x[0] == 0.0
 
     def test_start_order_invariance(self, mixed1d_problem):
-        a = map_multistart(mixed1d_problem, n_starts=16, max_iter=400, seed=4)
-        b = map_multistart(mixed1d_problem, n_starts=16, max_iter=400, seed=4)
+        a = map_multistart(mixed1d_problem, n_starts=16, seed=4)
+        b = map_multistart(mixed1d_problem, n_starts=16, seed=4)
         ax = sorted(round(float(c.x[0]), 3) for c in a.map_clusters)
         bx = sorted(round(float(c.x[0]), 3) for c in b.map_clusters)
         assert ax == bx
@@ -286,21 +286,21 @@ class TestGaussianPrior:
         prob = self._linear_problem(
             function_surrogate, 1.0, GaussianPrior(mean=[0.0], cov=[[1.0]])
         )
-        summary = map_multistart(prob, n_starts=8, max_iter=200, seed=0)
+        summary = map_multistart(prob, n_starts=8, seed=0)
         assert summary.map_clusters[0].x[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_diffuse_prior_recovers_uniform_map(self, function_surrogate):
         diffuse = self._linear_problem(
             function_surrogate, 1.0, GaussianPrior(mean=[0.0], cov=[[1e8]])
         )
-        summary = map_multistart(diffuse, n_starts=8, max_iter=400, seed=0)
+        summary = map_multistart(diffuse, n_starts=8, seed=0)
         assert summary.map_clusters[0].x[0] == pytest.approx(1.0, abs=1e-2)
 
     def test_tight_likelihood_off_prior_dominates_when_flat(self, function_surrogate):
         flat_likelihood = self._linear_problem(
             function_surrogate, 1e10, GaussianPrior(mean=[0.3], cov=[[1.0]])
         )
-        summary = map_multistart(flat_likelihood, n_starts=8, max_iter=400, seed=0)
+        summary = map_multistart(flat_likelihood, n_starts=8, seed=0)
         assert summary.map_clusters[0].x[0] == pytest.approx(0.3, abs=1e-3)
 
     def test_closed_form_posterior_mode(self, linear_gaussian):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import gpinverse.cli
 import gpinverse.inversion
 import gpinverse.presets
-from gpinverse.bo import BoConfig
+from gpinverse.bo import MAX_EVALUATIONS, MAX_VALIDATION_POINTS, BoConfig
 from gpinverse.cli import main
 from gpinverse.errors import (
     ConfigurationError,
@@ -24,7 +24,7 @@ from gpinverse.errors import (
     NumericalError,
     ShapeError,
 )
-from gpinverse.inversion import LaplaceResult, MapCluster, PosteriorSummary
+from gpinverse.inversion import MAX_MAP_STARTS, LaplaceResult, MapCluster, PosteriorSummary
 from gpinverse.presets import (
     PRESETS,
     ExperimentConfig,
@@ -36,7 +36,7 @@ from gpinverse.presets import (
     list_presets,
     run_experiment,
 )
-from gpinverse.sampling import McmcConfig
+from gpinverse.sampling import MAX_CHAIN_VALUES, McmcConfig
 
 EXPECTED_PRESETS = {
     "forrester-inverse",
@@ -94,7 +94,7 @@ def _configs(draw):
         n_acq=draw(st.integers(1, 8)),
         max_evaluations=draw(st.integers(n_init, 500)),
         mse_threshold=draw(_positive),
-        n_val=draw(st.integers(100, 10**6)),
+        n_val=draw(st.integers(100, MAX_VALIDATION_POINTS)),
         noise_variance=draw(st.floats(min_value=0.0, allow_infinity=False)),
         kappa=draw(st.floats(min_value=0.0, allow_infinity=False)),
         restarts=draw(st.integers(1, 20)),
@@ -107,17 +107,17 @@ def _configs(draw):
         observed=draw(_finite) if x_true is None else None,
         x_true=None if x_true is None else tuple(x_true),
         obs_variance=draw(_positive),
-        hp_threshold=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         grid_resolution=draw(st.integers(64, 4096)),
         n_starts=draw(st.integers(1, 1000)),
-        max_iter=draw(st.integers(1, 10**5)),
         map_seed=draw(_seeds),
     )
-    n_steps = draw(st.integers(1, 10**6))
+    n_chains = draw(st.integers(1, 64))
+    # mixed1d is 1-D, so each chain holds n_steps path values
+    n_steps = draw(st.integers(2, min(10**6, MAX_CHAIN_VALUES // n_chains)))
     mcmc = McmcConfig(
-        n_chains=draw(st.integers(1, 64)),
+        n_chains=n_chains,
         n_steps=n_steps,
-        burn_in=draw(st.integers(0, n_steps - 1)),
+        burn_in=draw(st.integers(0, n_steps - 2)),
         proposal_scale=draw(st.floats(0.0, 1.0, exclude_min=True)),
         seed=draw(_chain_seeds),
     )
@@ -301,15 +301,15 @@ _COMPARE = _SMALL_RUN + "compare_benchmarks = forrester1d\n"
 @pytest.mark.parametrize(
     "text",
     [
-        _RUN_OBS + "inversion.hp_threshold = 1.5\n",
-        _RUN_OBS + "inversion.hp_threshold = 0.0\n",
+        # the level and the MAP iteration limit are constants, not keys
+        _RUN_OBS + "inversion.hp_threshold = 0.95\n",
         _RUN_INV + "inversion.observed = nan\n",
         _RUN_INV + "inversion.observed = inf\n",
         _RUN_INV + "inversion.x_true = nan\n",
         _RUN_INV + "inversion.x_true = 5.0\n",
         _RUN_OBS + "inversion.grid_resolution = 32\n",
         _RUN_OBS + "inversion.n_starts = 0\n",
-        _RUN_OBS + "inversion.max_iter = 0\n",
+        _RUN_OBS + "inversion.max_iter = 400\n",
         _RUN_OBS + "inversion.obs_variance = inf\n",
         # 2048 cells per axis exceed the grid cap in 2-D
         _SMALL_RUN.replace("forrester1d", "mixed2d") + _OBS,
@@ -325,6 +325,8 @@ _COMPARE = _SMALL_RUN + "compare_benchmarks = forrester1d\n"
         _RUN_OBS + "inversion.map_seed = -1\n",
         _RUN_OBS + "bo.seed = 1\nbo.seed = 2\n",
         _SMALL_RUN + "mcmc.seed = 1\n",
+        # one sample per chain is too few for its kernel density estimate
+        _RUN_OBS + "mcmc.n_steps = 5\nmcmc.burn_in = 4\n",
         _RUN_OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 10\n",
         _RUN_OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 262145\n",
         # the reference grid belongs to the mcmc stage, which is not set
@@ -341,6 +343,40 @@ def test_cli_bad_setting_exits_2_before_surrogate_stage(tmp_path, capsys, text):
     outdir = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+_MIXED2D_MCMC = (
+    _SMALL_RUN.replace("forrester1d", "mixed2d")
+    + _INV
+    + "inversion.x_true = 0.5, 1.5\n"
+    + "inversion.grid_resolution = 64\n"
+    + "mcmc.n_chains = 10\nmcmc.burn_in = 0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, key, at_cap",
+    [
+        ("benchmark = forrester1d\n" + _OBS, "bo.n_val", MAX_VALIDATION_POINTS),
+        ("benchmark = forrester1d\n" + _OBS, "bo.max_evaluations", MAX_EVALUATIONS),
+        (_RUN_OBS, "inversion.n_starts", MAX_MAP_STARTS),
+        # 10 chains of 2-D states fill the cap at n_steps = cap / 20
+        (_MIXED2D_MCMC, "mcmc.n_steps", MAX_CHAIN_VALUES // 20),
+    ],
+)
+def test_cli_count_over_its_memory_cap_exits_2_before_bo(
+    tmp_path, monkeypatch, capsys, text, key, at_cap
+):
+    # the caps are checked on the settings alone, so nothing is allocated
+    config_from_text(text + f"{key} = {at_cap}\n")
+    _fail_if_bo_runs(monkeypatch)
+    cfg = tmp_path / "over.cfg"
+    cfg.write_text(text + f"{key} = {at_cap + 1}\n")
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and key.split(".")[1] in err
     assert not outdir.exists()
 
 
@@ -405,15 +441,14 @@ def test_cli_compare_budget_is_bo_max_evaluations(tmp_path):
     assert rows and {row.split(",")[2] for row in rows} == {"8"}
 
 
-def test_cli_compare_surrogates_defaults_to_the_preset_budget(tmp_path):
+def test_cli_compare_surrogates_subcommand_is_rejected(tmp_path, capsys):
+    # a comparison runs through `run --config` with compare_benchmarks set
     outdir = tmp_path / "out"
-    argv = ["compare-surrogates", "--benchmark", "forrester1d", "--out", str(outdir)]
-    assert main(argv) == 0
-    manifest = json.loads((outdir / "manifest.json").read_text())
-    assert manifest["preset"] == "compare-forrester1d"
-    assert manifest["bo"]["max_evaluations"] == get_preset("compare-surrogates").bo.max_evaluations
-    rows = (outdir / "mse.csv").read_text().splitlines()[1:]
-    assert {row.split(",")[0] for row in rows} == {"forrester1d"}
+    with pytest.raises(SystemExit) as exc:
+        main(["compare-surrogates", "--benchmark", "forrester1d", "--out", str(outdir)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'compare-surrogates'" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path):
@@ -535,9 +570,8 @@ def test_posterior_json_is_the_summary_as_nested_lists(tmp_path):
         map_clusters=[cluster],
         multimodal=False,
         laplace=laplace,
-        credible_intervals=laplace.intervals,
         hp_regions=[((0.0, 0.5), (-2.0, -1.0))],
-        metadata={"failed_starts": 0, "observed": 0.63},
+        metadata={"failed_starts": 0, "hp_threshold": 0.95},
     )
     expected = {
         "map_clusters": [
@@ -558,18 +592,17 @@ def test_posterior_json_is_the_summary_as_nested_lists(tmp_path):
             "cov": [[0.04, 0.01], [0.01, 0.09]],
             "intervals": [[0.1, 0.4], [-2.0, -1.0]],
         },
-        "credible_intervals": [[0.1, 0.4], [-2.0, -1.0]],
         "hp_regions": [[[0.0, 0.5], [-2.0, -1.0]]],
-        "metadata": {"failed_starts": 0, "observed": 0.63},
+        "metadata": {"failed_starts": 0, "hp_threshold": 0.95},
     }
     result = ExperimentResult(config=None, outdir=str(tmp_path), manifest={})
     gpinverse.presets._write_json(result, "posterior.json", summary)
     assert json.loads((tmp_path / "posterior.json").read_text()) == expected
 
-    summary.laplace = summary.credible_intervals = None
+    summary.laplace = None
     gpinverse.presets._write_json(result, "posterior.json", summary)
     loaded = json.loads((tmp_path / "posterior.json").read_text())
-    assert loaded == {**expected, "laplace": None, "credible_intervals": None}
+    assert loaded == {**expected, "laplace": None}
 
 
 def test_cli_runs_small_config_end_to_end(tmp_path, capsys):
@@ -613,7 +646,8 @@ def test_inversion_stage_evaluates_the_profile_grid_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     assert result.summary.hp_regions
     posterior = json.loads((tmp_path / "out" / "posterior.json").read_text())
-    assert posterior["metadata"]["failed_starts"] == 0
+    assert posterior["metadata"] == {"failed_starts": 0, "hp_threshold": 0.95}
+    assert "credible_intervals" not in posterior
 
 
 def test_cli_output_env_var_respected(tmp_path, monkeypatch):
@@ -631,18 +665,28 @@ def test_cli_output_env_var_respected(tmp_path, monkeypatch):
     assert (tmp_path / "envroot" / "tiny-env" / "manifest.json").exists()
 
 
-def _perfbench_tracing():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _perfbench(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_every_perfbench_workload_config_parses():
+    # a config key the benchmark writes must not be removed or renamed
+    workloads = _perfbench("workloads")
+    for name, spec in workloads.WORKLOADS.items():
+        for bo_seed in spec["panel"]:
+            config = config_from_text(workloads.config_text(name, 0, bo_seed))
+            assert config.benchmark == spec["keys"]["benchmark"]
+            assert config.bo.seed == bo_seed
+
+
 def test_perfbench_tracing_hooks_wrap_and_restore_the_package(tmp_path):
     # every name the benchmark's --trace mode wraps must exist, take its
     # arguments in the order the work functions read, and come back unwrapped
-    tracing = _perfbench_tracing()
+    tracing = _perfbench("tracing")
     targets = [
         (getattr(gpinverse, module), attr)
         for modules, attr, _, _ in tracing.WRAPPED

@@ -109,6 +109,9 @@ class TestMcmc:
         with pytest.raises(ConfigurationError):
             McmcConfig(burn_in=100, n_steps=100)
         with pytest.raises(ConfigurationError):
+            McmcConfig(burn_in=99, n_steps=100)  # one sample: too few for a KDE
+        McmcConfig(burn_in=98, n_steps=100)
+        with pytest.raises(ConfigurationError):
             McmcConfig(proposal_scale=0.0)
         with pytest.raises(ConfigurationError):
             McmcConfig(n_chains=0)
