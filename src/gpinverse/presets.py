@@ -26,7 +26,7 @@ from .baselines import FAMILIES as DETERMINISTIC_FAMILIES
 from .baselines import eval_deterministic, fit_deterministic
 from .benchmarks import check_in_bounds, eval_benchmark, get_benchmark
 from .bo import BoConfig, BoTrace, run_bo, _validation_set
-from .errors import ConfigurationError, InferenceError, ShapeError
+from .errors import ConfigurationError, GpInverseError, InferenceError, ShapeError
 from .gp import KernelSpec, gp_fit, gp_predict_many
 from .inversion import (
     HP_THRESHOLD,
@@ -245,10 +245,10 @@ PRESETS = {
             name="mixed1d-mcmc",
             benchmark="mixed1d",
             description=(
-                "Mixed 1D posterior diagnostics: 10 independent random-walk "
-                "Metropolis chains on the surrogate posterior, per-chain kernel "
-                "density estimates, and a dense-grid reference posterior with "
-                "mode detection"
+                "Mixed 1D posterior diagnostics: 10 independent Metropolis "
+                "chains on the surrogate posterior (random-walk steps mixed with "
+                "profile-grid proposals), per-chain kernel density estimates, "
+                "and a dense-grid reference posterior with mode detection"
             ),
             inversion=InversionSettings(observed=0.63, obs_variance=0.0016, n_starts=24),
             mcmc=McmcConfig(n_steps=40000, burn_in=4000, proposal_scale=0.2),
@@ -517,11 +517,12 @@ def _run_inversion_stage(config, hf, model, result):
     record["map"] = best.x.tolist()
     record["map_ls_residual"] = best.ls_residual
     record["hp_regions"] = summary.hp_regions
+    return profile
 
 
-def _run_mcmc_stage(config, result):
+def _run_mcmc_stage(config, result, profile):
     problem = result.problem
-    chains = run_mcmc(problem, config.mcmc)
+    chains = run_mcmc(problem, config.mcmc, profile)
     result.chains = chains
     record = result.manifest["mcmc"]
     record["mcmc_grid_resolution"] = config.mcmc_grid_resolution
@@ -563,6 +564,8 @@ def _run_mcmc_stage(config, result):
         )
         record["grid_modes"] = ref.mode_locations.tolist()
     record["acceptance_rates"] = [c.acceptance_rate for c in chains]
+    record["independence_proposals"] = [c.independence_proposals for c in chains]
+    record["independence_accepted"] = [c.independence_accepted for c in chains]
 
 
 def _run_compare_stage(config, result):
@@ -614,7 +617,9 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
     """Execute one experiment and write its artifacts under ``outdir``.
 
     The manifest records every configuration value and derived quantity so
-    that any number in any output file can be recomputed from it.
+    that any number in any output file can be recomputed from it.  When the
+    inversion or mcmc stage raises, the manifest is written with an
+    ``error`` record (stage, type, message) before the error propagates.
     """
     _check_outdir(outdir)
     hf = get_benchmark(config.benchmark)
@@ -673,10 +678,17 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
         },
     )
 
-    if config.inversion is not None:
-        _run_inversion_stage(config, hf, trace.final_model, result)
-    if config.mcmc is not None:
-        _run_mcmc_stage(config, result)
+    stage = "inversion"
+    try:
+        if config.inversion is not None:
+            profile = _run_inversion_stage(config, hf, trace.final_model, result)
+            if config.mcmc is not None:
+                stage = "mcmc"
+                _run_mcmc_stage(config, result, profile)
+    except GpInverseError as exc:
+        manifest["error"] = {"stage": stage, "type": type(exc).__name__, "message": str(exc)}
+        _write_json(result, "manifest.json", manifest)
+        raise
 
     _write_json(result, "manifest.json", manifest)
     return result

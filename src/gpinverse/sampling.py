@@ -1,9 +1,11 @@
 """Sampling-based posterior diagnostics on the surrogate.
 
-Random-walk Metropolis chains target the unnormalized posterior
+Metropolis chains target the unnormalized posterior
 NLS(x) = exp(-Phi(x) / (2 sigma_obs^2)) restricted to the parameter box, where
 Phi is the inversion module's objective: the misfit LS plus the Gaussian
-prior term when the problem has a prior.
+prior term when the problem has a prior.  Each step mixes a random-walk
+kernel with an independence kernel whose proposal is built from the
+inversion stage's profile grid.
 Per-chain kernel density estimates and a dense-grid reference posterior give
 a qualitative picture of multimodality that the local Laplace summary cannot
 provide.
@@ -36,6 +38,17 @@ _INIT_ATTEMPTS = 100
 _KDE_CELLS_PER_BANDWIDTH = 64  # internal KDE grid spacing is h / 64
 _KDE_TAIL = 8.0  # kernel truncated, and the internal grid padded, at 8h
 _KDE_MAX_CELLS = 1 << 20
+# Relative std at or below which silverman_bandwidth treats samples as one
+# repeated value; constant arrays of up to 10^6 samples compute to <= 2.6 eps.
+_ROUNDOFF_SPREAD = 64 * np.finfo(float).eps
+
+# Probability that a chain step proposes from the profile-grid independence
+# proposal q instead of a random-walk step, and q's share uniform by volume.
+INDEPENDENCE_PROBABILITY = 0.2
+_Q_UNIFORM_SHARE = 0.01
+# Steps of random numbers each chain draws at once; bounds the draw buffers
+# whatever n_steps is.
+_BLOCK_STEPS = 128
 
 # Upper bound on n_chains * n_steps * d, the floats of the chain paths that
 # run_mcmc holds and the chain CSVs write out.
@@ -77,32 +90,100 @@ class ChainResult:
     path: np.ndarray  # (n_steps, d), state after every proposal
     accepted: np.ndarray  # (n_steps,) bool
     acceptance_rate: float
+    independence_proposals: int  # steps that proposed from the profile q
+    independence_accepted: int  # of those, the accepted ones
 
 
 def _chain_rng(seed: int, chain_index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) % (2**63), int(chain_index)])
 
 
-def run_mcmc(problem: InverseProblem, config: McmcConfig) -> list[ChainResult]:
-    """Independent random-walk Metropolis chains on the NLS density.
+class _ProfileProposal:
+    """Independence proposal q built from an ``evaluate_profile_grid`` tuple.
+
+    Each grid node owns the cell between the midpoints to its neighbours,
+    clipped to the box, so the end nodes get half cells.  A cell's mass is
+    its share of the summed ``nls_normalized``, mixed with a 1 % share
+    uniform by volume, and q is uniform inside each cell.  q is therefore
+    positive on the whole box.
+    """
+
+    def __init__(self, profile, bounds):
+        axes, _, _, _, normalized = profile
+        if len(axes) != len(bounds) or any(
+            ax[0] != lo or ax[-1] != hi for ax, (lo, hi) in zip(axes, bounds)
+        ):
+            raise ConfigurationError("the profile grid must span the problem's bounds")
+        self.edges = [
+            np.concatenate(([ax[0]], 0.5 * (ax[:-1] + ax[1:]), [ax[-1]])) for ax in axes
+        ]
+        self.shape = tuple(len(ax) for ax in axes)
+        volume = np.ones(1)
+        for e in self.edges:
+            volume = np.multiply.outer(volume, np.diff(e)).ravel()
+        mass = (1.0 - _Q_UNIFORM_SHARE) * normalized / normalized.sum()
+        mass += _Q_UNIFORM_SHARE * volume / volume.sum()
+        self.cumulative = np.cumsum(mass)
+        self.cumulative /= self.cumulative[-1]
+        self.cell_log_density = np.log(mass) - np.log(volume)
+
+    def sample(self, cell_u: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Points of q from uniforms: one picks the cell, d place the point."""
+        # cumulative[-1] is exactly 1, so every u in [0, 1) picks a cell
+        flat = np.searchsorted(self.cumulative, cell_u, side="right")
+        points = np.empty_like(offsets)
+        # C-order cell index, unravelled by integer arithmetic: numpy 2.4's
+        # unravel_index returns wrong values past element 8,192 of an (N, 1)
+        # index array.
+        for k in reversed(range(len(self.shape))):
+            flat, idx = np.divmod(flat, self.shape[k])
+            e = self.edges[k]
+            points[:, k] = e[idx] + offsets[:, k] * (e[idx + 1] - e[idx])
+        return points
+
+    def log_density(self, x: np.ndarray) -> np.ndarray:
+        """log q at each row of an (m, d) array of in-box points."""
+        # Searching the inner edges gives the cell index directly, the last
+        # cell including the upper bound.
+        flat = np.searchsorted(self.edges[0][1:-1], x[:, 0], side="right")
+        for k in range(1, len(self.shape)):
+            idx = np.searchsorted(self.edges[k][1:-1], x[:, k], side="right")
+            flat = flat * self.shape[k] + idx
+        return self.cell_log_density[flat]
+
+
+def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[ChainResult]:
+    """Independent Metropolis chains on the NLS density.
 
     The log density is -Phi / (2 sigma_obs^2), so a problem's Gaussian prior
     shapes the chains as it does the MAP, Laplace and level-set stages.
 
+    Each step is a mixture of two Metropolis-Hastings kernels (Tierney 1994).
+    With probability INDEPENDENCE_PROBABILITY a chain proposes a point x' of
+    the independence proposal q built from ``profile``, the tuple that
+    ``evaluate_profile_grid`` returns for this problem: a cell chosen in
+    proportion to its normalized NLS, mixed with 1 % uniform by volume, and
+    a uniform point inside it.  It accepts x' when
+    log u < log pi(x') - log pi(x) + log q(x) - log q(x').  Otherwise it
+    takes an isotropic Gaussian random-walk step scaled per dimension by
+    proposal_scale times the domain width; out-of-bounds proposals are
+    rejected.  Both kernels leave the posterior invariant and q > 0 on the
+    box, so the chains stay exact whatever the profile.
+
     Each chain draws from its own generator seeded by (seed, chain_index),
-    starts at a uniform in-bounds point with nonzero density, and proposes
-    isotropic Gaussian steps scaled per dimension by proposal_scale times
-    the domain width.  Out-of-bounds proposals are rejected.  The chains are
-    advanced in lockstep purely so surrogate predictions can be batched;
+    starts at a uniform in-bounds point with nonzero density, and then
+    draws its random numbers in blocks of _BLOCK_STEPS steps.  The chains
+    are advanced in lockstep purely so surrogate predictions can be batched;
     no state is shared between them.
     """
     d = problem.dim
     lo, hi = np.asarray(problem.bounds, dtype=float).T
     widths = hi - lo
     step = config.proposal_scale * widths
+    q = _ProfileProposal(profile, problem.bounds)
 
     def log_density(x: np.ndarray) -> np.ndarray:
-        inside = np.all((x >= lo) & (x <= hi), axis=1)
+        inside = ((x >= lo) & (x <= hi)).all(axis=1)
         return np.where(inside, log_posterior(problem, x)[1], -np.inf)
 
     rngs = [_chain_rng(config.seed, i) for i in range(config.n_chains)]
@@ -123,42 +204,78 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig) -> list[ChainResult]:
     n_steps, n_chains = config.n_steps, config.n_chains
     path = np.zeros((n_chains, n_steps, d))
     accepted = np.zeros((n_chains, n_steps), dtype=bool)
-    for t in range(n_steps):
-        proposals = np.empty_like(current)
-        log_u = np.empty(n_chains)
-        for i, rng in enumerate(rngs):
-            proposals[i] = current[i] + step * rng.standard_normal(d)
-            log_u[i] = math.log(rng.random())
-        logp_new = log_density(proposals)
-        accept = log_u < (logp_new - logp)
-        current[accept] = proposals[accept]
-        logp[accept] = logp_new[accept]
-        accepted[:, t] = accept
-        path[:, t, :] = current
-
-    results = []
-    for i in range(n_chains):
-        results.append(
-            ChainResult(
-                chain_index=i,
-                samples=path[i, config.burn_in :, :],
-                path=path[i],
-                accepted=accepted[i],
-                acceptance_rate=float(np.mean(accepted[i])),
-            )
+    made = np.zeros(n_chains, dtype=int)
+    taken = np.zeros(n_chains, dtype=int)
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        size = min(_BLOCK_STEPS, n_steps - start)
+        normal, expo, choice, cell_u, offsets = (
+            np.stack(a)
+            for a in zip(*(
+                (
+                    rng.standard_normal((size, d)),
+                    rng.standard_exponential(size),
+                    rng.random(size),
+                    rng.random(size),
+                    rng.random((size, d)),
+                )
+                for rng in rngs
+            ))
         )
-    return results
+        # A step proposes current * keep + shift: keep is 1 and shift the
+        # random-walk increment, or keep is 0 and shift a point of q.
+        indep = choice < INDEPENDENCE_PROBABILITY
+        q_points = q.sample(cell_u.ravel(), offsets.reshape(-1, d)).reshape(offsets.shape)
+        keep = np.where(indep, 0.0, 1.0)[:, :, None]
+        shift = np.where(indep[:, :, None], q_points, step * normal)
+        # Accept when -E < log pi(x') - log pi(x) [+ log q(x) - log q(x')].
+        bar = np.where(indep, q.log_density(q_points.reshape(-1, d)).reshape(indep.shape), 0.0)
+        bar -= expo
+        any_indep = indep.any(axis=0).tolist()
+        block_accepted = accepted[:, start : start + size]
+        block_path = path[:, start : start + size]
+        for t in range(size):
+            proposals = current * keep[:, t] + shift[:, t]
+            logp_new = log_density(proposals)
+            gain = logp_new - logp
+            if any_indep[t]:
+                gain += np.where(indep[:, t], q.log_density(current), 0.0)
+            accept = bar[:, t] < gain
+            np.copyto(current, proposals, where=accept[:, None])
+            np.copyto(logp, logp_new, where=accept)
+            block_accepted[:, t] = accept
+            block_path[:, t] = current
+        made += indep.sum(axis=1)
+        taken += (indep & block_accepted).sum(axis=1)
+
+    return [
+        ChainResult(
+            chain_index=i,
+            samples=path[i, config.burn_in :, :],
+            path=path[i],
+            accepted=accepted[i],
+            acceptance_rate=float(np.mean(accepted[i])),
+            independence_proposals=int(made[i]),
+            independence_accepted=int(taken[i]),
+        )
+        for i in range(n_chains)
+    ]
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
-    """1.06 * std * n^(-1/5); raises for non-finite or constant samples."""
+    """1.06 * std * n^(-1/5); raises for non-finite or constant samples.
+
+    Samples count as constant when their std is at most
+    _ROUNDOFF_SPREAD * max|x|: the std of n copies of one value computes to
+    a few eps * |x|, not to zero.
+    """
     samples = np.asarray(samples, dtype=float).ravel()
     if not np.all(np.isfinite(samples)):
         raise ConfigurationError("samples must be finite")
     std = float(np.std(samples, ddof=1))
-    if std == 0.0:
+    if std <= _ROUNDOFF_SPREAD * float(np.max(np.abs(samples))):
         raise DegenerateDataError(
-            "all samples identical: automatic bandwidth is degenerate"
+            f"samples identical up to rounding (std {std:.3g}): automatic "
+            f"bandwidth is degenerate"
         )
     return 1.06 * std * samples.size ** (-0.2)
 

@@ -21,6 +21,7 @@ from gpinverse import (
     KernelSpec,
     McmcConfig,
     eval_benchmark,
+    evaluate_profile_grid,
     expected_improvement,
     get_benchmark,
     gp_fit,
@@ -251,6 +252,7 @@ def test_criterion_7_property_battery(function_surrogate):
     chain = run_mcmc(
         ks_prob,
         McmcConfig(n_chains=1, n_steps=12000, burn_in=2000, proposal_scale=0.06, seed=42),
+        evaluate_profile_grid(ks_prob, 2048),
     )[0]
     s = np.sort(chain.samples[:, 0])
     n = s.size

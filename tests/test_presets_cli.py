@@ -242,6 +242,39 @@ def test_cli_maps_run_failures_to_exit_codes(
     assert "Traceback" not in err
 
 
+def test_cli_inference_failure_writes_the_manifest_with_an_error_record(tmp_path, capsys):
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(_RUN_INV + "inversion.observed = 1e200\n")
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 4
+    assert capsys.readouterr().err.startswith("inference failure: ")
+    assert sorted(os.listdir(outdir)) == ["manifest.json", "trace.csv", "trace.json"]
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"]["stage"] == "inversion"
+    assert manifest["error"]["type"] == "InferenceError"
+    assert "diverged" in manifest["error"]["message"]
+    assert manifest["inversion"]["observed"] == 1e200
+    assert manifest["bo_result"]["converged"]
+
+
+def test_mcmc_stage_failure_records_its_stage(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise InferenceError("no chain start")
+
+    monkeypatch.setattr(gpinverse.presets, "run_mcmc", fail)
+    config = config_from_text(
+        _RUN_OBS + "inversion.grid_resolution = 64\n"
+        "mcmc.n_chains = 1\nmcmc.n_steps = 10\nmcmc.burn_in = 0\n"
+    )
+    with pytest.raises(InferenceError):
+        run_experiment(config, str(tmp_path))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["error"] == {
+        "stage": "mcmc", "type": "InferenceError", "message": "no chain start"
+    }
+    assert manifest["inversion"]["hp_regions"]
+
+
 def test_cli_invalid_config_values_exit_2(tmp_path):
     cfg = tmp_path / "bad_values.cfg"
     cfg.write_text("benchmark = mixed1d\nbo.n_init = 1\n")
@@ -470,6 +503,10 @@ def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path):
     assert {r[2] for r in rows} <= {"0", "1"}
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["mcmc"]["mcmc_grid_resolution"] == 64
+    made = manifest["mcmc"]["independence_proposals"]
+    taken = manifest["mcmc"]["independence_accepted"]
+    assert len(made) == len(taken) == 2
+    assert all(0 <= a <= m <= 50 for a, m in zip(taken, made))
     overlay = (outdir / "kde_overlay.csv").read_text().splitlines()
     assert len(overlay) == 1 + 2 * 2001
     assert overlay[1].startswith("0,") and overlay[-1].startswith("1,")

@@ -1,5 +1,6 @@
 """MCMC sampler, kernel density estimation, and the grid reference posterior."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,14 +11,17 @@ from scipy import stats
 from gpinverse import (
     ConfigurationError,
     DegenerateDataError,
+    GaussianPrior,
     InverseProblem,
     McmcConfig,
     UnsupportedDimensionError,
+    evaluate_profile_grid,
     grid_posterior,
     kde_estimate,
     run_mcmc,
     silverman_bandwidth,
 )
+from gpinverse.sampling import INDEPENDENCE_PROBABILITY
 
 
 def _gaussian_target_problem(function_surrogate, mu=0.3, sigma=0.5, bounds=(-10.0, 10.0)):
@@ -31,6 +35,11 @@ def _gaussian_target_problem(function_surrogate, mu=0.3, sigma=0.5, bounds=(-10.
     )
 
 
+def _chains(prob, cfg):
+    # the profile the inversion stage would hand over, at its default size
+    return run_mcmc(prob, cfg, evaluate_profile_grid(prob, 2048))
+
+
 class TestMcmc:
     def test_flat_target_high_acceptance_and_centered_mean(self, function_surrogate):
         prob = InverseProblem(
@@ -40,7 +49,7 @@ class TestMcmc:
             bounds=((0.0, 2.0),),
         )
         cfg = McmcConfig(n_chains=1, n_steps=10000, burn_in=0, proposal_scale=0.05, seed=6)
-        chain = run_mcmc(prob, cfg)[0]
+        chain = _chains(prob, cfg)[0]
         assert chain.acceptance_rate >= 0.95
         assert chain.samples[:, 0].mean() == pytest.approx(1.0, abs=0.02 * 2.0)
 
@@ -48,7 +57,7 @@ class TestMcmc:
         mu, sigma = 0.3, 0.5
         prob = _gaussian_target_problem(function_surrogate, mu, sigma)
         cfg = McmcConfig(n_chains=1, n_steps=12000, burn_in=2000, proposal_scale=0.06, seed=42)
-        chain = run_mcmc(prob, cfg)[0]
+        chain = _chains(prob, cfg)[0]
         s = chain.samples[:, 0]
         stderr = sigma / math.sqrt(len(s) / 10)  # conservative effective size
         assert abs(s.mean() - mu) <= 3 * stderr
@@ -58,7 +67,7 @@ class TestMcmc:
         mu, sigma = 0.3, 0.5
         prob = _gaussian_target_problem(function_surrogate, mu, sigma)
         cfg = McmcConfig(n_chains=1, n_steps=12000, burn_in=2000, proposal_scale=0.06, seed=42)
-        chain = run_mcmc(prob, cfg)[0]
+        chain = _chains(prob, cfg)[0]
         s = np.sort(chain.samples[:, 0])
         n = s.size
         assert n == 10000
@@ -72,36 +81,36 @@ class TestMcmc:
     def test_acceptance_rate_matches_tally(self, function_surrogate):
         prob = _gaussian_target_problem(function_surrogate)
         cfg = McmcConfig(n_chains=2, n_steps=500, burn_in=100, proposal_scale=0.1, seed=0)
-        for chain in run_mcmc(prob, cfg):
+        for chain in _chains(prob, cfg):
             assert chain.acceptance_rate == chain.accepted.sum() / 500
 
     def test_samples_are_a_view_of_the_post_burn_in_path(self, function_surrogate):
         prob = _gaussian_target_problem(function_surrogate)
         cfg = McmcConfig(n_chains=2, n_steps=500, burn_in=100, seed=0)
-        for chain in run_mcmc(prob, cfg):
+        for chain in _chains(prob, cfg):
             assert np.shares_memory(chain.samples, chain.path)
             np.testing.assert_array_equal(chain.samples, chain.path[100:])
 
     def test_samples_stay_in_bounds(self, function_surrogate):
         prob = _gaussian_target_problem(function_surrogate, bounds=(-0.5, 0.9))
         cfg = McmcConfig(n_chains=3, n_steps=2000, burn_in=0, proposal_scale=0.3, seed=1)
-        for chain in run_mcmc(prob, cfg):
+        for chain in _chains(prob, cfg):
             assert np.all(chain.samples[:, 0] >= -0.5)
             assert np.all(chain.samples[:, 0] <= 0.9)
 
     def test_chains_are_independent_of_ordering(self, function_surrogate):
         # a chain's stream depends only on (seed, chain_index)
         prob = _gaussian_target_problem(function_surrogate)
-        ten = run_mcmc(prob, McmcConfig(n_chains=10, n_steps=300, burn_in=0, seed=9))
-        three = run_mcmc(prob, McmcConfig(n_chains=3, n_steps=300, burn_in=0, seed=9))
+        ten = _chains(prob, McmcConfig(n_chains=10, n_steps=300, burn_in=0, seed=9))
+        three = _chains(prob, McmcConfig(n_chains=3, n_steps=300, burn_in=0, seed=9))
         for i in range(3):
             np.testing.assert_array_equal(ten[i].path, three[i].path)
 
     def test_deterministic_per_seed(self, function_surrogate):
         prob = _gaussian_target_problem(function_surrogate)
         cfg = McmcConfig(n_chains=2, n_steps=400, burn_in=50, seed=5)
-        a = run_mcmc(prob, cfg)
-        b = run_mcmc(prob, cfg)
+        a = _chains(prob, cfg)
+        b = _chains(prob, cfg)
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(ca.path, cb.path)
 
@@ -185,6 +194,16 @@ class TestKde:
         want = 1.06 * samples.std(ddof=1) * 200 ** (-0.2)
         assert silverman_bandwidth(samples) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("value", [0.1, 0.7, -3.3, 1e6])
+    def test_silverman_rejects_samples_constant_up_to_rounding(self, value):
+        # np.full(50, 0.1) has a computed std of 2.8e-17, not 0
+        with pytest.raises(DegenerateDataError, match="identical"):
+            silverman_bandwidth(np.full(50, value))
+
+    def test_silverman_accepts_a_small_relative_spread(self):
+        samples = 1.0 + 1e-10 * np.random.default_rng(4).standard_normal(50)
+        assert silverman_bandwidth(samples) > 0.0
+
     def test_identical_samples_rejected(self):
         with pytest.raises(DegenerateDataError):
             kde_estimate(np.full(10, 1.0), np.linspace(0, 2, 10))
@@ -243,8 +262,61 @@ class TestLinearGaussianPosterior:
     def test_chains_match_closed_form(self, linear_gaussian):
         prob, mean, var = linear_gaussian
         cfg = McmcConfig(n_chains=4, n_steps=18000, burn_in=2000, seed=0)
-        thinned = np.concatenate([c.samples[::20, 0] for c in run_mcmc(prob, cfg)])
+        thinned = np.concatenate([c.samples[::20, 0] for c in _chains(prob, cfg)])
         assert stats.kstest(thinned, stats.norm(mean, math.sqrt(var)).cdf).pvalue > 0.01
+
+    def test_mixture_correction_is_exact(self, linear_gaussian):
+        # q is built from a problem whose posterior mean sits 0.76 (2.5 sd)
+        # to the right, so the chains follow the true posterior only through
+        # the log q(x) - log q(x') term of the independence acceptance.
+        prob, mean, var = linear_gaussian
+        shifted = dataclasses.replace(prob, observed=prob.observed + 2.0)
+        cfg = McmcConfig(n_chains=4, n_steps=18000, burn_in=2000, seed=0)
+        chains = run_mcmc(prob, cfg, evaluate_profile_grid(shifted, 2048))
+        assert all(c.independence_accepted > 0 for c in chains)
+        thinned = np.concatenate([c.samples[::20, 0] for c in chains])
+        assert stats.kstest(thinned, stats.norm(mean, math.sqrt(var)).cdf).pvalue > 0.01
+
+    def test_mixture_correction_is_exact_in_2d(self, function_surrogate):
+        # x0 is observed through f(x) = x0 and x1 only through the prior, so
+        # the posterior is N(mean, diag(var)).  The profile comes from a
+        # problem shifted on both axes, on a box of unequal sides, so a q
+        # whose sampling and density disagree on the cell order fails.
+        s2, m, g = 0.25, np.array([0.2, -0.4]), np.array([0.3, 0.2])
+        def problem(observed, prior_mean):
+            return InverseProblem(
+                surrogate=function_surrogate(lambda x: x[0]),
+                observed=observed,
+                obs_variance=s2,
+                bounds=((-4.0, 4.0), (-3.0, 3.0)),
+                prior=GaussianPrior(mean=prior_mean, cov=np.diag(g)),
+            )
+        prob = problem(0.5, m)
+        var = np.array([1.0 / (1.0 / s2 + 1.0 / g[0]), g[1]])
+        mean = np.array([var[0] * (0.5 / s2 + m[0] / g[0]), m[1]])
+        shifted = problem(1.5, m + [0.0, 0.9])
+        cfg = McmcConfig(n_chains=4, n_steps=18000, burn_in=2000, seed=3)
+        chains = run_mcmc(prob, cfg, evaluate_profile_grid(shifted, 128))
+        thinned = np.concatenate([c.samples[::20] for c in chains])
+        for k in range(2):
+            exact = stats.norm(mean[k], math.sqrt(var[k])).cdf
+            assert stats.kstest(thinned[:, k], exact).pvalue > 0.01
+
+    def test_independence_counters(self, linear_gaussian):
+        prob, _, _ = linear_gaussian
+        cfg = McmcConfig(n_chains=3, n_steps=4000, burn_in=0, seed=2)
+        for chain in _chains(prob, cfg):
+            share = chain.independence_proposals / cfg.n_steps
+            assert abs(share - INDEPENDENCE_PROBABILITY) < 0.03
+            assert 0 < chain.independence_accepted <= chain.independence_proposals
+            assert chain.independence_accepted <= chain.accepted.sum()
+
+    def test_profile_must_span_the_bounds(self, linear_gaussian):
+        prob, _, _ = linear_gaussian
+        narrower = dataclasses.replace(prob, bounds=((-4.0, 3.0),))
+        with pytest.raises(ConfigurationError, match="span"):
+            run_mcmc(prob, McmcConfig(n_chains=1, n_steps=10, burn_in=0),
+                     evaluate_profile_grid(narrower, 64))
 
 
 class TestGridPosterior:
