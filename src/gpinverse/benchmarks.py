@@ -150,6 +150,8 @@ def sample_initial_design(
             f"n_init={n_init}: at least 2 points are required to estimate "
             "surrogate hyperparameters"
         )
+    if seed < 0:
+        raise ConfigurationError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     n, d = n_init, model.dim
     u = (np.arange(n)[:, None] + rng.random((n, d))) / n

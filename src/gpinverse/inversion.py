@@ -299,6 +299,8 @@ def map_multistart(problem: InverseProblem, n_starts: int, seed: int) -> Posteri
     """
     if not 1 <= n_starts <= MAX_MAP_STARTS:
         raise ConfigurationError(f"n_starts must lie in [1, {MAX_MAP_STARTS}]")
+    if seed < 0:
+        raise ConfigurationError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     lo, hi = np.asarray(problem.bounds, dtype=float).T
     starts = lo + rng.random((n_starts, problem.dim)) * (hi - lo)

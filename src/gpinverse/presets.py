@@ -526,10 +526,6 @@ def _run_mcmc_stage(config, result, profile):
     result.chains = chains
     record = result.manifest["mcmc"]
     record["mcmc_grid_resolution"] = config.mcmc_grid_resolution
-    kde_grid = np.linspace(
-        problem.bounds[0][0], problem.bounds[0][1], 2001
-    )
-    densities = []
     for ch in chains:
         _write_csv(
             result,
@@ -540,15 +536,15 @@ def _run_mcmc_stage(config, result, profile):
                 "accepted": ch.accepted.astype(int),
             },
         )
-        if problem.dim == 1:
-            dens = kde_estimate(ch.samples[:, 0], kde_grid)
-            densities.append(dens)
+    if problem.dim == 1:
+        kde_grid = np.linspace(problem.bounds[0][0], problem.bounds[0][1], 2001)
+        densities = [kde_estimate(ch.samples[:, 0], kde_grid) for ch in chains]
+        for ch, dens in zip(chains, densities):
             _write_csv(
                 result,
                 f"chains/kde_{ch.chain_index:02d}.csv",
                 {"x": kde_grid, "density": dens},
             )
-    if problem.dim == 1:
         _write_csv(
             result,
             "kde_overlay.csv",
@@ -558,7 +554,7 @@ def _run_mcmc_stage(config, result, profile):
                 "density": np.concatenate(densities),
             },
         )
-        ref = grid_posterior(problem, config.mcmc_grid_resolution)
+        ref = grid_posterior(evaluate_profile_grid(problem, config.mcmc_grid_resolution))
         _write_csv(
             result, "grid_posterior.csv", {"x": ref.grid, "density": ref.density}
         )

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import ConfigurationError, DegenerateDataError, InferenceError, UnsupportedDimensionError
-from .inversion import InverseProblem, evaluate_profile_grid, log_posterior
+from .inversion import InverseProblem, log_posterior
 
 __all__ = [
     "McmcConfig",
@@ -33,8 +33,6 @@ __all__ = [
     "grid_posterior",
 ]
 
-_LOG_DENSITY_FLOOR = -745.0  # below this exp() underflows to exactly 0.0
-_INIT_ATTEMPTS = 100
 _KDE_CELLS_PER_BANDWIDTH = 64  # internal KDE grid spacing is h / 64
 _KDE_TAIL = 8.0  # kernel truncated, and the internal grid padded, at 8h
 _KDE_MAX_CELLS = 1 << 20
@@ -53,14 +51,17 @@ _BLOCK_STEPS = 128
 # Upper bound on n_chains * n_steps * d, the floats of the chain paths that
 # run_mcmc holds and the chain CSVs write out.
 MAX_CHAIN_VALUES = 4_000_000
+# Upper bound on n_chains: each chain costs its own generator, draw buffers
+# and two CSV files whatever n_steps is.
+MAX_CHAINS = 1024
 
 
 @dataclass(frozen=True)
 class McmcConfig:
     """Chain count, length, burn-in, and proposal width (domain fraction).
 
-    ``burn_in`` leaves each chain at least 2 samples, the fewest a kernel
-    density estimate takes.
+    ``n_chains`` lies in [1, MAX_CHAINS], and ``burn_in`` leaves each chain
+    at least 2 samples, the fewest a kernel density estimate takes.
     """
 
     n_chains: int = 10
@@ -70,8 +71,8 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_chains < 1:
-            raise ConfigurationError("n_chains must be >= 1")
+        if not 1 <= self.n_chains <= MAX_CHAINS:
+            raise ConfigurationError(f"n_chains must lie in [1, {MAX_CHAINS}]")
         if not 0 <= self.burn_in <= self.n_steps - 2:
             raise ConfigurationError(
                 "burn_in must satisfy 0 <= burn_in <= n_steps - 2, leaving each "
@@ -171,10 +172,11 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[Chain
     box, so the chains stay exact whatever the profile.
 
     Each chain draws from its own generator seeded by (seed, chain_index),
-    starts at a uniform in-bounds point with nonzero density, and then
-    draws its random numbers in blocks of _BLOCK_STEPS steps.  The chains
-    are advanced in lockstep purely so surrogate predictions can be batched;
-    no state is shared between them.
+    starts at its first uniform draw in the box, and then draws its random
+    numbers in blocks of _BLOCK_STEPS steps.  Acceptance compares log
+    densities, so a start where exp() underflows needs no retry.  The
+    chains are advanced in lockstep purely so surrogate predictions can be
+    batched; no state is shared between them.
     """
     d = problem.dim
     lo, hi = np.asarray(problem.bounds, dtype=float).T
@@ -187,18 +189,7 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[Chain
         return np.where(inside, log_posterior(problem, x)[1], -np.inf)
 
     rngs = [_chain_rng(config.seed, i) for i in range(config.n_chains)]
-    current = np.zeros((config.n_chains, d))
-    for i, rng in enumerate(rngs):
-        for attempt in range(_INIT_ATTEMPTS):
-            candidate = lo + rng.random(d) * widths
-            if log_density(candidate[None, :])[0] > _LOG_DENSITY_FLOOR:
-                current[i] = candidate
-                break
-        else:
-            raise InferenceError(
-                f"chain {i}: no initialization with nonzero posterior density "
-                f"found in {_INIT_ATTEMPTS} attempts"
-            )
+    current = lo + np.stack([rng.random(d) for rng in rngs]) * widths
     logp = log_density(current)
 
     n_steps, n_chains = config.n_steps, config.n_chains
@@ -262,13 +253,15 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[Chain
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
-    """1.06 * std * n^(-1/5); raises for non-finite or constant samples.
+    """1.06 * std * n^(-1/5); raises for too few, non-finite or constant samples.
 
     Samples count as constant when their std is at most
     _ROUNDOFF_SPREAD * max|x|: the std of n copies of one value computes to
     a few eps * |x|, not to zero.
     """
     samples = np.asarray(samples, dtype=float).ravel()
+    if samples.size < 2:
+        raise DegenerateDataError("a bandwidth needs >= 2 samples")
     if not np.all(np.isfinite(samples)):
         raise ConfigurationError("samples must be finite")
     std = float(np.std(samples, ddof=1))
@@ -356,27 +349,27 @@ class GridPosterior:
 MODE_FLOOR_FRACTION = 0.05  # local maxima below 5% of the peak are noise
 
 
-def grid_posterior(problem: InverseProblem, resolution: int) -> GridPosterior:
-    """Reference posterior: evaluate_profile_grid's NLS, trapezoid-normalized.
+def grid_posterior(profile) -> GridPosterior:
+    """Reference posterior: a profile's NLS, trapezoid-normalized.
 
-    Modes are strict interior local maxima of the density above 5% of its
-    peak.  Only one-dimensional problems are supported; the sampler itself
-    has no such restriction.
+    ``profile`` is the tuple ``evaluate_profile_grid`` returns for a 1D
+    problem, with at least 64 points.  Modes are strict interior local
+    maxima of the density above 5% of its peak.  Only one-dimensional
+    profiles are supported; the sampler itself has no such restriction.
     """
-    if resolution < 64:
-        raise ConfigurationError("resolution must be >= 64")
-    if problem.dim != 1:
-        raise UnsupportedDimensionError(
-            "grid_posterior builds a 1D reference density"
-        )
-    (xs,), _, _, nls, _ = evaluate_profile_grid(problem, resolution)
+    axes, _, _, nls, _ = profile
+    if len(axes) != 1:
+        raise UnsupportedDimensionError("grid_posterior builds a 1D reference density")
+    (xs,) = axes
+    if xs.size < 64:
+        raise ConfigurationError("grid_resolution must be >= 64")
     integral = float(np.trapezoid(nls, xs))
     if integral <= 0:
         raise InferenceError("posterior mass underflowed to zero on the grid")
     density = nls / integral
 
     peak = float(np.max(density))
-    interior = np.arange(1, resolution - 1)
+    interior = np.arange(1, xs.size - 1)
     is_mode = (
         (density[interior] > density[interior - 1])
         & (density[interior] > density[interior + 1])

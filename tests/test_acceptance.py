@@ -265,7 +265,7 @@ def test_criterion_7_property_battery(function_surrogate):
     assert ks < 0.03
 
     # grid posterior integrates to one
-    ref = grid_posterior(ks_prob, resolution=512)
+    ref = grid_posterior(evaluate_profile_grid(ks_prob, 512))
     assert abs(np.trapezoid(ref.density, ref.grid) - 1.0) <= 1e-10
 
     _report(
@@ -279,7 +279,7 @@ def test_criterion_7_property_battery(function_surrogate):
 def test_criterion_8_mcmc_diagnostics(preset_runs):
     result, elapsed = preset_runs("mixed1d-mcmc")
     problem = result.problem
-    ref = grid_posterior(problem, resolution=512)
+    ref = grid_posterior(evaluate_profile_grid(problem, 512))
     ok_modes = len(ref.mode_locations) >= 3 and np.all(
         np.diff(np.sort(ref.mode_indices)) > 5
     )

@@ -156,3 +156,7 @@ class TestInitialDesign:
     def test_too_small_design_is_rejected(self):
         with pytest.raises(ConfigurationError, match="n_init"):
             sample_initial_design(get_benchmark("mixed1d"), 1, seed=0)
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            sample_initial_design(get_benchmark("mixed1d"), 4, seed=-1)

@@ -217,6 +217,10 @@ class TestMapMultistart:
         assert summary.metadata["failed_starts"] == expected
         assert summary.map_clusters[0].x[0] == 0.0
 
+    def test_negative_seed_is_a_configuration_error(self, mixed1d_problem):
+        with pytest.raises(ConfigurationError, match="seed"):
+            map_multistart(mixed1d_problem, n_starts=2, seed=-1)
+
     def test_start_order_invariance(self, mixed1d_problem):
         a = map_multistart(mixed1d_problem, n_starts=16, seed=4)
         b = map_multistart(mixed1d_problem, n_starts=16, seed=4)

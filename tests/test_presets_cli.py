@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,13 @@ from gpinverse.errors import (
     NumericalError,
     ShapeError,
 )
-from gpinverse.inversion import MAX_MAP_STARTS, LaplaceResult, MapCluster, PosteriorSummary
+from gpinverse.inversion import (
+    MAX_MAP_STARTS,
+    InverseProblem,
+    LaplaceResult,
+    MapCluster,
+    PosteriorSummary,
+)
 from gpinverse.presets import (
     PRESETS,
     ExperimentConfig,
@@ -36,7 +43,7 @@ from gpinverse.presets import (
     list_presets,
     run_experiment,
 )
-from gpinverse.sampling import MAX_CHAIN_VALUES, McmcConfig
+from gpinverse.sampling import MAX_CHAIN_VALUES, MAX_CHAINS, McmcConfig
 
 EXPECTED_PRESETS = {
     "forrester-inverse",
@@ -396,6 +403,7 @@ _MIXED2D_MCMC = (
         (_RUN_OBS, "inversion.n_starts", MAX_MAP_STARTS),
         # 10 chains of 2-D states fill the cap at n_steps = cap / 20
         (_MIXED2D_MCMC, "mcmc.n_steps", MAX_CHAIN_VALUES // 20),
+        (_RUN_OBS + "mcmc.n_steps = 2\nmcmc.burn_in = 0\n", "mcmc.n_chains", MAX_CHAINS),
     ],
 )
 def test_cli_count_over_its_memory_cap_exits_2_before_bo(
@@ -687,6 +695,31 @@ def test_inversion_stage_evaluates_the_profile_grid_once(tmp_path, monkeypatch):
     assert "credible_intervals" not in posterior
 
 
+def test_mcmc_run_evaluates_two_profile_grids_through_presets(tmp_path, monkeypatch):
+    # the level sets and the chains share the inversion grid, and the
+    # reference posterior reads a second one of mcmc_grid_resolution; the
+    # sampling module evaluates none of its own
+    calls = []
+    original = gpinverse.inversion.evaluate_profile_grid
+
+    def counting(module):
+        def wrapped(problem, grid_resolution):
+            calls.append((module, grid_resolution))
+            return original(problem, grid_resolution)
+        return wrapped
+
+    monkeypatch.setattr(gpinverse.inversion, "evaluate_profile_grid", counting("inversion"))
+    monkeypatch.setattr(gpinverse.presets, "evaluate_profile_grid", counting("presets"))
+    config = config_from_text(
+        _RUN_OBS
+        + "inversion.grid_resolution = 256\n"
+        + "mcmc.n_chains = 2\nmcmc.n_steps = 50\nmcmc.burn_in = 10\n"
+        + "mcmc_grid_resolution = 128\n"
+    )
+    run_experiment(config, str(tmp_path / "out"))
+    assert calls == [("presets", 256), ("presets", 128)]
+
+
 def test_cli_output_env_var_respected(tmp_path, monkeypatch):
     monkeypatch.setenv("GPINVERSE_OUT", str(tmp_path / "envroot"))
     cfg = tmp_path / "small.cfg"
@@ -702,9 +735,10 @@ def test_cli_output_env_var_respected(tmp_path, monkeypatch):
     assert (tmp_path / "envroot" / "tiny-env" / "manifest.json").exists()
 
 
-def _perfbench(name):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", f"{name}.py")
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+def _script(folder, name):
+    # perfbench/ and tools/ are scripts run from the checkout, not packages
+    path = os.path.join(os.path.dirname(__file__), os.pardir, folder, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"{folder}_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -712,7 +746,7 @@ def _perfbench(name):
 
 def test_every_perfbench_workload_config_parses():
     # a config key the benchmark writes must not be removed or renamed
-    workloads = _perfbench("workloads")
+    workloads = _script("perfbench", "workloads")
     for name, spec in workloads.WORKLOADS.items():
         for bo_seed in spec["panel"]:
             config = config_from_text(workloads.config_text(name, 0, bo_seed))
@@ -723,7 +757,7 @@ def test_every_perfbench_workload_config_parses():
 def test_perfbench_tracing_hooks_wrap_and_restore_the_package(tmp_path):
     # every name the benchmark's --trace mode wraps must exist, take its
     # arguments in the order the work functions read, and come back unwrapped
-    tracing = _perfbench("tracing")
+    tracing = _script("perfbench", "tracing")
     targets = [
         (getattr(gpinverse, module), attr)
         for modules, attr, _, _ in tracing.WRAPPED
@@ -754,6 +788,30 @@ def test_perfbench_tracing_hooks_wrap_and_restore_the_package(tmp_path):
         "sampling.kde_estimate",
         "sampling.grid_posterior",
     } <= recorded
+
+
+def test_tools_run_on_a_stub_problem(tmp_path, capsys, function_surrogate):
+    sweep = _script("tools", "criterion8_sweep")
+    problem = InverseProblem(
+        surrogate=function_surrogate(lambda x: x[0]),
+        observed=0.3,
+        obs_variance=0.25,
+        bounds=((-10.0, 10.0),),
+    )
+    # nearly all reference mass lies in the second interval
+    interval = sweep.dominant_interval(problem, [(-9.0, -8.0), (-0.5, 1.0)])
+    assert interval == (-0.5, 1.0)
+    rng = np.random.default_rng(0)
+    chains = [
+        SimpleNamespace(samples=rng.normal(centre, 0.2, (500, 1)))
+        for centre in (0.3, -8.5, 0.6)
+    ]
+    assert sweep.kde_peak_hits(chains, problem.bounds, interval) == 2
+
+    digests = _script("tools", "preset_digests")
+    assert digests.main([str(tmp_path / "out"), "no-such-preset"]) == 2
+    assert "unknown preset(s): no-such-preset" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_public_names_are_bound_and_package_reexports_are_declared():

@@ -18,6 +18,7 @@ from gpinverse import (
     evaluate_profile_grid,
     grid_posterior,
     kde_estimate,
+    log_posterior,
     run_mcmc,
     silverman_bandwidth,
 )
@@ -114,6 +115,25 @@ class TestMcmc:
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(ca.path, cb.path)
 
+    def test_chains_started_where_the_density_underflows_settle_in_the_mode(
+        self, function_surrogate
+    ):
+        # A 0.001-wide Gaussian in a 20-wide box: exp() of the log density
+        # is 0.0 at every chain's first uniform draw, so only log-space
+        # acceptance can move the chains into the mode.
+        mu, sigma = 0.3, 1e-3
+        prob = _gaussian_target_problem(function_surrogate, mu, sigma)
+        cfg = McmcConfig(n_chains=4, n_steps=6000, burn_in=1000, seed=0)
+        starts = np.array(
+            [-10.0 + 20.0 * np.random.default_rng([0, i]).random(1) for i in range(4)]
+        )
+        assert np.all(np.exp(log_posterior(prob, starts)[1]) == 0.0)
+        for chain in _chains(prob, cfg):
+            s = chain.samples[:, 0]
+            assert np.max(np.abs(s - mu)) < 5 * sigma
+            assert abs(s.mean() - mu) < 0.25 * sigma
+            assert abs(s.std(ddof=1) - sigma) < 0.2 * sigma
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             McmcConfig(burn_in=100, n_steps=100)
@@ -200,6 +220,11 @@ class TestKde:
         with pytest.raises(DegenerateDataError, match="identical"):
             silverman_bandwidth(np.full(50, value))
 
+    @pytest.mark.parametrize("samples", [[], [0.4]], ids=["none", "one"])
+    def test_silverman_needs_two_samples(self, samples):
+        with pytest.raises(DegenerateDataError, match="2 samples"):
+            silverman_bandwidth(samples)
+
     def test_silverman_accepts_a_small_relative_spread(self):
         samples = 1.0 + 1e-10 * np.random.default_rng(4).standard_normal(50)
         assert silverman_bandwidth(samples) > 0.0
@@ -255,7 +280,7 @@ class TestKde:
 class TestLinearGaussianPosterior:
     def test_grid_posterior_matches_closed_form(self, linear_gaussian):
         prob, mean, var = linear_gaussian
-        ref = grid_posterior(prob, resolution=2048)
+        ref = grid_posterior(evaluate_profile_grid(prob, 2048))
         exact = stats.norm(mean, math.sqrt(var)).pdf(ref.grid)
         assert np.max(np.abs(ref.density - exact)) <= 1e-3 * np.max(exact)
 
@@ -322,20 +347,20 @@ class TestLinearGaussianPosterior:
 class TestGridPosterior:
     def test_integral_is_exactly_one(self, function_surrogate):
         prob = _gaussian_target_problem(function_surrogate)
-        ref = grid_posterior(prob, resolution=512)
+        ref = grid_posterior(evaluate_profile_grid(prob, 512))
         assert abs(np.trapezoid(ref.density, ref.grid) - 1.0) <= 1e-10
 
     def test_gaussian_mode_within_one_cell(self, function_surrogate):
         mu = 0.3
         prob = _gaussian_target_problem(function_surrogate, mu=mu)
-        ref = grid_posterior(prob, resolution=512)
+        ref = grid_posterior(evaluate_profile_grid(prob, 512))
         cell = (10.0 - (-10.0)) / 511
         assert len(ref.mode_locations) == 1
         assert abs(ref.mode_locations[0] - mu) <= cell
 
     def test_density_proportional_to_nls(self, function_surrogate):
         prob = _gaussian_target_problem(function_surrogate)
-        ref = grid_posterior(prob, resolution=128)
+        ref = grid_posterior(evaluate_profile_grid(prob, 128))
         # closed form of the stub: f(x) = x, so NLS = exp(-(obs - x)^2 / 2 sigma^2)
         nls = np.exp(-((prob.observed - ref.grid) ** 2) / (2.0 * prob.obs_variance))
         corr = np.corrcoef(nls, ref.density)[0, 1]
@@ -355,7 +380,7 @@ class TestGridPosterior:
             obs_variance=0.0016,
             bounds=((-10.0, 10.0),),
         )
-        ref = grid_posterior(prob, resolution=512)
+        ref = grid_posterior(evaluate_profile_grid(prob, 512))
         assert len(ref.mode_locations) >= 3
         gaps = np.diff(np.sort(ref.mode_indices))
         assert np.all(gaps > 5)
@@ -363,7 +388,7 @@ class TestGridPosterior:
     def test_resolution_validation(self, function_surrogate):
         prob = _gaussian_target_problem(function_surrogate)
         with pytest.raises(ConfigurationError):
-            grid_posterior(prob, resolution=32)
+            grid_posterior(evaluate_profile_grid(prob, 32))
 
     def test_2d_problem_rejected(self, function_surrogate):
         prob = InverseProblem(
@@ -373,4 +398,4 @@ class TestGridPosterior:
             bounds=((0.0, 1.0), (0.0, 1.0)),
         )
         with pytest.raises(UnsupportedDimensionError):
-            grid_posterior(prob, resolution=128)
+            grid_posterior(evaluate_profile_grid(prob, 128))

@@ -30,7 +30,7 @@ from gpinverse.sampling import grid_posterior, kde_estimate, run_mcmc
 
 def dominant_interval(problem, regions) -> tuple[float, float]:
     """The high-probability interval holding the most reference mass."""
-    ref = grid_posterior(problem, 512)
+    ref = grid_posterior(evaluate_profile_grid(problem, 512))
     masses = [
         float(np.trapezoid(np.where((ref.grid >= lo) & (ref.grid <= hi), ref.density, 0.0), ref.grid))
         for lo, hi in regions
