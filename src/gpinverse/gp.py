@@ -311,8 +311,9 @@ def _neg_lml_objective(data: Dataset, family: str, noise_variance: float):
     """-LML of theta = log (length scale, signal variance) and its gradient.
 
     The input checks and the pairwise distances depend only on the dataset,
-    so they run once here.  Each call returns (value, gradient).  The value
-    goes through gp_fit's _cholesky_with_jitter and _lml, so it is
+    so they run once here.  It returns the value alone, for the probe grid,
+    and (value, gradient), for the ascents, both through one factor helper.
+    The value goes through gp_fit's _cholesky_with_jitter and _lml, so it is
     bit-identical to -log_marginal_likelihood(gp_fit(...)) at the same theta
     and the winning ascent's likelihood is the fitted model's; it is inf,
     with a zero gradient, where the factorization fails at every jitter.
@@ -327,13 +328,20 @@ def _neg_lml_objective(data: Dataset, family: str, noise_variance: float):
     _check_fit_inputs(data, noise_variance)
     r = cdist(data.x, data.x)
 
-    def neg_lml(theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def factor(theta: np.ndarray):
         ell, s2 = math.exp(theta[0]), math.exp(theta[1])
         k = _kernel_from_r(family, ell, s2, r)
-        factor = _cholesky_with_jitter(k.copy(), noise_variance, data.y)
-        if factor is None:
+        return ell, s2, k, _cholesky_with_jitter(k.copy(), noise_variance, data.y)
+
+    def neg_lml(theta: np.ndarray) -> float:
+        fac = factor(theta)[3]
+        return math.inf if fac is None else -_lml(data.y, fac[0], fac[1])
+
+    def neg_lml_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        ell, s2, k, fac = factor(theta)
+        if fac is None:
             return math.inf, np.zeros(2)
-        chol, alpha, _ = factor
+        chol, alpha, _ = fac
         if family == "rbf":
             dk_dlog_ell = k * (r * r) / (ell * ell)
         else:
@@ -346,7 +354,7 @@ def _neg_lml_objective(data: Dataset, family: str, noise_variance: float):
         grad = [alpha @ dk @ alpha - np.vdot(kinv, dk) for dk in (dk_dlog_ell, k)]
         return -_lml(data.y, chol, alpha), -0.5 * np.array(grad)
 
-    return neg_lml
+    return neg_lml, neg_lml_and_grad
 
 
 def _hyper_bounds(data: Dataset) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -386,13 +394,13 @@ def gp_optimize_hyperparameters(
 
     failed = "all hyperparameter restarts failed to produce a valid factorization"
     try:
-        neg_lml = _neg_lml_objective(data, family, noise_variance)
+        neg_lml, neg_lml_and_grad = _neg_lml_objective(data, family, noise_variance)
     except DegenerateDataError as exc:
         raise NumericalError(f"{failed}: {exc}") from exc
 
     axes = [np.linspace(lo, hi, _PROBE_POINTS_PER_AXIS) for lo, hi in log_bounds]
     cells = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
-    values = np.array([neg_lml(theta)[0] for theta in cells])
+    values = np.array([neg_lml(theta) for theta in cells])
     finite = np.flatnonzero(np.isfinite(values))
     starts = cells[finite[np.argsort(values[finite], kind="stable")[:restarts]]]
 
@@ -400,7 +408,7 @@ def gp_optimize_hyperparameters(
     best_theta = None
     for theta0 in starts:
         res = sopt.minimize(
-            neg_lml, theta0, method="L-BFGS-B", jac=True, bounds=log_bounds
+            neg_lml_and_grad, theta0, method="L-BFGS-B", jac=True, bounds=log_bounds
         )
         if math.isfinite(res.fun) and res.fun < best_val:
             best_val = res.fun

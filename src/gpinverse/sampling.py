@@ -80,6 +80,8 @@ class McmcConfig:
             )
         if not 0.0 < self.proposal_scale <= 1.0:
             raise ConfigurationError("proposal_scale must lie in (0, 1]")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ class ChainResult:
 
 
 def _chain_rng(seed: int, chain_index: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed) % (2**63), int(chain_index)])
+    return np.random.default_rng([int(seed), int(chain_index)])
 
 
 class _ProfileProposal:

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import optimize as sopt
 from scipy.spatial.distance import pdist
 
+import gpinverse.bo as bo
 from gpinverse import (
     AcquisitionSpec,
     BoConfig,
     ConfigurationError,
     Dataset,
     KernelSpec,
+    NumericalError,
     acquire_batch,
     expected_improvement,
     get_benchmark,
@@ -22,10 +25,18 @@ from gpinverse import (
     gp_predict_many,
     log_marginal_likelihood,
     run_bo,
+    sample_initial_design,
     upper_confidence_bound,
 )
-from gpinverse.bo import _acquisition_and_grad, _validation_set
+from gpinverse.bo import (
+    ASCENT_STARTS,
+    _acquisition_and_grad,
+    _fit_for_config,
+    _probe_grid,
+    _validation_set,
+)
 from gpinverse.gp import gp_predict_grad
+from gpinverse.presets import PRESETS
 
 
 def _toy_model(seed=0, n=5, bounds=((-3.0, 3.0),)):
@@ -243,6 +254,72 @@ class TestAcquireBatch:
         p0 = acquire_batch(m0, acq, bounds, 3)
         p1 = acquire_batch(m1, acq, bounds, 3)
         np.testing.assert_allclose(p0, p1, atol=1e-9)
+
+
+def _per_start_pick(model, spec, bounds):
+    """One pick by the per-start form: an L-BFGS-B run from each start alone."""
+    lo, hi = np.asarray(bounds, dtype=float).T
+    grid = _probe_grid(bounds)
+    grid_scores = _acquisition_and_grad(model, spec, grid)[0]
+    starts = grid[np.argsort(-grid_scores, kind="stable")[:ASCENT_STARTS]]
+
+    def neg_acq(x):
+        value, grad = _acquisition_and_grad(model, spec, x[None, :])
+        return -value[0], -grad[0]
+
+    ends = []
+    for s in starts:
+        res = sopt.minimize(
+            neg_acq, s, method="L-BFGS-B", jac=True, bounds=bounds,
+            options={"maxiter": 30},
+        )
+        ends.append(np.clip(res.x, lo, hi))
+    end_scores = _acquisition_and_grad(model, spec, np.array(ends))[0]
+    return max(np.max(grid_scores), np.max(end_scores))
+
+
+class TestStackedAscent:
+    @pytest.mark.parametrize(
+        "preset", ["forrester-inverse", "mixed1d-inverse", "mixed2d-inverse"]
+    )
+    def test_reaches_the_per_start_maximum(self, preset):
+        config = PRESETS[preset].bo
+        hf = get_benchmark(PRESETS[preset].benchmark)
+        spec = AcquisitionSpec(config.acquisition, config.kappa)
+        for n in (config.n_init, config.n_init + 4, config.n_init + 8):
+            model = _fit_for_config(sample_initial_design(hf, n, config.seed), config)
+            pick = acquire_batch(model, spec, hf.bounds, 1)
+            got = _acquisition_and_grad(model, spec, pick)[0][0]
+            want = _per_start_pick(model, spec, hf.bounds)
+            assert got >= want - 1e-9 * abs(want)
+
+    def test_one_optimizer_run_per_pick(self, monkeypatch):
+        # the per-start form made ASCENT_STARTS runs of d variables per pick
+        calls = []
+        minimize = bo.sopt.minimize
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(bo.sopt, "minimize", counting)
+        model = _toy_model(seed=2, bounds=((-3.0, 3.0), (0.0, 1.0)))
+        acquire_batch(model, AcquisitionSpec("ucb", kappa=200.0), model.data.bounds, 3)
+        assert calls == [(2 * ASCENT_STARTS,)] * 3
+
+    def test_non_finite_acquisition_is_a_numerical_error(self, monkeypatch):
+        hf = get_benchmark("forrester1d")
+        data = sample_initial_design(hf, 5, 0)
+        model = gp_fit(data, KernelSpec("matern52", 0.2, 1.0), 1e-6)
+        predict = bo.gp_predict_many
+
+        def nan_past_0_9(model, x):
+            mean, var = predict(model, x)
+            return np.where(x[:, 0] > 0.9, np.nan, mean), var
+
+        monkeypatch.setattr(bo, "gp_predict_many", nan_past_0_9)
+        with pytest.raises(NumericalError, match="not finite"):
+            acquire_batch(model, AcquisitionSpec("ucb", kappa=200.0), hf.bounds, 1)
 
 
 class TestValidationMse:

@@ -330,7 +330,7 @@ class TestHyperparameterFit:
         jitters = set()
         for family in ("matern52", "rbf"):
             for noise in (0.0, 1e-6):
-                objective = _neg_lml_objective(ds, family, noise)
+                value, objective = _neg_lml_objective(ds, family, noise)
                 for log_ell in np.linspace(math.log(0.01), math.log(10.0), 7):
                     for log_s2 in np.linspace(math.log(1e-6), math.log(1e12), 7):
                         spec = KernelSpec(family, math.exp(log_ell), math.exp(log_s2))
@@ -341,7 +341,9 @@ class TestHyperparameterFit:
                         else:
                             want, jitter = -log_marginal_likelihood(model), model.jitter
                         jitters.add(jitter)
-                        assert objective(np.array([log_ell, log_s2]))[0] == want
+                        theta = np.array([log_ell, log_s2])
+                        assert objective(theta)[0] == want
+                        assert value(theta) == objective(theta)[0]
         assert None in jitters
         assert len(jitters - {None, 0.0}) >= 3
 
@@ -353,7 +355,7 @@ class TestHyperparameterFit:
         jitters = set()
         for family in ("matern52", "rbf"):
             for noise in (0.0, 1e-6):
-                objective = _neg_lml_objective(ds, family, noise)
+                objective = _neg_lml_objective(ds, family, noise)[1]
                 for log_ell in np.linspace(math.log(0.01), math.log(10.0), 7):
                     for log_s2 in np.linspace(math.log(1e-6), math.log(1e12), 7):
                         spec = KernelSpec(family, math.exp(log_ell), math.exp(log_s2))
@@ -370,7 +372,7 @@ class TestHyperparameterFit:
         rng = np.random.default_rng([dim, int(noise * 1e6)])
         x = rng.uniform(0, 1, size=(9, dim))
         ds = Dataset(x=x, y=np.sin(6 * x[:, 0]) + x[:, -1], bounds=((0.0, 1.0),) * dim)
-        objective = _neg_lml_objective(ds, family, noise)
+        objective = _neg_lml_objective(ds, family, noise)[1]
         lo, hi = np.log(_hyper_bounds(ds)).T
         # a wider step than 1e-5 keeps the round-off of ill-conditioned
         # small-noise RBF kernels out of the differences

@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 from gpinverse import (
+    BoConfig,
     ConfigurationError,
     DegenerateDataError,
     GaussianPrior,
@@ -16,9 +17,11 @@ from gpinverse import (
     McmcConfig,
     UnsupportedDimensionError,
     evaluate_profile_grid,
+    get_benchmark,
     grid_posterior,
     kde_estimate,
     log_posterior,
+    run_bo,
     run_mcmc,
     silverman_bandwidth,
 )
@@ -114,6 +117,22 @@ class TestMcmc:
         b = _chains(prob, cfg)
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(ca.path, cb.path)
+
+    def test_seeds_past_the_old_moduli_do_not_alias(self, function_surrogate):
+        # chain seeds were reduced mod 2^63 and the validation seed mod 2^32
+        prob = _gaussian_target_problem(function_surrogate)
+        paths = [
+            _chains(prob, McmcConfig(n_chains=1, n_steps=20, burn_in=0, seed=s))[0].path
+            for s in (0, 2**63)
+        ]
+        assert not np.array_equal(*paths)
+        hf = get_benchmark("forrester1d")
+        val_seeds = [
+            run_bo(hf, BoConfig(n_init=4, max_evaluations=4, n_val=100, seed=s))
+            .validation_seed
+            for s in (3, 2**32 + 3)
+        ]
+        assert val_seeds[0] != val_seeds[1]
 
     def test_chains_started_where_the_density_underflows_settle_in_the_mode(
         self, function_surrogate
