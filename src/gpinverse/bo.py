@@ -22,7 +22,7 @@ from scipy import optimize as sopt
 from scipy import special as ssp
 from scipy.spatial.distance import cdist
 
-from .benchmarks import HighFidelityModel, eval_benchmark
+from .benchmarks import HighFidelityModel, eval_benchmark, sample_initial_design
 from .data import Dataset
 from .errors import ConfigurationError, GpInverseError, NumericalError
 from .gp import (
@@ -329,8 +329,6 @@ def _fit_for_config(data: Dataset, config: BoConfig) -> GpModel:
 
 def run_bo(hf: HighFidelityModel, config: BoConfig) -> BoTrace:
     """Run the adaptive surrogate-construction loop on one benchmark."""
-    from .benchmarks import sample_initial_design
-
     data = sample_initial_design(hf, config.n_init, config.seed)
     val_seed = int(np.random.default_rng([config.seed, 1]).integers(2**31))
     val_points, val_truth = _validation_set(hf, config.n_val, val_seed)

@@ -159,11 +159,8 @@ class GpModel:
 
     def mean_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean (m,) and its gradient (m, d) at each row of x."""
-        x = _query_points(self, x)
-        r = cdist(self.data.x, x)
-        spec = self.kernel
-        ks = _kernel_from_r(spec.family, spec.length_scale, spec.signal_variance, r)
-        return ks.T @ self.alpha, _mean_grad(self, x, r)[1]
+        _, ks, _, dmean = _mean_grad_terms(self, x)
+        return ks.T @ self.alpha, dmean
 
     def mean_hessian(self, x: np.ndarray) -> np.ndarray:
         """(d, d) Hessian of the posterior mean at one point x."""
@@ -264,11 +261,15 @@ def gp_predict_many(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return mean, var
 
 
-def _mean_grad(model: GpModel, x: np.ndarray, r: np.ndarray):
-    """g(r) and the mean gradient at rows x, given their (n, m) distances r."""
-    g = _kernel_grad_over_r(model.kernel, r)
+def _mean_grad_terms(model: GpModel, x: np.ndarray):
+    """Checked rows x, their (n, m) cross-covariance, g(r) and mean gradient."""
+    x = _query_points(model, x)
+    r = cdist(model.data.x, x)
+    spec = model.kernel
+    ks = _kernel_from_r(spec.family, spec.length_scale, spec.signal_variance, r)
+    g = _kernel_grad_over_r(spec, r)
     alpha = model.alpha
-    return g, x * (g.T @ alpha)[:, None] - (g * alpha[:, None]).T @ model.data.x
+    return x, ks, g, x * (g.T @ alpha)[:, None] - (g * alpha[:, None]).T @ model.data.x
 
 
 def gp_predict_grad(model: GpModel, x: np.ndarray):
@@ -282,15 +283,10 @@ def gp_predict_grad(model: GpModel, x: np.ndarray):
     for the variance (Rasmussen & Williams 2006, section 9.4).  Where the
     variance is clipped its gradient is zero.
     """
-    x = _query_points(model, x)
-    xt = model.data.x
-    r = cdist(xt, x)
-    g, dmean = _mean_grad(model, x, r)
-    spec = model.kernel
-    ks = _kernel_from_r(spec.family, spec.length_scale, spec.signal_variance, r)
+    x, ks, g, dmean = _mean_grad_terms(model, x)
     mean, v, var = _posterior(model, ks)
     gw = g * sla.solve_triangular(model.chol, v, lower=True, trans="T")
-    dvar = -2.0 * (x * gw.sum(axis=0)[:, None] - gw.T @ xt)
+    dvar = -2.0 * (x * gw.sum(axis=0)[:, None] - gw.T @ model.data.x)
     cap = model.kernel.signal_variance + model.noise_variance
     dvar[(var == 0.0) | (var == cap)] = 0.0
     return mean, var, dmean, dvar

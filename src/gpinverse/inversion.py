@@ -150,16 +150,17 @@ def _prior_term(problem: InverseProblem, points: np.ndarray):
     return np.einsum("ij,ij->i", scaled, dx), 2.0 * scaled
 
 
-def _objective_and_grad(problem: InverseProblem, x) -> tuple[float, np.ndarray]:
-    """Phi(x) and its gradient at one point."""
-    x = np.atleast_2d(x)
-    mean, grad = problem.surrogate.mean_grad(x)
-    resid = problem.observed - float(mean[0])
-    value, grad = resid * resid, -2.0 * resid * grad[0]
-    if problem.prior is None:
-        return value, grad
-    term, dterm = _prior_term(problem, x)
-    return value + float(term[0]), grad + dterm[0]
+def _objective_and_grad(problem: InverseProblem, points: np.ndarray):
+    """Phi, grad Phi, observed - mean and grad mean at each row of (m, d) points."""
+    mean, dmean = problem.surrogate.mean_grad(points)
+    resid = problem.observed - mean
+    with np.errstate(over="ignore"):  # an infinite Phi fails its MAP start
+        phi = resid * resid
+    grad = -2.0 * resid[:, None] * dmean
+    if problem.prior is not None:
+        term, dterm = _prior_term(problem, points)
+        phi, grad = phi + term, grad + dterm
+    return phi, grad, resid, dmean
 
 
 def log_posterior(problem: InverseProblem, points: np.ndarray):
@@ -305,11 +306,15 @@ def map_multistart(problem: InverseProblem, n_starts: int, seed: int) -> Posteri
     lo, hi = np.asarray(problem.bounds, dtype=float).T
     starts = lo + rng.random((n_starts, problem.dim)) * (hi - lo)
 
+    def objective(x):
+        phi, grad, _, _ = _objective_and_grad(problem, x[None, :])
+        return float(phi[0]), grad[0]
+
     endpoints, objectives, grads, failures = [], [], [], []
     for k, x0 in enumerate(starts):
         try:
             res = sopt.minimize(
-                lambda x: _objective_and_grad(problem, x),
+                objective,
                 x0,
                 jac=True,
                 method="L-BFGS-B",
@@ -344,47 +349,45 @@ def map_multistart(problem: InverseProblem, n_starts: int, seed: int) -> Posteri
 Z_95 = 1.96
 
 
+def _degenerate_laplace(message: str) -> LaplaceResult:
+    return LaplaceResult(
+        cov=None, intervals=None, level=0.95, degenerate=True, message=message
+    )
+
+
 def laplace_approximation(problem: InverseProblem, x_map) -> LaplaceResult:
     """Inverse-Hessian Gaussian approximation at a MAP point.
 
     The Hessian of the negative log-posterior Phi / (2 sigma_obs^2) comes
     from the surrogate's exact mean gradient and Hessian, plus the prior
-    precision when the problem has a prior, so it needs no step size and
-    holds on a bound too.  A point whose grad Phi norm reaches 1e-4 is
-    rejected as not stationary.  A Hessian that is not positive definite
-    yields a degeneracy signal instead of credible intervals, since a single
-    Gaussian mode would badly understate the uncertainty in that case.
+    precision when the problem has a prior, so it needs no step size.  A
+    point that is not stationary, with a grad Phi norm of 1e-4 or more such
+    as a MAP held on the edge of the box, and a Hessian that is not positive
+    definite both yield a degenerate record, whose message gives the reason,
+    instead of credible intervals: a single Gaussian mode there would badly
+    misstate the uncertainty.
     """
     x = check_in_bounds(problem.bounds, x_map)
-    mean, dmean = problem.surrogate.mean_grad(x[None, :])
-    resid = problem.observed - float(mean[0])
-    dmean = dmean[0]
-    grad = -2.0 * resid * dmean
-    hess = np.outer(dmean, dmean) - resid * problem.surrogate.mean_hessian(x)
-    hess = 0.5 * (hess + hess.T) / problem.obs_variance
-    if problem.prior is not None:
-        grad = grad + _prior_term(problem, x[None, :])[1][0]
-        hess = hess + problem.prior.precision
-    grad_norm = float(np.linalg.norm(grad))
+    _, grad, resid, dmean = _objective_and_grad(problem, x[None, :])
+    grad_norm = float(np.linalg.norm(grad[0]))
     if not grad_norm < _STATIONARY_GRAD_TOL:
-        raise InferenceError(
+        return _degenerate_laplace(
             f"point is not stationary: gradient norm {grad_norm:.3e} >= "
             f"{_STATIONARY_GRAD_TOL:g}"
         )
+    resid, dmean = float(resid[0]), dmean[0]
+    hess = np.outer(dmean, dmean) - resid * problem.surrogate.mean_hessian(x)
+    hess = 0.5 * (hess + hess.T) / problem.obs_variance
+    if problem.prior is not None:
+        hess = hess + problem.prior.precision
 
     eigs = np.linalg.eigvalsh(hess)
     scale = max(abs(float(eigs[-1])), 1e-300)
     if eigs[0] <= 1e-10 * scale:
-        return LaplaceResult(
-            cov=None,
-            intervals=None,
-            level=0.95,
-            degenerate=True,
-            message=(
-                "curvature is not positive definite at this point "
-                f"(eigenvalues {eigs.tolist()}); the posterior is multimodal "
-                "or locally flat and a single Gaussian would understate it"
-            ),
+        return _degenerate_laplace(
+            "curvature is not positive definite at this point "
+            f"(eigenvalues {eigs.tolist()}); the posterior is multimodal "
+            "or locally flat and a single Gaussian would understate it"
         )
     cov = np.linalg.inv(hess)
     cov = 0.5 * (cov + cov.T)

@@ -26,7 +26,7 @@ from .baselines import FAMILIES as DETERMINISTIC_FAMILIES
 from .baselines import eval_deterministic, fit_deterministic
 from .benchmarks import check_in_bounds, eval_benchmark, get_benchmark
 from .bo import BoConfig, BoTrace, run_bo, _validation_set
-from .errors import ConfigurationError, GpInverseError, InferenceError, ShapeError
+from .errors import ConfigurationError, GpInverseError, ShapeError
 from .gp import KernelSpec, gp_fit, gp_predict_many
 from .inversion import (
     HP_THRESHOLD,
@@ -288,8 +288,6 @@ _SECTIONS = {"bo": BoConfig, "inversion": InversionSettings, "mcmc": McmcConfig}
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, tuple):
@@ -496,10 +494,7 @@ def _run_inversion_stage(config, hf, model, result):
     summary.hp_regions = high_probability_region(profile, HP_THRESHOLD)
     summary.metadata["hp_threshold"] = HP_THRESHOLD
     best = summary.map_clusters[0]
-    try:
-        summary.laplace = laplace_approximation(problem, best.x)
-    except InferenceError as exc:
-        summary.metadata["laplace_skipped"] = str(exc)
+    summary.laplace = laplace_approximation(problem, best.x)
 
     _write_json(result, "posterior.json", summary)
     _, points, ls, nls, nls_norm = profile

@@ -98,7 +98,9 @@ class ChainResult:
 
 
 def _chain_rng(seed: int, chain_index: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), int(chain_index)])
+    # SeedSequence pads missing words with zeros, so every seed below 2^32
+    # keeps the stream of the plain (seed, chain_index) entropy.
+    return np.random.default_rng([seed & 0xFFFFFFFF, chain_index, seed >> 32])
 
 
 class _ProfileProposal:

@@ -16,6 +16,7 @@ from gpinverse import (
     BoConfig,
     ConfigurationError,
     Dataset,
+    DegenerateDataError,
     KernelSpec,
     NumericalError,
     acquire_batch,
@@ -386,6 +387,17 @@ class TestRunBo:
         last = trace.iterations[-1].log_marginal_likelihood
         assert last == log_marginal_likelihood(trace.final_model)
         assert all(math.isfinite(r.log_marginal_likelihood) for r in trace.iterations)
+
+    def test_fit_failure_is_a_numerical_error_naming_the_iteration(self, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise DegenerateDataError("no factor")
+
+        monkeypatch.setattr(bo, "gp_optimize_hyperparameters", failing_fit)
+        cfg = BoConfig(max_evaluations=8, n_val=100, seed=0)
+        with pytest.raises(
+            NumericalError, match="failed at iteration 0 with 5 samples: no factor"
+        ):
+            run_bo(get_benchmark("forrester1d"), cfg)
 
     def test_acquired_points_strictly_inside_bounds(self):
         hf = get_benchmark("mixed1d")

@@ -349,7 +349,11 @@ _COMPARE = _SMALL_RUN + "compare_benchmarks = forrester1d\n"
         _RUN_OBS + "inversion.grid_resolution = 32\n",
         _RUN_OBS + "inversion.n_starts = 0\n",
         _RUN_OBS + "inversion.max_iter = 400\n",
-        _RUN_OBS + "inversion.obs_variance = inf\n",
+        _SMALL_RUN + "inversion.obs_variance = inf\ninversion.observed = -6.02\n",
+        _SMALL_RUN + "inversion.obs_variance = 0\ninversion.observed = -6.02\n",
+        # exactly one of observed and x_true
+        _RUN_OBS + "inversion.x_true = 0.5\n",
+        _RUN_INV,
         # 2048 cells per axis exceed the grid cap in 2-D
         _SMALL_RUN.replace("forrester1d", "mixed2d") + _OBS,
         _RUN_OBS + "bo.kappa = nan\n",
@@ -812,6 +816,17 @@ def test_tools_run_on_a_stub_problem(tmp_path, capsys, function_surrogate):
     assert digests.main([str(tmp_path / "out"), "no-such-preset"]) == 2
     assert "unknown preset(s): no-such-preset" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_fit_replay_refits_a_recorded_run_bit_for_bit(tmp_path):
+    # one refit per BO iteration, on the same datasets as the run
+    text = _SMALL_RUN.replace("1000000.0", "1e-12")
+    run_experiment(config_from_text(text), str(tmp_path))
+    with open(tmp_path / "trace.json", encoding="utf-8") as fh:
+        iterations = json.load(fh)["iterations"]
+    assert [r["n_samples"] for r in iterations] == [4, 5, 6]
+    replay = _script("tools", "fit_replay").replay(str(tmp_path))
+    assert replay == [(r["index"], r["log_marginal_likelihood"]) for r in iterations]
 
 
 def test_public_names_are_bound_and_package_reexports_are_declared():

@@ -13,6 +13,7 @@ from gpinverse import (
     ConfigurationError,
     DegenerateDataError,
     GaussianPrior,
+    InferenceError,
     InverseProblem,
     McmcConfig,
     UnsupportedDimensionError,
@@ -126,6 +127,10 @@ class TestMcmc:
             for s in (0, 2**63)
         ]
         assert not np.array_equal(*paths)
+        # chain 0 of seed 2^32 drew chain 1's stream of seed 0
+        chain_0 = _chains(prob, McmcConfig(n_chains=1, n_steps=20, burn_in=0, seed=2**32))
+        chain_1 = _chains(prob, McmcConfig(n_chains=2, n_steps=20, burn_in=0, seed=0))
+        assert not np.array_equal(chain_0[0].path, chain_1[1].path)
         hf = get_benchmark("forrester1d")
         val_seeds = [
             run_bo(hf, BoConfig(n_init=4, max_evaluations=4, n_val=100, seed=s))
@@ -408,6 +413,15 @@ class TestGridPosterior:
         prob = _gaussian_target_problem(function_surrogate)
         with pytest.raises(ConfigurationError):
             grid_posterior(evaluate_profile_grid(prob, 32))
+
+    def test_nls_underflowing_on_the_whole_grid_is_an_inference_error(
+        self, function_surrogate
+    ):
+        # an observation 1e6 away from the stub's range gives NLS = 0.0 at
+        # every cell
+        prob = _gaussian_target_problem(function_surrogate, mu=1e6, sigma=1.0)
+        with pytest.raises(InferenceError, match="underflowed"):
+            grid_posterior(evaluate_profile_grid(prob, 128))
 
     def test_2d_problem_rejected(self, function_surrogate):
         prob = InverseProblem(
