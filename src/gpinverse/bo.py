@@ -117,7 +117,7 @@ def _acquisition_and_grad(model, spec, x):
     """Acquisition scores at the rows of x and their gradients in x.
 
     d sigma = d var / (2 sigma), which is 0 where sigma = 0 because
-    gp_predict_grad zeroes d var where the variance is clipped.  UCB
+    gp_predict_grad zeroes d var where the variance is floored at zero.  UCB
     differentiates to d mu + kappa d sigma and EI to Phi(z) d mu + phi(z)
     d sigma; at sigma = 0 EI is max(mu - incumbent, 0), whose gradient is d mu
     where mu exceeds the incumbent and 0 elsewhere.
@@ -169,7 +169,8 @@ def acquire_batch(
     both in the scores and in the choice of starts, so the next pick lands
     elsewhere.  Exact ties go to the lexicographically smallest point.
     Nothing is random, so the picks depend only on the model and the bounds.
-    A non-finite acquisition raises NumericalError.
+    A non-finite acquisition or ascent gradient raises NumericalError naming
+    the pick.
     """
     if n_acq < 1:
         raise ConfigurationError("n_acq must be >= 1")
@@ -182,6 +183,8 @@ def acquire_batch(
 
     def neg_total(flat):
         value, grad = _acquisition_and_grad(model, spec, flat.reshape(-1, len(lo)))
+        if not (np.all(np.isfinite(value)) and np.all(np.isfinite(grad))):
+            raise NumericalError(f"acquisition ascent is not finite at pick {len(picked)}")
         return -np.sum(value), -grad.ravel()
 
     picked: list[np.ndarray] = []
@@ -201,7 +204,7 @@ def acquire_batch(
         scores = np.concatenate(
             [grid_scores, _penalized_scores(model, spec, ends, picked, radii)]
         )
-        if not (np.isfinite(res.fun) and np.all(np.isfinite(scores))):
+        if not np.all(np.isfinite(scores)):
             raise NumericalError(f"acquisition is not finite at pick {len(picked)}")
         best = np.max(scores)
         tied = candidates[scores >= best]

@@ -69,6 +69,11 @@ _MEAN_CHUNK_ROWS = 4096
 # seeds the hyperparameter ascents.
 _PROBE_POINTS_PER_AXIS = 7
 
+# Length scales, as multiples of the widest box width, that the fit searches
+# and that a fixed length scale must lie in: far outside them the kernel and
+# its derivatives overflow or underflow.
+LENGTH_SCALE_FACTORS = (1e-2, 10.0)
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -218,11 +223,14 @@ def gp_fit(data: Dataset, spec: KernelSpec, noise_variance: float) -> GpModel:
     factor = _cholesky_with_jitter(k, noise_variance, data.y)
     if factor is None:
         # the rungs left k's diagonal shifted; estimate on the kernel itself
-        k = kernel_matrix(spec, data.x, data.x)
-        cond = float(np.linalg.cond(k + noise_variance * np.eye(data.n)))
+        k = kernel_matrix(spec, data.x, data.x) + noise_variance * np.eye(data.n)
+        detail = (
+            f"condition estimate {np.linalg.cond(k):.3e}"
+            if np.all(np.isfinite(k))
+            else "the kernel matrix is not finite"
+        )
         raise NumericalError(
-            f"Cholesky factorization failed up to jitter {_JITTER_LADDER[-1]:g} "
-            f"(condition estimate {cond:.3e})"
+            f"Cholesky factorization failed up to jitter {_JITTER_LADDER[-1]:g} ({detail})"
         )
     chol, alpha, jitter = factor
     return GpModel(
@@ -246,11 +254,10 @@ def _query_points(model: GpModel, x: np.ndarray) -> np.ndarray:
 
 
 def _posterior(model: GpModel, ks: np.ndarray):
-    """Mean, L^-1 ks and clipped variance from the (n, m) cross-covariance."""
+    """Mean, L^-1 ks and variance floored at zero from the (n, m) cross-covariance."""
     mean = ks.T @ model.alpha
     v = sla.solve_triangular(model.chol, ks, lower=True)
-    prior = model.kernel.signal_variance
-    var = np.clip(prior - np.sum(v * v, axis=0), 0.0, prior + model.noise_variance)
+    var = np.maximum(model.kernel.signal_variance - np.sum(v * v, axis=0), 0.0)
     return mean, v, var
 
 
@@ -281,14 +288,13 @@ def gp_predict_grad(model: GpModel, x: np.ndarray):
     g-weighted sum over the training rows:
     x (g^T w) - (g w)^T X, with w = alpha for the mean and w = K^-1 k(X, x)
     for the variance (Rasmussen & Williams 2006, section 9.4).  Where the
-    variance is clipped its gradient is zero.
+    variance is floored at zero its gradient is zero.
     """
     x, ks, g, dmean = _mean_grad_terms(model, x)
     mean, v, var = _posterior(model, ks)
     gw = g * sla.solve_triangular(model.chol, v, lower=True, trans="T")
     dvar = -2.0 * (x * gw.sum(axis=0)[:, None] - gw.T @ model.data.x)
-    cap = model.kernel.signal_variance + model.noise_variance
-    dvar[(var == 0.0) | (var == cap)] = 0.0
+    dvar[var == 0.0] = 0.0
     return mean, var, dmean, dvar
 
 
@@ -355,7 +361,7 @@ def _neg_lml_objective(data: Dataset, family: str, noise_variance: float):
 
 def _hyper_bounds(data: Dataset) -> tuple[tuple[float, float], tuple[float, float]]:
     width = float(np.max(data.widths()))
-    ell_lo, ell_hi = 1e-2 * width, 10.0 * width
+    ell_lo, ell_hi = (f * width for f in LENGTH_SCALE_FACTORS)
     y_var = float(np.var(data.y))
     s2_lo, s2_hi = 1e-6, 1e3 * y_var + 1e-6
     return (ell_lo, ell_hi), (s2_lo, s2_hi)

@@ -170,7 +170,8 @@ def log_posterior(problem: InverseProblem, points: np.ndarray):
     """
     ls = np.square(problem.observed - problem.surrogate.predict_mean(points))
     phi = ls if problem.prior is None else ls + _prior_term(problem, points)[0]
-    return ls, -phi / (2.0 * problem.obs_variance)
+    with np.errstate(over="ignore"):  # a log NLS below -1e308 is -inf
+        return ls, -phi / (2.0 * problem.obs_variance)
 
 
 @dataclass(frozen=True)
@@ -362,10 +363,10 @@ def laplace_approximation(problem: InverseProblem, x_map) -> LaplaceResult:
     from the surrogate's exact mean gradient and Hessian, plus the prior
     precision when the problem has a prior, so it needs no step size.  A
     point that is not stationary, with a grad Phi norm of 1e-4 or more such
-    as a MAP held on the edge of the box, and a Hessian that is not positive
-    definite both yield a degenerate record, whose message gives the reason,
-    instead of credible intervals: a single Gaussian mode there would badly
-    misstate the uncertainty.
+    as a MAP held on the edge of the box, a Hessian that overflows the float
+    range and one that is not positive definite each yield a degenerate
+    record, whose message gives the reason, instead of credible intervals:
+    a single Gaussian mode there would badly misstate the uncertainty.
     """
     x = check_in_bounds(problem.bounds, x_map)
     _, grad, resid, dmean = _objective_and_grad(problem, x[None, :])
@@ -377,9 +378,15 @@ def laplace_approximation(problem: InverseProblem, x_map) -> LaplaceResult:
         )
     resid, dmean = float(resid[0]), dmean[0]
     hess = np.outer(dmean, dmean) - resid * problem.surrogate.mean_hessian(x)
-    hess = 0.5 * (hess + hess.T) / problem.obs_variance
+    with np.errstate(over="ignore"):
+        hess = 0.5 * (hess + hess.T) / problem.obs_variance
     if problem.prior is not None:
         hess = hess + problem.prior.precision
+    if not np.all(np.isfinite(hess)):
+        return _degenerate_laplace(
+            f"curvature is not finite at this point: obs_variance "
+            f"{problem.obs_variance:g} scales it past the float range"
+        )
 
     eigs = np.linalg.eigvalsh(hess)
     scale = max(abs(float(eigs[-1])), 1e-300)
@@ -410,10 +417,10 @@ def evaluate_profile_grid(problem: InverseProblem, grid_resolution: int):
     Returns (axes, points, ls, nls, nls_normalized) where ``axes`` is the
     per-dimension coordinate vector list and ``points`` the full grid in row
     order (C order for 2D).  ``ls`` is the misfit alone and
-    ``nls = exp(-Phi / (2 sigma_obs^2))`` includes the prior.  A grid of more
-    than MAX_GRID_CELLS cells is rejected.  Where NLS underflows to zero on
-    the whole grid, the normalized profile is exp(log NLS - max log NLS)
-    instead.
+    ``nls = exp(-Phi / (2 sigma_obs^2))`` includes the prior, and
+    ``nls_normalized = exp(log NLS - max log NLS)``.  A grid of more than
+    MAX_GRID_CELLS cells is rejected; one without a finite log NLS raises
+    InferenceError.
     """
     if grid_resolution < 2:
         raise ConfigurationError("grid_resolution must be >= 2")
@@ -428,10 +435,13 @@ def evaluate_profile_grid(problem: InverseProblem, grid_resolution: int):
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
     ls, log_nls = log_posterior(problem, points)
-    nls = np.exp(log_nls)
-    peak = float(np.max(nls))
-    normalized = nls / peak if peak > 0 else np.exp(log_nls - log_nls.max())
-    return axes, points, ls, nls, normalized
+    peak = float(np.max(log_nls))
+    if not math.isfinite(peak):
+        raise InferenceError(
+            f"log NLS is not finite on any of the {len(points)} grid cells: obs_variance "
+            f"{problem.obs_variance:g} is too small for the least misfit {np.min(ls):.6g}"
+        )
+    return axes, points, ls, np.exp(log_nls), np.exp(log_nls - peak)
 
 
 def high_probability_region(profile, threshold: float):

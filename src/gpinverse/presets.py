@@ -27,7 +27,7 @@ from .baselines import eval_deterministic, fit_deterministic
 from .benchmarks import check_in_bounds, eval_benchmark, get_benchmark
 from .bo import BoConfig, BoTrace, run_bo, _validation_set
 from .errors import ConfigurationError, GpInverseError, ShapeError
-from .gp import KernelSpec, gp_fit, gp_predict_many
+from .gp import LENGTH_SCALE_FACTORS, KernelSpec, gp_fit, gp_predict_many
 from .inversion import (
     HP_THRESHOLD,
     MAX_GRID_CELLS,
@@ -593,55 +593,10 @@ def _run_compare_stage(config, result):
     record["gp_signal_variance"] = 1.0
 
 
-def _check_outdir(outdir: str) -> None:
-    """Raise ConfigurationError unless outdir is, or can be made, a directory."""
-    path = os.path.abspath(outdir)
-    while not os.path.lexists(path):
-        path = os.path.dirname(path)
-    if not os.path.isdir(path):
-        raise ConfigurationError(
-            f"output directory {outdir!r}: {path!r} exists and is not a directory"
-        )
-
-
-def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
-    """Execute one experiment and write its artifacts under ``outdir``.
-
-    The manifest records every configuration value and derived quantity so
-    that any number in any output file can be recomputed from it.  When the
-    inversion or mcmc stage raises, the manifest is written with an
-    ``error`` record (stage, type, message) before the error propagates.
-    """
-    _check_outdir(outdir)
-    hf = get_benchmark(config.benchmark)
-    if config.inversion is not None:
-        if config.inversion.x_true is not None:
-            check_in_bounds(hf.bounds, config.inversion.x_true, what="inversion.x_true")
-        if config.inversion.grid_resolution**hf.dim > MAX_GRID_CELLS:
-            raise ConfigurationError(
-                f"inversion.grid_resolution {config.inversion.grid_resolution} gives "
-                f"more than {MAX_GRID_CELLS} grid cells in {hf.dim}D"
-            )
-
-    manifest: dict = {
-        "preset": config.name,
-        "benchmark": config.benchmark,
-        "description": config.description,
-        "bo": dataclasses.asdict(config.bo),
-        "inversion": dataclasses.asdict(config.inversion) if config.inversion else None,
-        "mcmc": dataclasses.asdict(config.mcmc) if config.mcmc else None,
-        "compare": {} if config.compare_benchmarks else None,
-    }
-    result = ExperimentResult(config=config, outdir=outdir, manifest=manifest)
-
-    if config.compare_benchmarks:
-        _run_compare_stage(config, result)
-        _write_json(result, "manifest.json", manifest)
-        return result
-
+def _run_bo_stage(config, hf, result) -> BoTrace:
     trace = run_bo(hf, config.bo)
     result.trace = trace
-    manifest["bo_result"] = {
+    result.manifest["bo_result"] = {
         "converged": trace.converged,
         "n_samples": trace.iterations[-1].n_samples,
         "final_mse": trace.iterations[-1].mse,
@@ -668,14 +623,66 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
             "mse": [r.mse for r in trace.iterations],
         },
     )
+    return trace
 
-    stage = "inversion"
+
+def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
+    """Execute one experiment and write its artifacts under ``outdir``.
+
+    The manifest records every configuration value and derived quantity so
+    that any number in any output file can be recomputed from it.  The
+    checks that need the benchmark run, and ``outdir`` is created, before
+    any stage; each failure raises ConfigurationError.  When a stage
+    (compare, bo, inversion or mcmc) raises, the manifest is written with an
+    ``error`` record (stage, type, message) before the error propagates.
+    """
+    hf = get_benchmark(config.benchmark)
+    if config.inversion is not None:
+        if config.inversion.x_true is not None:
+            check_in_bounds(hf.bounds, config.inversion.x_true, what="inversion.x_true")
+        if config.inversion.grid_resolution**hf.dim > MAX_GRID_CELLS:
+            raise ConfigurationError(
+                f"inversion.grid_resolution {config.inversion.grid_resolution} gives "
+                f"more than {MAX_GRID_CELLS} grid cells in {hf.dim}D"
+            )
+    ell = config.bo.fixed_length_scale
+    if ell is not None:
+        for name in config.compare_benchmarks or (config.benchmark,):
+            width = max(hi - lo for lo, hi in get_benchmark(name).bounds)
+            ell_lo, ell_hi = (f * width for f in LENGTH_SCALE_FACTORS)
+            if not ell_lo <= ell <= ell_hi:
+                raise ConfigurationError(
+                    f"bo.fixed_length_scale {ell:g} lies outside [{ell_lo:g}, {ell_hi:g}], "
+                    f"{LENGTH_SCALE_FACTORS[0]:g} to {LENGTH_SCALE_FACTORS[1]:g} times "
+                    f"the widest box width of {name!r}"
+                )
     try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create the output directory: {exc}") from exc
+
+    manifest: dict = {
+        "preset": config.name,
+        "benchmark": config.benchmark,
+        "description": config.description,
+        "bo": dataclasses.asdict(config.bo),
+        "inversion": dataclasses.asdict(config.inversion) if config.inversion else None,
+        "mcmc": dataclasses.asdict(config.mcmc) if config.mcmc else None,
+        "compare": {} if config.compare_benchmarks else None,
+    }
+    result = ExperimentResult(config=config, outdir=outdir, manifest=manifest)
+    stage = "compare" if config.compare_benchmarks else "bo"
+    try:
+        if config.compare_benchmarks:
+            _run_compare_stage(config, result)
+        else:
+            trace = _run_bo_stage(config, hf, result)
         if config.inversion is not None:
+            stage = "inversion"
             profile = _run_inversion_stage(config, hf, trace.final_model, result)
-            if config.mcmc is not None:
-                stage = "mcmc"
-                _run_mcmc_stage(config, result, profile)
+        if config.mcmc is not None:
+            stage = "mcmc"
+            _run_mcmc_stage(config, result, profile)
     except GpInverseError as exc:
         manifest["error"] = {"stage": stage, "type": type(exc).__name__, "message": str(exc)}
         _write_json(result, "manifest.json", manifest)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import ConfigurationError, DegenerateDataError, InferenceError, UnsupportedDimensionError
+from .errors import ConfigurationError, DegenerateDataError, UnsupportedDimensionError
 from .inversion import InverseProblem, log_posterior
 
 __all__ = [
@@ -354,23 +354,20 @@ MODE_FLOOR_FRACTION = 0.05  # local maxima below 5% of the peak are noise
 
 
 def grid_posterior(profile) -> GridPosterior:
-    """Reference posterior: a profile's NLS, trapezoid-normalized.
+    """Reference posterior: a profile's nls_normalized, trapezoid-normalized.
 
     ``profile`` is the tuple ``evaluate_profile_grid`` returns for a 1D
     problem, with at least 64 points.  Modes are strict interior local
     maxima of the density above 5% of its peak.  Only one-dimensional
     profiles are supported; the sampler itself has no such restriction.
     """
-    axes, _, _, nls, _ = profile
+    axes, _, _, _, normalized = profile
     if len(axes) != 1:
         raise UnsupportedDimensionError("grid_posterior builds a 1D reference density")
     (xs,) = axes
     if xs.size < 64:
         raise ConfigurationError("grid_resolution must be >= 64")
-    integral = float(np.trapezoid(nls, xs))
-    if integral <= 0:
-        raise InferenceError("posterior mass underflowed to zero on the grid")
-    density = nls / integral
+    density = normalized / np.trapezoid(normalized, xs)
 
     peak = float(np.max(density))
     interior = np.arange(1, xs.size - 1)

@@ -403,6 +403,19 @@ class TestLaplace:
         assert res.degenerate
         assert "not stationary" in res.message
 
+    def test_curvature_past_the_float_range_is_degenerate(self, function_surrogate):
+        # the misfit's curvature 4 divided by 2e-308 overflows to inf
+        prob = InverseProblem(
+            surrogate=function_surrogate(lambda x: x[0] ** 2 + x[1] ** 2),
+            observed=-1.0,
+            obs_variance=1e-308,
+            bounds=((-1.0, 1.0), (-1.0, 1.0)),
+        )
+        res = laplace_approximation(prob, [0.0, 0.0])
+        assert res.degenerate
+        assert res.cov is None and res.intervals is None
+        assert "not finite" in res.message
+
 
 class TestHighProbabilityRegion:
     def test_forrester_interval_matches_reference_range(self, forrester_problem):
@@ -514,6 +527,19 @@ class TestHighProbabilityRegion:
         assert len(regions) == 1
         lo, hi = regions[0]
         assert lo <= argmin <= hi
+
+    def test_log_nls_minus_inf_on_the_whole_grid_is_an_inference_error(
+        self, function_surrogate
+    ):
+        # LS of about 1e6 over 2e-303 overflows, so log NLS is -inf everywhere
+        prob = InverseProblem(
+            surrogate=function_surrogate(lambda x: x[0]),
+            observed=1000.0,
+            obs_variance=1e-303,
+            bounds=((0.0, 1.0),),
+        )
+        with pytest.raises(InferenceError, match="not finite on any of the 64 grid cells"):
+            evaluate_profile_grid(prob, 64)
 
     def test_threshold_validation(self, forrester_problem):
         with pytest.raises(ConfigurationError):

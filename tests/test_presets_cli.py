@@ -222,6 +222,14 @@ def test_cli_out_below_a_file_exits_2_before_bo(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+def test_cli_out_with_an_overlong_name_exits_2_before_bo(tmp_path, monkeypatch, capsys):
+    _fail_if_bo_runs(monkeypatch)
+    out = tmp_path / ("x" * 300)
+    assert main(["run", "--preset", "forrester-inverse", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_unknown_preset_exits_2(tmp_path):
     assert main(["run", "--preset", "nope", "--out", str(tmp_path / "o")]) == 2
 
@@ -261,6 +269,26 @@ def test_cli_inference_failure_writes_the_manifest_with_an_error_record(tmp_path
     assert "diverged" in manifest["error"]["message"]
     assert manifest["inversion"]["observed"] == 1e200
     assert manifest["bo_result"]["converged"]
+
+
+def test_cli_profile_without_a_finite_log_nls_exits_4_writing_no_nan(tmp_path, capsys):
+    # LS of about 1e6 over obs_variance 1e-303 overflows on every grid cell
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text(_SMALL_RUN + "inversion.observed = 1000\ninversion.obs_variance = 1e-303\n")
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 4
+    assert capsys.readouterr().err.startswith("inference failure: log NLS is not finite")
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"]["stage"] == "inversion"
+
+    def no_constant(name):
+        raise AssertionError(f"{name} written to a JSON artifact")
+
+    for name in os.listdir(outdir):
+        if name.endswith(".json"):
+            json.loads((outdir / name).read_text(), parse_constant=no_constant)
+        else:
+            assert not np.isnan(np.loadtxt(outdir / name, delimiter=",", skiprows=1)).any()
 
 
 def test_mcmc_stage_failure_records_its_stage(tmp_path, monkeypatch):
@@ -361,6 +389,12 @@ _COMPARE = _SMALL_RUN + "compare_benchmarks = forrester1d\n"
         _RUN_OBS + "bo.noise_variance = inf\n",
         _RUN_OBS + "bo.fixed_length_scale = inf\nbo.fixed_signal_variance = 1.0\n",
         _RUN_OBS + "bo.fixed_length_scale = 1.0\nbo.fixed_signal_variance = nan\n",
+        # outside [0.01, 10] times the box width, where the kernel overflows
+        _RUN_OBS + "bo.fixed_length_scale = 1e-300\nbo.fixed_signal_variance = 1.0\n",
+        _RUN_OBS + "bo.fixed_length_scale = 1e300\nbo.fixed_signal_variance = 1.0\n",
+        # inside forrester1d's range, below mixed1d's [0.2, 200]
+        _SMALL_RUN + "compare_benchmarks = mixed1d\n"
+        + "bo.fixed_length_scale = 0.1\nbo.fixed_signal_variance = 1.0\n",
         _RUN_OBS + "bo.acquisition = foo\n",
         _RUN_OBS + "bo.kernel_family = foo\n",
         _RUN_OBS + "bo.restarts = 0\n",
@@ -388,6 +422,51 @@ def test_cli_bad_setting_exits_2_before_surrogate_stage(tmp_path, capsys, text):
     assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("text, stage", [(_RUN_OBS, "bo"), (_COMPARE, "compare")])
+def test_cli_surrogate_stage_failure_writes_the_manifest_with_an_error_record(
+    tmp_path, monkeypatch, capsys, text, stage
+):
+    def fail(*args, **kwargs):
+        raise NumericalError("no fit")
+
+    monkeypatch.setattr(gpinverse.presets, "run_bo", fail)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 3
+    assert capsys.readouterr().err == "numerical failure: no fit\n"
+    assert os.listdir(outdir) == ["manifest.json"]
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"] == {"stage": stage, "type": "NumericalError", "message": "no fit"}
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        # the Matern kernel's s2 (1 + t + t^2 / 3) overflows before exp(-t)
+        # scales it down, so no jitter rung factors the kernel matrix
+        (
+            "bo.fixed_length_scale = 0.5\nbo.fixed_signal_variance = 1e308\n",
+            "(the kernel matrix is not finite)",
+        ),
+        # the fit succeeds, but the kernel gradient overflows in the ascent
+        (
+            "bo.fixed_length_scale = 0.05\nbo.fixed_signal_variance = 1e305\n",
+            "acquisition ascent is not finite at pick 0",
+        ),
+    ],
+)
+def test_cli_surrogate_overflow_exits_3_without_lapack_text(tmp_path, capfd, settings, message):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(_RUN_OBS.replace("bo.mse_threshold = 1000000.0\n", "") + settings)
+    # the kernel's own overflow warnings are not what this test checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    out, err = capfd.readouterr()
+    assert err.startswith("numerical failure: ") and message in err
+    assert "DLASCL" not in out + err
 
 
 _MIXED2D_MCMC = (

@@ -13,7 +13,6 @@ from gpinverse import (
     ConfigurationError,
     DegenerateDataError,
     GaussianPrior,
-    InferenceError,
     InverseProblem,
     McmcConfig,
     UnsupportedDimensionError,
@@ -414,14 +413,15 @@ class TestGridPosterior:
         with pytest.raises(ConfigurationError):
             grid_posterior(evaluate_profile_grid(prob, 32))
 
-    def test_nls_underflowing_on_the_whole_grid_is_an_inference_error(
-        self, function_surrogate
-    ):
+    def test_nls_underflowing_on_the_whole_grid_keeps_unit_mass(self, function_surrogate):
         # an observation 1e6 away from the stub's range gives NLS = 0.0 at
-        # every cell
+        # every cell, while log NLS stays finite
         prob = _gaussian_target_problem(function_surrogate, mu=1e6, sigma=1.0)
-        with pytest.raises(InferenceError, match="underflowed"):
-            grid_posterior(evaluate_profile_grid(prob, 128))
+        profile = evaluate_profile_grid(prob, 128)
+        assert np.max(profile[3]) == 0.0
+        ref = grid_posterior(profile)
+        assert np.trapezoid(ref.density, ref.grid) == pytest.approx(1.0, rel=1e-12)
+        assert np.argmax(ref.density) == ref.grid.size - 1
 
     def test_2d_problem_rejected(self, function_surrogate):
         prob = InverseProblem(
