@@ -412,15 +412,15 @@ def laplace_approximation(problem: InverseProblem, x_map) -> LaplaceResult:
 
 
 def evaluate_profile_grid(problem: InverseProblem, grid_resolution: int):
-    """LS / NLS / max-normalized NLS on a uniform grid over the bounds.
+    """LS and max-normalized NLS on a uniform grid over the bounds.
 
-    Returns (axes, points, ls, nls, nls_normalized) where ``axes`` is the
+    Returns (axes, points, ls, nls_normalized) where ``axes`` is the
     per-dimension coordinate vector list and ``points`` the full grid in row
     order (C order for 2D).  ``ls`` is the misfit alone and
-    ``nls = exp(-Phi / (2 sigma_obs^2))`` includes the prior, and
-    ``nls_normalized = exp(log NLS - max log NLS)``.  A grid of more than
-    MAX_GRID_CELLS cells is rejected; one without a finite log NLS raises
-    InferenceError.
+    ``nls_normalized = exp(log NLS - max log NLS)``, where log NLS
+    ``= -Phi / (2 sigma_obs^2)`` includes the prior; ``log_posterior`` gives
+    log NLS itself.  A grid of more than MAX_GRID_CELLS cells is rejected;
+    one without a finite log NLS raises InferenceError.
     """
     if grid_resolution < 2:
         raise ConfigurationError("grid_resolution must be >= 2")
@@ -441,24 +441,25 @@ def evaluate_profile_grid(problem: InverseProblem, grid_resolution: int):
             f"log NLS is not finite on any of the {len(points)} grid cells: obs_variance "
             f"{problem.obs_variance:g} is too small for the least misfit {np.min(ls):.6g}"
         )
-    return axes, points, ls, np.exp(log_nls), np.exp(log_nls - peak)
+    return axes, points, ls, np.exp(log_nls - peak)
 
 
 def high_probability_region(profile, threshold: float):
     """Connected components of {normalized NLS >= threshold} on a grid.
 
-    ``profile`` is the tuple ``evaluate_profile_grid`` returns, with at least
-    64 points per axis.  1D profiles give a list of (lo, hi) intervals; 2D
-    profiles give axis-aligned bounding boxes ((xlo, xhi), (ylo, yhi)) of
-    4-connected cell groups, listed in raster order of each component's first
-    cell.  A level band thinner than the grid's diagonal step, such as the
-    neighbourhood of a curve of exact solutions on a steep surrogate, has
-    cells that touch only at corners, so it splits into several 4-connected
-    components, each reported as its own box.
+    ``profile`` is the (axes, points, ls, nls_normalized) tuple that
+    ``evaluate_profile_grid`` returns, with at least 64 points per axis; its
+    axes and nls_normalized are read.  1D profiles give a list of (lo, hi)
+    intervals; 2D profiles give axis-aligned bounding boxes ((xlo, xhi),
+    (ylo, yhi)) of 4-connected cell groups, listed in raster order of each
+    component's first cell.  A level band thinner than the grid's diagonal
+    step, such as the neighbourhood of a curve of exact solutions on a steep
+    surrogate, has cells that touch only at corners, so it splits into
+    several 4-connected components, each reported as its own box.
     """
     if not 0.0 < threshold < 1.0:
         raise ConfigurationError("threshold must lie strictly inside (0, 1)")
-    axes, _, _, _, normalized = profile
+    axes, _, _, normalized = profile
     shape = tuple(len(ax) for ax in axes)
     if min(shape) < 64:
         raise ConfigurationError("grid_resolution must be >= 64")

@@ -12,6 +12,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -497,13 +498,9 @@ def _run_inversion_stage(config, hf, model, result):
     summary.laplace = laplace_approximation(problem, best.x)
 
     _write_json(result, "posterior.json", summary)
-    _, points, ls, nls, nls_norm = profile
+    _, points, ls, nls_norm = profile
     coords = dict(zip(("x", "y"), points.T))
-    _write_csv(
-        result,
-        "profiles.csv",
-        {**coords, "ls": ls, "nls": nls, "nls_normalized": nls_norm},
-    )
+    _write_csv(result, "profiles.csv", {**coords, "ls": ls, "nls_normalized": nls_norm})
 
     result.problem = problem
     result.summary = summary
@@ -632,7 +629,9 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
     The manifest records every configuration value and derived quantity so
     that any number in any output file can be recomputed from it.  The
     checks that need the benchmark run, and ``outdir`` is created, before
-    any stage; each failure raises ConfigurationError.  When a stage
+    any stage; each failure raises ConfigurationError and leaves no parent
+    of ``outdir`` that this call made.  The manifest's ``files`` lists the
+    artifacts this run wrote before it, in write order.  When a stage
     (compare, bo, inversion or mcmc) raises, the manifest is written with an
     ``error`` record (stage, type, message) before the error propagates.
     """
@@ -656,9 +655,17 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
                     f"{LENGTH_SCALE_FACTORS[0]:g} to {LENGTH_SCALE_FACTORS[1]:g} times "
                     f"the widest box width of {name!r}"
                 )
+    missing = []  # outdir and its ancestors not there yet, deepest first
+    path = os.path.abspath(outdir)
+    while not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
+        for path in missing:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         raise ConfigurationError(f"cannot create the output directory: {exc}") from exc
 
     manifest: dict = {
@@ -685,8 +692,10 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
             _run_mcmc_stage(config, result, profile)
     except GpInverseError as exc:
         manifest["error"] = {"stage": stage, "type": type(exc).__name__, "message": str(exc)}
+        manifest["files"] = list(result.files)
         _write_json(result, "manifest.json", manifest)
         raise
 
+    manifest["files"] = list(result.files)
     _write_json(result, "manifest.json", manifest)
     return result

@@ -106,15 +106,15 @@ def _chain_rng(seed: int, chain_index: int) -> np.random.Generator:
 class _ProfileProposal:
     """Independence proposal q built from an ``evaluate_profile_grid`` tuple.
 
-    Each grid node owns the cell between the midpoints to its neighbours,
-    clipped to the box, so the end nodes get half cells.  A cell's mass is
-    its share of the summed ``nls_normalized``, mixed with a 1 % share
-    uniform by volume, and q is uniform inside each cell.  q is therefore
-    positive on the whole box.
+    Reads the tuple's axes and nls_normalized fields.  Each grid node owns
+    the cell between the midpoints to its neighbours, clipped to the box, so
+    the end nodes get half cells.  A cell's mass is its share of the summed
+    ``nls_normalized``, mixed with a 1 % share uniform by volume, and q is
+    uniform inside each cell.  q is therefore positive on the whole box.
     """
 
     def __init__(self, profile, bounds):
-        axes, _, _, _, normalized = profile
+        axes, _, _, normalized = profile
         if len(axes) != len(bounds) or any(
             ax[0] != lo or ax[-1] != hi for ax, (lo, hi) in zip(axes, bounds)
         ):
@@ -165,11 +165,11 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[Chain
 
     Each step is a mixture of two Metropolis-Hastings kernels (Tierney 1994).
     With probability INDEPENDENCE_PROBABILITY a chain proposes a point x' of
-    the independence proposal q built from ``profile``, the tuple that
-    ``evaluate_profile_grid`` returns for this problem: a cell chosen in
-    proportion to its normalized NLS, mixed with 1 % uniform by volume, and
-    a uniform point inside it.  It accepts x' when
-    log u < log pi(x') - log pi(x) + log q(x) - log q(x').  Otherwise it
+    the independence proposal q built from ``profile``, the (axes, points,
+    ls, nls_normalized) tuple that ``evaluate_profile_grid`` returns for
+    this problem: a cell chosen in proportion to its normalized NLS, mixed
+    with 1 % uniform by volume, and a uniform point inside it.  It accepts x'
+    when log u < log pi(x') - log pi(x) + log q(x) - log q(x').  Otherwise it
     takes an isotropic Gaussian random-walk step scaled per dimension by
     proposal_scale times the domain width; out-of-bounds proposals are
     rejected.  Both kernels leave the posterior invariant and q > 0 on the
@@ -356,12 +356,13 @@ MODE_FLOOR_FRACTION = 0.05  # local maxima below 5% of the peak are noise
 def grid_posterior(profile) -> GridPosterior:
     """Reference posterior: a profile's nls_normalized, trapezoid-normalized.
 
-    ``profile`` is the tuple ``evaluate_profile_grid`` returns for a 1D
-    problem, with at least 64 points.  Modes are strict interior local
-    maxima of the density above 5% of its peak.  Only one-dimensional
-    profiles are supported; the sampler itself has no such restriction.
+    ``profile`` is the (axes, points, ls, nls_normalized) tuple that
+    ``evaluate_profile_grid`` returns for a 1D problem, with at least 64
+    points.  Modes are strict interior local maxima of the density above 5%
+    of its peak.  Only one-dimensional profiles are supported; the sampler
+    itself has no such restriction.
     """
-    axes, _, _, _, normalized = profile
+    axes, _, _, normalized = profile
     if len(axes) != 1:
         raise UnsupportedDimensionError("grid_posterior builds a 1D reference density")
     (xs,) = axes

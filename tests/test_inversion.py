@@ -519,8 +519,8 @@ class TestHighProbabilityRegion:
             bounds=((0.0, 1.0),),
         )
         profile = evaluate_profile_grid(prob, 256)
-        _, points, ls, nls, normalized = profile
-        assert np.max(nls) == 0.0
+        _, points, ls, normalized = profile
+        assert np.max(np.exp(log_posterior(prob, points)[1])) == 0.0
         assert np.max(normalized) == 1.0
         argmin = float(points[np.argmin(ls), 0])
         regions = high_probability_region(profile, 0.5)

@@ -223,11 +223,12 @@ def test_cli_out_below_a_file_exits_2_before_bo(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_out_with_an_overlong_name_exits_2_before_bo(tmp_path, monkeypatch, capsys):
+    # a missing parent the run would have created is removed again
     _fail_if_bo_runs(monkeypatch)
-    out = tmp_path / ("x" * 300)
-    assert main(["run", "--preset", "forrester-inverse", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("configuration error: ")
-    assert os.listdir(tmp_path) == []
+    for out in (tmp_path / ("x" * 300), tmp_path / "o" / ("x" * 300)):
+        assert main(["run", "--preset", "forrester-inverse", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert os.listdir(tmp_path) == []
 
 
 def test_cli_unknown_preset_exits_2(tmp_path):
@@ -289,6 +290,23 @@ def test_cli_profile_without_a_finite_log_nls_exits_4_writing_no_nan(tmp_path, c
             json.loads((outdir / name).read_text(), parse_constant=no_constant)
         else:
             assert not np.isnan(np.loadtxt(outdir / name, delimiter=",", skiprows=1)).any()
+
+
+def test_failed_run_into_a_reused_out_lists_only_its_own_files(tmp_path):
+    # the first run's posterior.json and profiles.csv stay on disk beside the
+    # second run's error manifest, whose files tell them apart
+    cfg = tmp_path / "run.cfg"
+    outdir = tmp_path / "out"
+    cfg.write_text(_RUN_OBS)
+    assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["files"] == ["trace.json", "trace.csv", "posterior.json", "profiles.csv"]
+    cfg.write_text(_SMALL_RUN + "inversion.observed = 1000\ninversion.obs_variance = 1e-303\n")
+    assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 4
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"]["stage"] == "inversion"
+    assert manifest["files"] == ["trace.json", "trace.csv"]
+    assert (outdir / "posterior.json").exists() and (outdir / "profiles.csv").exists()
 
 
 def test_mcmc_stage_failure_records_its_stage(tmp_path, monkeypatch):
@@ -575,7 +593,47 @@ def test_cli_compare_surrogates_subcommand_is_rejected(tmp_path, capsys):
     assert not outdir.exists()
 
 
-def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path):
+def _capture_results(monkeypatch) -> list:
+    """Make the CLI hand each ExperimentResult it gets to the returned list."""
+    results = []
+
+    def capturing(*args, **kwargs):
+        results.append(run_experiment(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(gpinverse.cli, "run_experiment", capturing)
+    return results
+
+
+def _assert_profiles_recover_nls(outdir, result, coords):
+    # NLS is exp(-ls / (2 obs_variance)) for a run, which has no prior
+    lines = (outdir / "profiles.csv").read_text().splitlines()
+    assert lines[0] == ",".join([*coords, "ls", "nls_normalized"])
+    table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    points, ls = table[:, : len(coords)], table[:, len(coords)]
+    obs_variance = json.loads((outdir / "manifest.json").read_text())["inversion"]["obs_variance"]
+    recovered = np.exp(-ls / (2.0 * obs_variance))
+    expected = np.exp(gpinverse.inversion.log_posterior(result.problem, points)[1])
+    assert recovered.tobytes() == expected.tobytes()
+
+
+def test_cli_2d_run_writes_profiles_from_which_nls_is_recovered(tmp_path, monkeypatch):
+    results = _capture_results(monkeypatch)
+    cfg = tmp_path / "run2d.cfg"
+    cfg.write_text(
+        _SMALL_RUN.replace("forrester1d", "mixed2d")
+        + _INV
+        + "inversion.x_true = 0.5, 1.5\n"
+        + "inversion.n_starts = 4\n"
+        + "inversion.grid_resolution = 64\n"
+    )
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 0
+    _assert_profiles_recover_nls(outdir, results[0], ("x", "y"))
+
+
+def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path, monkeypatch):
+    results = _capture_results(monkeypatch)
     cfg = tmp_path / "mcmc.cfg"
     cfg.write_text(
         _SMALL_RUN
@@ -601,6 +659,7 @@ def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path):
     overlay = (outdir / "kde_overlay.csv").read_text().splitlines()
     assert len(overlay) == 1 + 2 * 2001
     assert overlay[1].startswith("0,") and overlay[-1].startswith("1,")
+    _assert_profiles_recover_nls(outdir, results[0], ("x",))
 
 
 def _reference_csv(path, header, rows):

@@ -418,7 +418,7 @@ class TestGridPosterior:
         # every cell, while log NLS stays finite
         prob = _gaussian_target_problem(function_surrogate, mu=1e6, sigma=1.0)
         profile = evaluate_profile_grid(prob, 128)
-        assert np.max(profile[3]) == 0.0
+        assert np.max(np.exp(log_posterior(prob, profile[1])[1])) == 0.0
         ref = grid_posterior(profile)
         assert np.trapezoid(ref.density, ref.grid) == pytest.approx(1.0, rel=1e-12)
         assert np.argmax(ref.density) == ref.grid.size - 1
