@@ -554,6 +554,7 @@ def _run_mcmc_stage(config, result, profile):
     record["acceptance_rates"] = [c.acceptance_rate for c in chains]
     record["independence_proposals"] = [c.independence_proposals for c in chains]
     record["independence_accepted"] = [c.independence_accepted for c in chains]
+    record["density_evaluations"] = [c.density_evaluations for c in chains]
 
 
 def _run_compare_stage(config, result):

@@ -5,7 +5,10 @@ NLS(x) = exp(-Phi(x) / (2 sigma_obs^2)) restricted to the parameter box, where
 Phi is the inversion module's objective: the misfit LS plus the Gaussian
 prior term when the problem has a prior.  Each step mixes a random-walk
 kernel with an independence kernel whose proposal is built from the
-inversion stage's profile grid.
+inversion stage's profile grid.  The sampler prefetches log densities along
+each block's most likely path, so a few batched surrogate calls per block
+replace one call per step, with the arithmetic of a one-step-at-a-time
+sampler.
 Per-chain kernel density estimates and a dense-grid reference posterior give
 a qualitative picture of multimodality that the local Laplace summary cannot
 provide.
@@ -95,6 +98,7 @@ class ChainResult:
     acceptance_rate: float
     independence_proposals: int  # steps that proposed from the profile q
     independence_accepted: int  # of those, the accepted ones
+    density_evaluations: int  # rows in batched log density calls, prefetches included
 
 
 def _chain_rng(seed: int, chain_index: int) -> np.random.Generator:
@@ -157,6 +161,31 @@ class _ProfileProposal:
         return self.cell_log_density[flat]
 
 
+def _next_true(mask: np.ndarray) -> np.ndarray:
+    """(n, size + 1) array: the first step >= t at which ``mask`` holds, else size."""
+    n, size = mask.shape
+    first = np.where(mask, np.arange(size), size)
+    first = np.concatenate([first, np.full((n, 1), size)], axis=1)
+    return np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1]
+
+
+def _take(start: np.ndarray, values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Per chain, ``start`` where ``index`` is 0 and ``values[:, index - 1]`` elsewhere."""
+    rows = np.arange(len(start))[:, None]
+    return np.concatenate([start[:, None], values], axis=1)[rows, index]
+
+
+def _log_gain(logp_new: np.ndarray, logp: np.ndarray) -> np.ndarray:
+    """log pi(x') - log pi(x), and -inf where pi(x') is 0.
+
+    A proposal of log density -inf is rejected whatever log pi(x) is, so
+    -inf - -inf, a NaN rejection with a RuntimeWarning, is never computed.
+    """
+    return np.subtract(
+        logp_new, logp, out=np.full_like(logp_new, -np.inf), where=logp_new > -np.inf
+    )
+
+
 def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[ChainResult]:
     """Independent Metropolis chains on the NLS density.
 
@@ -178,9 +207,28 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[Chain
     Each chain draws from its own generator seeded by (seed, chain_index),
     starts at its first uniform draw in the box, and then draws its random
     numbers in blocks of _BLOCK_STEPS steps.  Acceptance compares log
-    densities, so a start where exp() underflows needs no retry.  The
-    chains are advanced in lockstep purely so surrogate predictions can be
-    batched; no state is shared between them.
+    densities, so a start where exp() underflows needs no retry.  No state
+    is shared between chains.
+
+    Density evaluations are prefetched along each block's most likely path
+    (Brockwell 2006; Strid 2010): every q proposal accepted and every
+    random-walk proposal rejected.  On that path the state before a step is
+    the q point of the chain's last q step, so one batched call scores every
+    proposal of the block.  A chain follows the path to its first mismatch,
+    a rejected q or an accepted random-walk proposal; off the path it scores
+    its random-walk proposals from its own state up to its next q step, one
+    batched call for all chains, until an accepted q proposal brings it back.
+    Every proposal and acceptance test is computed with the arithmetic of a
+    one-step-at-a-time sampler, and only the batches in which log densities
+    are computed differ.  So the chains are that sampler's bit for bit
+    whenever the surrogate's mean at a row does not depend on the other rows
+    of its batch; ``log_posterior`` adds no such dependence of its own.
+    ``GpModel.predict_mean`` comes within rounding of it: BLAS may sum a
+    row's k(x)^T alpha in another order in another batch, and an acceptance
+    test can then differ only where E falls within those last bits of the
+    log ratio.  ``ChainResult.density_evaluations`` counts each chain's
+    rows in the batched calls, the start and the discarded prefetches
+    included.
     """
     d = problem.dim
     lo, hi = np.asarray(problem.bounds, dtype=float).T
@@ -197,10 +245,12 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[Chain
     logp = log_density(current)
 
     n_steps, n_chains = config.n_steps, config.n_chains
+    chains = np.arange(n_chains)
     path = np.zeros((n_chains, n_steps, d))
     accepted = np.zeros((n_chains, n_steps), dtype=bool)
     made = np.zeros(n_chains, dtype=int)
     taken = np.zeros(n_chains, dtype=int)
+    evaluations = np.ones(n_chains, dtype=int)
     for start in range(0, n_steps, _BLOCK_STEPS):
         size = min(_BLOCK_STEPS, n_steps - start)
         normal, expo, choice, cell_u, offsets = (
@@ -216,29 +266,97 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[Chain
                 for rng in rngs
             ))
         )
-        # A step proposes current * keep + shift: keep is 1 and shift the
-        # random-walk increment, or keep is 0 and shift a point of q.
         indep = choice < INDEPENDENCE_PROBABILITY
         q_points = q.sample(cell_u.ravel(), offsets.reshape(-1, d)).reshape(offsets.shape)
-        keep = np.where(indep, 0.0, 1.0)[:, :, None]
-        shift = np.where(indep[:, :, None], q_points, step * normal)
+        log_q = q.log_density(q_points.reshape(-1, d)).reshape(indep.shape)
+        shift = step * normal
         # Accept when -E < log pi(x') - log pi(x) [+ log q(x) - log q(x')].
-        bar = np.where(indep, q.log_density(q_points.reshape(-1, d)).reshape(indep.shape), 0.0)
-        bar -= expo
-        any_indep = indep.any(axis=0).tolist()
+        bar = np.where(indep, log_q, 0.0) - expo
+        steps = np.arange(size)
+
+        # On the path the state before step t is the q point of the chain's
+        # last q step k < t (index k + 1 for _take), or the block's start (0).
+        after = np.maximum.accumulate(np.where(indep, steps + 1, 0), axis=1)
+        before = np.concatenate([np.zeros((n_chains, 1), dtype=int), after[:, :-1]], axis=1)
+        x_before = _take(current, q_points, before)
+        # A q proposal x * 0.0 + q is q bit for bit: x is finite, q never -0.0.
+        proposals = np.where(indep[:, :, None], q_points, x_before + shift)
+        logp_new = log_density(proposals.reshape(-1, d)).reshape(indep.shape)
+        evaluations += size
+        logp_before = _take(logp, logp_new, before)
+        gain = _log_gain(logp_new, logp_before)
+        np.add(gain, _take(q.log_density(current), log_q, before), out=gain, where=indep)
+        path_accept = bar < gain
+        # The state and log density after a chain's first mismatch.
+        left_at = np.where(path_accept[:, :, None], proposals, x_before)
+        left_logp = np.where(path_accept, logp_new, logp_before)
+        mismatch = _next_true(path_accept != indep)
+        next_q = _next_true(indep)
+
+        # Rounds advance every chain by at least one step.  block_accepted
+        # starts on the path and is rewritten where a chain leaves it;
+        # proposals and logp_new come to hold, at each accepted step, the
+        # point the chain moved to and its log density.
         block_accepted = accepted[:, start : start + size]
-        block_path = path[:, start : start + size]
-        for t in range(size):
-            proposals = current * keep[:, t] + shift[:, t]
-            logp_new = log_density(proposals)
-            gain = logp_new - logp
-            if any_indep[t]:
-                gain += np.where(indep[:, t], q.log_density(current), 0.0)
-            accept = bar[:, t] < gain
-            np.copyto(current, proposals, where=accept[:, None])
-            np.copyto(logp, logp_new, where=accept)
-            block_accepted[:, t] = accept
-            block_path[:, t] = current
+        block_accepted[:] = path_accept
+        pos = np.zeros(n_chains, dtype=int)  # each chain's next step to decide
+        on_path = np.ones(n_chains, dtype=bool)
+        x, x_logp = current.copy(), logp.copy()  # the state of a chain off the path
+        while True:
+            # On the path: run to the next mismatch and leave the path there.
+            run = np.flatnonzero(on_path)
+            m = mismatch[run, pos[run]]
+            pos[run] = np.minimum(m + 1, size)
+            leave, m = run[m < size], m[m < size]
+            on_path[leave] = False
+            x[leave] = left_at[leave, m]
+            x_logp[leave] = left_logp[leave, m]
+
+            # Off the path: score the random-walk proposals from the chain's
+            # own state up to its next q step, as if each were rejected.
+            off = ~on_path & (pos < size)
+            if not off.any():
+                break
+            stop = np.where(off, next_q[chains, pos], size)
+            walkers = np.flatnonzero(off)
+            lengths = stop[walkers] - pos[walkers]
+            # Row r of a walker whose rows start at row r0 scores step pos + r - r0.
+            ci = np.repeat(walkers, lengths)
+            r0 = np.cumsum(lengths) - lengths
+            ti = np.arange(ci.size) + np.repeat(pos[walkers] - r0, lengths)
+            pos = np.minimum(stop + 1, size)  # chains not off the path are done
+            if ci.size:
+                walk = x[ci] + shift[ci, ti]
+                walk_logp = log_density(walk)
+                evaluations += np.bincount(ci, minlength=n_chains)
+                walk_accept = bar[ci, ti] < _log_gain(walk_logp, x_logp[ci])
+                block_accepted[ci, ti] = walk_accept
+                # Each chain's first accepted walk step moves it; the later
+                # ones are scored again from there in the next round.
+                hit = np.flatnonzero(walk_accept)
+                first = np.ones(hit.size, dtype=bool)
+                first[1:] = ci[hit[1:]] != ci[hit[:-1]]
+                hit = hit[first]
+                moved, k = ci[hit], ti[hit]
+                x[moved] = proposals[moved, k] = walk[hit]
+                x_logp[moved] = logp_new[moved, k] = walk_logp[hit]
+                pos[moved] = k + 1
+                stop[moved] = size
+
+            # Every walk step rejected up to a q step: decide it from the
+            # chain's own state; an accepted q point is on the path again.
+            at_q = np.flatnonzero(stop < size)
+            t = stop[at_q]
+            gain = _log_gain(logp_new[at_q, t], x_logp[at_q]) + q.log_density(x[at_q])
+            take = bar[at_q, t] < gain
+            block_accepted[at_q, t] = take
+            on_path[at_q[take]] = True
+
+        # The state after step t is the point taken at the last accepted step.
+        last = np.maximum.accumulate(np.where(block_accepted, steps + 1, 0), axis=1)
+        path[:, start : start + size] = _take(current, proposals, last)
+        current = path[:, start + size - 1]
+        logp = _take(logp, logp_new, last[:, -1:])[:, 0]
         made += indep.sum(axis=1)
         taken += (indep & block_accepted).sum(axis=1)
 
@@ -251,6 +369,7 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[Chain
             acceptance_rate=float(np.mean(accepted[i])),
             independence_proposals=int(made[i]),
             independence_accepted=int(taken[i]),
+            density_evaluations=int(evaluations[i]),
         )
         for i in range(n_chains)
     ]

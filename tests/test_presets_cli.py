@@ -656,6 +656,9 @@ def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path, monkeypatch):
     taken = manifest["mcmc"]["independence_accepted"]
     assert len(made) == len(taken) == 2
     assert all(0 <= a <= m <= 50 for a, m in zip(taken, made))
+    evaluations = manifest["mcmc"]["density_evaluations"]
+    assert evaluations == [c.density_evaluations for c in results[0].chains]
+    assert all(e >= 1 + 50 for e in evaluations)
     overlay = (outdir / "kde_overlay.csv").read_text().splitlines()
     assert len(overlay) == 1 + 2 * 2001
     assert overlay[1].startswith("0,") and overlay[-1].startswith("1,")

@@ -6,18 +6,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gpinverse import (
     BoConfig,
     ConfigurationError,
+    Dataset,
     DegenerateDataError,
     GaussianPrior,
     InverseProblem,
+    KernelSpec,
     McmcConfig,
     UnsupportedDimensionError,
     evaluate_profile_grid,
     get_benchmark,
+    gp_fit,
     grid_posterior,
     kde_estimate,
     log_posterior,
@@ -25,7 +30,13 @@ from gpinverse import (
     run_mcmc,
     silverman_bandwidth,
 )
-from gpinverse.sampling import INDEPENDENCE_PROBABILITY
+from gpinverse.gp import _MEAN_CHUNK_ROWS, kernel_matrix
+from gpinverse.sampling import (
+    _BLOCK_STEPS,
+    INDEPENDENCE_PROBABILITY,
+    _chain_rng,
+    _ProfileProposal,
+)
 
 
 def _gaussian_target_problem(function_surrogate, mu=0.3, sigma=0.5, bounds=(-10.0, 10.0)):
@@ -167,6 +178,196 @@ class TestMcmc:
             McmcConfig(proposal_scale=0.0)
         with pytest.raises(ConfigurationError):
             McmcConfig(n_chains=0)
+
+
+def _reference_run_mcmc(problem, config, profile):
+    """The one-step-at-a-time sampler: one log density call per lockstep step.
+
+    Returns the (n_chains, n_steps, d) paths, the accept flags and the
+    independence proposals made and accepted per chain.
+    """
+    d = problem.dim
+    lo, hi = np.asarray(problem.bounds, dtype=float).T
+    widths = hi - lo
+    step = config.proposal_scale * widths
+    q = _ProfileProposal(profile, problem.bounds)
+
+    def log_density(x):
+        inside = ((x >= lo) & (x <= hi)).all(axis=1)
+        return np.where(inside, log_posterior(problem, x)[1], -np.inf)
+
+    rngs = [_chain_rng(config.seed, i) for i in range(config.n_chains)]
+    current = lo + np.stack([rng.random(d) for rng in rngs]) * widths
+    logp = log_density(current)
+
+    n_steps, n_chains = config.n_steps, config.n_chains
+    path = np.zeros((n_chains, n_steps, d))
+    accepted = np.zeros((n_chains, n_steps), dtype=bool)
+    made = np.zeros(n_chains, dtype=int)
+    taken = np.zeros(n_chains, dtype=int)
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        size = min(_BLOCK_STEPS, n_steps - start)
+        normal, expo, choice, cell_u, offsets = (
+            np.stack(a)
+            for a in zip(*(
+                (
+                    rng.standard_normal((size, d)),
+                    rng.standard_exponential(size),
+                    rng.random(size),
+                    rng.random(size),
+                    rng.random((size, d)),
+                )
+                for rng in rngs
+            ))
+        )
+        indep = choice < INDEPENDENCE_PROBABILITY
+        q_points = q.sample(cell_u.ravel(), offsets.reshape(-1, d)).reshape(offsets.shape)
+        keep = np.where(indep, 0.0, 1.0)[:, :, None]
+        shift = np.where(indep[:, :, None], q_points, step * normal)
+        bar = np.where(indep, q.log_density(q_points.reshape(-1, d)).reshape(indep.shape), 0.0)
+        bar -= expo
+        any_indep = indep.any(axis=0).tolist()
+        block_accepted = accepted[:, start : start + size]
+        block_path = path[:, start : start + size]
+        for t in range(size):
+            proposals = current * keep[:, t] + shift[:, t]
+            logp_new = log_density(proposals)
+            gain = logp_new - logp
+            if any_indep[t]:
+                gain += np.where(indep[:, t], q.log_density(current), 0.0)
+            accept = bar[:, t] < gain
+            np.copyto(current, proposals, where=accept[:, None])
+            np.copyto(logp, logp_new, where=accept)
+            block_accepted[:, t] = accept
+            block_path[:, t] = current
+        made += indep.sum(axis=1)
+        taken += (indep & block_accepted).sum(axis=1)
+    return path, accepted, made, taken
+
+
+def _assert_matches_reference(prob, cfg, profile, reference_errstate="raise"):
+    chains = run_mcmc(prob, cfg, profile)
+    with np.errstate(invalid=reference_errstate):
+        path, accepted, made, taken = _reference_run_mcmc(prob, cfg, profile)
+    for i, chain in enumerate(chains):
+        np.testing.assert_array_equal(chain.path.view(np.int64), path[i].view(np.int64))
+        np.testing.assert_array_equal(chain.accepted, accepted[i])
+        assert chain.acceptance_rate == float(np.mean(accepted[i]))
+        assert chain.independence_proposals == made[i]
+        assert chain.independence_accepted == taken[i]
+        # the start and every step's proposal are scored at least once
+        assert chain.density_evaluations >= 1 + cfg.n_steps
+    return chains
+
+
+def _stub_problem(function_surrogate, dim, sigma=0.5):
+    if dim == 1:
+        return _gaussian_target_problem(function_surrogate, 0.3, sigma)
+    return InverseProblem(
+        surrogate=function_surrogate(lambda x: x[0] + 0.3 * x[1] * x[1]),
+        observed=0.5,
+        obs_variance=sigma * sigma,
+        bounds=((-4.0, 4.0), (-3.0, 3.0)),
+        prior=GaussianPrior(mean=[0.2, -0.4], cov=[[0.6, 0.1], [0.1, 0.4]]),
+    )
+
+
+class TestPrefetch:
+    """The prefetching sampler against the one-step-at-a-time sampler."""
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0], ids=["high-acceptance", "leaves-box"])
+    @pytest.mark.parametrize("n_chains", [1, 7])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_the_one_step_sampler(self, function_surrogate, dim, n_chains, scale):
+        # 300 steps end in a partial block of 44
+        prob = _stub_problem(function_surrogate, dim)
+        cfg = McmcConfig(n_chains=n_chains, n_steps=300, burn_in=30, proposal_scale=scale, seed=4)
+        _assert_matches_reference(prob, cfg, evaluate_profile_grid(prob, 64))
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0], ids=["high-acceptance", "leaves-box"])
+    def test_matches_where_the_density_underflows(self, function_surrogate, scale):
+        # exp() of the log density is 0.0 at every start, as in
+        # test_chains_started_where_the_density_underflows_settle_in_the_mode
+        prob = _gaussian_target_problem(function_surrogate, 0.3, 1e-3)
+        cfg = McmcConfig(n_chains=7, n_steps=300, burn_in=30, proposal_scale=scale, seed=0)
+        chains = _assert_matches_reference(prob, cfg, evaluate_profile_grid(prob, 64))
+        assert all(c.accepted.any() for c in chains)
+
+    def test_matches_where_the_log_density_is_minus_inf(self, function_surrogate):
+        # sigma_obs^2 = 1e-320 sends log NLS to -inf off the observation, so
+        # no proposal is accepted; the one-step sampler computes -inf - -inf
+        # on the way, which the prefetching one must not
+        prob = _gaussian_target_problem(function_surrogate, 0.3, 1e-160)
+        profile = evaluate_profile_grid(_gaussian_target_problem(function_surrogate), 64)
+        cfg = McmcConfig(n_chains=3, n_steps=300, burn_in=30, proposal_scale=1.0, seed=1)
+        chains = _assert_matches_reference(prob, cfg, profile, reference_errstate="ignore")
+        assert not any(c.accepted.any() for c in chains)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**40),
+        n_chains=st.integers(1, 5),
+        scale=st.floats(0.005, 1.0),
+    )
+    def test_matches_the_one_step_sampler_on_drawn_seeds(
+        self, function_surrogate, seed, n_chains, scale
+    ):
+        prob = _stub_problem(function_surrogate, 1 + seed % 2)
+        cfg = McmcConfig(n_chains=n_chains, n_steps=200, burn_in=10, proposal_scale=scale, seed=seed)
+        _assert_matches_reference(prob, cfg, evaluate_profile_grid(prob, 64))
+
+    def test_matches_the_one_step_sampler_on_a_gp(self):
+        # Ten chains put rows at the tail of the one-step sampler's batches,
+        # which BLAS rounds with another kernel (see the next test).
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-2.0, 2.0, (12, 1))
+        model = gp_fit(
+            Dataset(x=x, y=np.sin(3.0 * x[:, 0]), bounds=((-2.0, 2.0),)),
+            KernelSpec("matern52", 0.5, 1.0),
+            1e-6,
+        )
+        prob = InverseProblem(surrogate=model, observed=0.4, obs_variance=0.01, bounds=((-2.0, 2.0),))
+        cfg = McmcConfig(n_chains=10, n_steps=300, burn_in=30, proposal_scale=0.2, seed=2)
+        _assert_matches_reference(prob, cfg, evaluate_profile_grid(prob, 256))
+
+    def test_batching_moves_a_gp_mean_only_by_its_rounding(self):
+        # The prefetch scores rows in other batches than the one-step
+        # sampler.  A row's GP mean is the dot product k(x)^T alpha, which
+        # BLAS sums in an order that can depend on the row's place in its
+        # batch (the last m mod 4 rows and thread splits take other
+        # kernels), so a batch may move it, by at most twice the bound
+        # gamma_n sum |k_i alpha_i| that holds for any order (Higham 2002,
+        # eq. 3.5).  log_posterior adds no batch dependence of its own.
+        sizes = [1, 10, 1280, _MEAN_CHUNK_ROWS + 1]
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-2.0, 2.0, (25, 2))
+        model = gp_fit(
+            Dataset(x=x, y=np.sin(x).sum(axis=1), bounds=((-2.0, 2.0),) * 2),
+            KernelSpec("matern52", 0.8, 1.3),
+            1e-6,
+        )
+        prob = InverseProblem(
+            surrogate=model,
+            observed=0.3,
+            obs_variance=0.01,
+            bounds=((-2.0, 2.0),) * 2,
+            prior=GaussianPrior(mean=[0.1, 0.1], cov=[[0.5, 0.1], [0.1, 0.3]]),
+        )
+        points = rng.uniform(-3.0, 3.0, (sum(sizes), 2))
+        parts = np.split(points, np.cumsum(sizes)[:-1])
+
+        whole = model.predict_mean(points)
+        split = np.concatenate([model.predict_mean(p) for p in parts])
+        n, u = model.data.n, np.finfo(float).eps / 2
+        terms = np.abs(kernel_matrix(model.kernel, model.data.x, points) * model.alpha[:, None])
+        assert np.all(np.abs(whole - split) <= 2 * n * u / (1 - n * u) * terms.sum(axis=0))
+
+        same = whole.view(np.int64) == split.view(np.int64)
+        assert same.mean() > 0.5
+        by_part = [log_posterior(prob, p) for p in parts]
+        for k, column in enumerate(log_posterior(prob, points)):
+            joined = np.concatenate([lp[k] for lp in by_part])
+            np.testing.assert_array_equal(column[same].view(np.int64), joined[same].view(np.int64))
 
 
 def _dense_kde(samples, grid, h):

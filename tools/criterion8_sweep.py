@@ -9,8 +9,10 @@ With no SEED the chain seeds 0-9 run.  The BO and inversion stages of the
 stage's ``mcmc.seed`` varies.  For each seed the script prints the number of
 chains whose KDE peak lies in the dominant high-probability interval (the
 criterion needs at least 7 of 10), the lowest and highest acceptance rate
-(the criterion needs them inside (0.05, 0.95)), and the independence
-proposals made and accepted over all chains.  The dominant interval is the
+(the criterion needs them inside (0.05, 0.95)), the independence
+proposals made and accepted over all chains, the seconds ``run_mcmc`` took
+and the rows of batched log density calls over all chains
+(``density_evaluations``).  The dominant interval is the
 one with the most mass under a 512-point reference posterior, as in
 ``tests/test_acceptance.py::test_criterion_8_mcmc_diagnostics``.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -55,15 +58,18 @@ def main(argv: list[str]) -> int:
     profile = evaluate_profile_grid(problem, config.inversion.grid_resolution)
     interval = dominant_interval(problem, result.summary.hp_regions)
     print(f"dominant interval [{interval[0]:.4f}, {interval[1]:.4f}]")
-    print("seed hits min_accept max_accept indep_made indep_accepted")
+    print("seed hits min_accept max_accept indep_made indep_accepted run_mcmc_s density_evals")
     for seed in seeds:
+        start = time.perf_counter()
         chains = run_mcmc(problem, dataclasses.replace(config.mcmc, seed=seed), profile)
+        seconds = time.perf_counter() - start
         rates = [c.acceptance_rate for c in chains]
         print(
             f"{seed} {kde_peak_hits(chains, problem.bounds, interval)}/{len(chains)} "
             f"{min(rates):.4f} {max(rates):.4f} "
             f"{sum(c.independence_proposals for c in chains)} "
-            f"{sum(c.independence_accepted for c in chains)}"
+            f"{sum(c.independence_accepted for c in chains)} "
+            f"{seconds:.3f} {sum(c.density_evaluations for c in chains)}"
         )
     return 0
 
