@@ -7,7 +7,10 @@ differ from the dataclass defaults.  ``run_experiment`` executes one and
 writes all artifacts (manifest, traces, posterior summary, profiles,
 chains) into an output directory.  Numeric CSV content is written with
 full round-trip precision so repeated runs with the same seed are
-byte-identical.
+byte-identical.  Each value is formatted once where the repeats are known:
+profile coordinates from their axes, at one 8-byte reference per coordinate
+cell; chain steps and accept flags once for all chains; and each chain's
+KDE rows once for its kde file and the overlay, one chain's text at a time.
 """
 
 from __future__ import annotations
@@ -392,19 +395,31 @@ def load_config_file(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-# Rows formatted per block of CSV text.  Each distinct float bit pattern of
-# a block is formatted with ``repr`` once and its text reused for every cell
-# holding it; one Python object per cell lives only for the block, so peak
-# memory stays bounded by the column arrays.
+# Rows formatted per block of CSV text.  A numeric block formats each
+# distinct float bit pattern with ``repr`` once and reuses its text for every
+# cell holding it; one Python object per cell lives only for the block.  A
+# text column arrives formatted, as one 8-byte reference per cell to texts
+# its caller formatted once per distinct value, so peak memory stays bounded
+# by the column arrays and those texts.
 _CSV_BLOCK_ROWS = 1024
 
 
+@contextlib.contextmanager
 def _open_artifact(result, relpath: str):
-    """Open ``relpath`` under the output directory and record it as written."""
+    """Open ``relpath`` under the output directory for writing.
+
+    ``relpath`` joins ``result.files`` once its file is complete.  An OSError
+    from making its directory, opening or writing it raises
+    ConfigurationError, as one from making the output directory does.
+    """
     path = os.path.join(result.outdir, relpath)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {relpath}: {exc}") from exc
     result.files.append(relpath)
-    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _cell_texts(block: np.ndarray) -> list[str]:
@@ -412,8 +427,11 @@ def _cell_texts(block: np.ndarray) -> list[str]:
 
     Floats get ``repr`` once per distinct ``float64`` bit pattern, found on
     the bits so ``-0.0`` stays apart from ``0.0`` and each NaN matches
-    itself; ints and strings get ``str``.
+    itself; ints and strings get ``str``; an object block holds its texts
+    already and is returned as it is.
     """
+    if block.dtype == object:
+        return block.tolist()
     if block.dtype.kind != "f":
         return list(map(str, block.tolist()))
     values = block.astype(np.float64)
@@ -424,14 +442,22 @@ def _cell_texts(block: np.ndarray) -> list[str]:
     return texts[inverse].tolist()
 
 
+def _texts(values: np.ndarray) -> np.ndarray:
+    """``_cell_texts`` of a whole column, as a text column for ``_write_csv``."""
+    return np.array(_cell_texts(values), dtype=object)
+
+
 def _write_csv(result, relpath: str, columns: dict) -> None:
     """Write ``{header: 1-D column}`` as one CSV artifact.
 
     Floats are written with their round-trip ``repr`` so repeated runs with
     the same seed are byte-identical; ints and strings with ``str``.  Each
     block of rows formats one ``repr`` per distinct float bit pattern, which
-    gives the same bytes as ``repr`` per cell.  Columns of unequal length
-    raise ShapeError before the file is opened.
+    gives the same bytes as ``repr`` per cell.  A text column, an object
+    array of ``str`` such as ``_texts`` gives, is written as it is, so a
+    caller that writes the same values in many cells or files formats them
+    once.  Columns of unequal length raise ShapeError before the file is
+    opened.
     """
     arrays = [np.asarray(c) for c in columns.values()]
     lengths = [len(a) for a in arrays]
@@ -498,8 +524,11 @@ def _run_inversion_stage(config, hf, model, result):
     summary.laplace = laplace_approximation(problem, best.x)
 
     _write_json(result, "posterior.json", summary)
-    _, points, ls, nls_norm = profile
-    coords = dict(zip(("x", "y"), points.T))
+    # points is the C-order mesh of the axes: each axis value is formatted
+    # once and gathered into its column by the mesh index
+    axes, _, ls, nls_norm = profile
+    index = np.indices([len(ax) for ax in axes]).reshape(len(axes), -1)
+    coords = {name: _texts(ax)[i] for name, ax, i in zip(("x", "y"), axes, index)}
     _write_csv(result, "profiles.csv", {**coords, "ls": ls, "nls_normalized": nls_norm})
 
     result.problem = problem
@@ -518,34 +547,34 @@ def _run_mcmc_stage(config, result, profile):
     result.chains = chains
     record = result.manifest["mcmc"]
     record["mcmc_grid_resolution"] = config.mcmc_grid_resolution
+    # the n_steps step texts, and the two flag texts, serve every chain
+    steps = _texts(np.arange(config.mcmc.n_steps))
+    flags = np.array(["0", "1"], dtype=object)
     for ch in chains:
         _write_csv(
             result,
             f"chains/chain_{ch.chain_index:02d}.csv",
             {
-                "step": np.arange(ch.path.shape[0]),
+                "step": steps,
                 **{f"x{i}": column for i, column in enumerate(ch.path.T)},
-                "accepted": ch.accepted.astype(int),
+                "accepted": flags[ch.accepted.astype(np.intp)],
             },
         )
     if problem.dim == 1:
         kde_grid = np.linspace(problem.bounds[0][0], problem.bounds[0][1], 2001)
-        densities = [kde_estimate(ch.samples[:, 0], kde_grid) for ch in chains]
-        for ch, dens in zip(chains, densities):
-            _write_csv(
-                result,
-                f"chains/kde_{ch.chain_index:02d}.csv",
-                {"x": kde_grid, "density": dens},
-            )
-        _write_csv(
-            result,
-            "kde_overlay.csv",
-            {
-                "chain": np.repeat([ch.chain_index for ch in chains], kde_grid.size),
-                "x": np.tile(kde_grid, len(chains)),
-                "density": np.concatenate(densities),
-            },
-        )
+        grid_texts = _cell_texts(kde_grid)
+        # Each chain's rows are formatted once, written to its kde file and,
+        # prefixed with its index, to the overlay; one chain's text is held
+        # at a time.
+        with _open_artifact(result, "kde_overlay.csv") as overlay:
+            overlay.write("chain,x,density\n")
+            for ch in chains:
+                density = kde_estimate(ch.samples[:, 0], kde_grid)
+                rows = list(map(",".join, zip(grid_texts, _cell_texts(density))))
+                with _open_artifact(result, f"chains/kde_{ch.chain_index:02d}.csv") as fh:
+                    fh.write("x,density\n" + "\n".join(rows) + "\n")
+                prefix = f"{ch.chain_index},"
+                overlay.write(prefix + ("\n" + prefix).join(rows) + "\n")
         ref = grid_posterior(evaluate_profile_grid(problem, config.mcmc_grid_resolution))
         _write_csv(
             result, "grid_posterior.csv", {"x": ref.grid, "density": ref.density}
@@ -632,9 +661,11 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
     checks that need the benchmark run, and ``outdir`` is created, before
     any stage; each failure raises ConfigurationError and leaves no parent
     of ``outdir`` that this call made.  The manifest's ``files`` lists the
-    artifacts this run wrote before it, in write order.  When a stage
-    (compare, bo, inversion or mcmc) raises, the manifest is written with an
-    ``error`` record (stage, type, message) before the error propagates.
+    artifacts this run completed before it, in the order they were
+    completed.  An artifact that cannot be written raises
+    ConfigurationError.  When a stage (compare, bo, inversion or mcmc)
+    raises, the manifest is written with an ``error`` record (stage, type,
+    message) before the error propagates.
     """
     hf = get_benchmark(config.benchmark)
     if config.inversion is not None:

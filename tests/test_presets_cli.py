@@ -43,7 +43,7 @@ from gpinverse.presets import (
     list_presets,
     run_experiment,
 )
-from gpinverse.sampling import MAX_CHAIN_VALUES, MAX_CHAINS, McmcConfig
+from gpinverse.sampling import MAX_CHAIN_VALUES, MAX_CHAINS, McmcConfig, kde_estimate
 
 EXPECTED_PRESETS = {
     "forrester-inverse",
@@ -630,6 +630,12 @@ def test_cli_2d_run_writes_profiles_from_which_nls_is_recovered(tmp_path, monkey
     outdir = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 0
     _assert_profiles_recover_nls(outdir, results[0], ("x", "y"))
+    # the coordinate cells are repr of the linspace axes, in C order
+    (xlo, xhi), (ylo, yhi) = results[0].problem.bounds
+    xs, ys = np.linspace(xlo, xhi, 64), np.linspace(ylo, yhi, 64)
+    lines = (outdir / "profiles.csv").read_text().splitlines()[1:]
+    cells = [line.split(",")[:2] for line in lines]
+    assert cells == [[repr(x), repr(y)] for x in xs.tolist() for y in ys.tolist()]
 
 
 def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path, monkeypatch):
@@ -663,6 +669,39 @@ def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path, monkeypatch):
     assert len(overlay) == 1 + 2 * 2001
     assert overlay[1].startswith("0,") and overlay[-1].startswith("1,")
     _assert_profiles_recover_nls(outdir, results[0], ("x",))
+    # the kde files and the overlay match the row-by-row rule on densities
+    # recomputed from the chains
+    lo, hi = results[0].problem.bounds[0]
+    grid = np.linspace(lo, hi, 2001)
+    overlay_rows = []
+    for ch in results[0].chains:
+        density = kde_estimate(ch.samples[:, 0], grid)
+        name = f"kde_{ch.chain_index:02d}.csv"
+        _reference_csv(tmp_path / name, ["x", "density"], zip(grid, density))
+        assert (outdir / "chains" / name).read_bytes() == (tmp_path / name).read_bytes()
+        overlay_rows += zip([str(ch.chain_index)] * grid.size, grid, density)
+    _reference_csv(tmp_path / "overlay.csv", ["chain", "x", "density"], overlay_rows)
+    assert (outdir / "kde_overlay.csv").read_bytes() == (tmp_path / "overlay.csv").read_bytes()
+
+
+def test_cli_unwritable_artifact_exits_2_with_an_error_record(tmp_path, capsys):
+    cfg = tmp_path / "mcmc.cfg"
+    cfg.write_text(
+        _RUN_OBS
+        + "inversion.n_starts = 4\n"
+        + "inversion.grid_resolution = 64\n"
+        + "mcmc.n_chains = 2\nmcmc.n_steps = 50\nmcmc.burn_in = 10\n"
+    )
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "chains").write_text("a file where the chains directory goes\n")
+    assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"]["stage"] == "mcmc"
+    assert manifest["error"]["type"] == "ConfigurationError"
+    assert "chains/chain_00.csv" in manifest["error"]["message"]
+    assert manifest["files"] == ["trace.json", "trace.csv", "posterior.json", "profiles.csv"]
 
 
 def _reference_csv(path, header, rows):
@@ -726,15 +765,54 @@ def test_block_csv_writer_formats_distinct_bit_patterns_like_the_row_by_row_rule
     assert written.count(b"\n") == n + 1
 
 
+def test_block_csv_writer_writes_text_columns_as_they_are(tmp_path):
+    n = 2500  # the 1,024-row blocks end inside the file
+    axis = np.linspace(-1.0, 2.0, 7)
+    index = np.arange(n) % axis.size
+    floats = np.resize([0.1, -0.0, float("nan"), 1.0 / 3.0], n)
+    columns = {
+        "t": gpinverse.presets._texts(axis)[index],  # gathered texts
+        "v": floats,
+        "i": np.arange(n) - 7,
+        "s": [f"chain{i % 3}" for i in range(n)],
+        "u": np.array([f"<{i}>" for i in range(n)], dtype=object),  # not numbers
+    }
+    reference = tmp_path / "reference.csv"
+    _reference_csv(
+        reference,
+        list(columns),
+        zip(
+            axis[index].tolist(),
+            floats.tolist(),
+            (str(i) for i in columns["i"].tolist()),
+            columns["s"],
+            columns["u"].tolist(),
+        ),
+    )
+    written = _write_table(tmp_path, columns)
+    assert written == reference.read_bytes()
+    assert written.count(b"\n") == n + 1
+
+
 def test_block_csv_writer_writes_only_the_header_of_a_zero_row_table(tmp_path):
-    columns = {"x": np.zeros(0), "n": np.zeros(0, dtype=int), "s": []}
-    assert _write_table(tmp_path, columns) == b"x,n,s\n"
+    columns = {
+        "x": np.zeros(0),
+        "n": np.zeros(0, dtype=int),
+        "s": [],
+        "t": np.zeros(0, dtype=object),
+    }
+    assert _write_table(tmp_path, columns) == b"x,n,s,t\n"
 
 
 def test_block_csv_writer_rejects_columns_of_unequal_length(tmp_path):
     result = ExperimentResult(config=None, outdir=str(tmp_path / "out"), manifest={})
-    columns = {"x": np.zeros(3), "y": np.zeros(4), "step": np.arange(3)}
-    with pytest.raises(ShapeError, match=r"x=3, y=4, step=3"):
+    columns = {
+        "x": np.zeros(3),
+        "y": np.zeros(4),
+        "step": np.arange(3),
+        "t": np.array(["a", "b"], dtype=object),
+    }
+    with pytest.raises(ShapeError, match=r"x=3, y=4, step=3, t=2"):
         gpinverse.presets._write_csv(result, "table.csv", columns)
     assert result.files == []
     assert not (tmp_path / "out").exists()
