@@ -15,7 +15,6 @@ from .benchmarks import (
 )
 from .baselines import DeterministicSurrogate, eval_deterministic, fit_deterministic
 from .bo import (
-    AcquisitionSpec,
     BoConfig,
     BoTrace,
     acquire_batch,

@@ -37,7 +37,6 @@ from .gp import (
 )
 
 __all__ = [
-    "AcquisitionSpec",
     "BoConfig",
     "BoIteration",
     "BoTrace",
@@ -87,33 +86,13 @@ def upper_confidence_bound(mu, sigma, kappa):
     return np.asarray(mu, dtype=float) + kappa * np.asarray(sigma, dtype=float)
 
 
-@dataclass(frozen=True)
-class AcquisitionSpec:
-    """Which acquisition to use and its parameters.
-
-    ``kappa`` weights sigma in UCB.  EI improves on the best (largest)
-    observed training output of the model being queried.
-    """
-
-    family: str = "ucb"
-    kappa: float = 0.0
-
-    def __post_init__(self):
-        if self.family not in ("ei", "ucb"):
-            raise ConfigurationError(
-                f"unknown acquisition family {self.family!r}; use 'ei' or 'ucb'"
-            )
-        if not 0 <= self.kappa < math.inf:
-            raise ConfigurationError("kappa must be finite and nonnegative")
-
-
-def _scores(model, spec, mu, sigma):
-    if spec.family == "ucb":
-        return upper_confidence_bound(mu, sigma, spec.kappa)
+def _scores(model, config, mu, sigma):
+    if config.acquisition == "ucb":
+        return upper_confidence_bound(mu, sigma, config.kappa)
     return expected_improvement(mu, sigma, float(np.max(model.data.y)))
 
 
-def _acquisition_and_grad(model, spec, x):
+def _acquisition_and_grad(model, config, x):
     """Acquisition scores at the rows of x and their gradients in x.
 
     d sigma = d var / (2 sigma), which is 0 where sigma = 0 because
@@ -126,8 +105,9 @@ def _acquisition_and_grad(model, spec, x):
     sigma = np.sqrt(var)
     positive = sigma > 0
     dsigma = dvar / (2.0 * np.where(positive, sigma, 1.0))[:, None]
-    if spec.family == "ucb":
-        return upper_confidence_bound(mu, sigma, spec.kappa), dmu + spec.kappa * dsigma
+    if config.acquisition == "ucb":
+        kappa = config.kappa
+        return upper_confidence_bound(mu, sigma, kappa), dmu + kappa * dsigma
     incumbent = float(np.max(model.data.y))
     improve = mu - incumbent
     z = np.where(positive, improve / np.where(positive, sigma, 1.0), 0.0)
@@ -143,23 +123,23 @@ def _probe_grid(bounds) -> np.ndarray:
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def _penalized_scores(model, spec, candidates, picked, radii):
+def _penalized_scores(model, config, candidates, picked, radii):
     """Acquisition with predictive sigma suppressed near pending picks."""
     mu, var = gp_predict_many(model, candidates)
     sigma = np.sqrt(var)
     if picked:
         dist = cdist(candidates / radii, np.asarray(picked) / radii)
         sigma = np.where(np.any(dist <= 1.0, axis=1), 0.0, sigma)
-    return _scores(model, spec, mu, sigma)
+    return _scores(model, config, mu, sigma)
 
 
 def acquire_batch(
     model: GpModel,
-    spec: AcquisitionSpec,
+    config: BoConfig,
     bounds,
     n_acq: int,
 ) -> np.ndarray:
-    """Select n_acq in-bounds points by greedy acquisition maximization.
+    """Select n_acq in-bounds points by greedy maximization of config's acquisition.
 
     Each pick scores a fixed probe grid, then runs one L-BFGS-B ascent on the
     ASCENT_STARTS best grid points stacked into one vector, maximizing the sum
@@ -182,14 +162,14 @@ def acquire_batch(
     grid = _probe_grid(bounds)
 
     def neg_total(flat):
-        value, grad = _acquisition_and_grad(model, spec, flat.reshape(-1, len(lo)))
+        value, grad = _acquisition_and_grad(model, config, flat.reshape(-1, len(lo)))
         if not (np.all(np.isfinite(value)) and np.all(np.isfinite(grad))):
             raise NumericalError(f"acquisition ascent is not finite at pick {len(picked)}")
         return -np.sum(value), -grad.ravel()
 
     picked: list[np.ndarray] = []
     for _ in range(n_acq):
-        grid_scores = _penalized_scores(model, spec, grid, picked, radii)
+        grid_scores = _penalized_scores(model, config, grid, picked, radii)
         starts = grid[np.argsort(-grid_scores, kind="stable")[:ASCENT_STARTS]]
         res = sopt.minimize(
             neg_total,
@@ -202,7 +182,7 @@ def acquire_batch(
         ends = np.clip(res.x.reshape(starts.shape), lo, hi)
         candidates = np.vstack([grid, ends])
         scores = np.concatenate(
-            [grid_scores, _penalized_scores(model, spec, ends, picked, radii)]
+            [grid_scores, _penalized_scores(model, config, ends, picked, radii)]
         )
         if not np.all(np.isfinite(scores)):
             raise NumericalError(f"acquisition is not finite at pick {len(picked)}")
@@ -231,6 +211,9 @@ class BoConfig:
     ("normalized", for benchmarks whose output scale makes a fixed absolute
     target meaningless).  Setting ``fixed_length_scale``/``fixed_signal_variance``
     skips marginal-likelihood fitting and uses those values directly.
+    ``acquisition`` is "ucb" or "ei": ``kappa`` weights sigma in UCB, and EI
+    improves on the best (largest) observed training output of the model
+    being queried.
     """
 
     n_init: int = 5
@@ -266,7 +249,12 @@ class BoConfig:
                 f"n_val must lie in [100, {MAX_VALIDATION_POINTS}]: at least 100 "
                 "for a meaningful validation estimate"
             )
-        AcquisitionSpec(family=self.acquisition, kappa=self.kappa)  # checks both
+        if self.acquisition not in ("ei", "ucb"):
+            raise ConfigurationError(
+                f"unknown acquisition family {self.acquisition!r}; use 'ei' or 'ucb'"
+            )
+        if not 0 <= self.kappa < math.inf:
+            raise ConfigurationError("kappa must be finite and nonnegative")
         if self.kernel_family not in KERNEL_FAMILIES:
             raise ConfigurationError(
                 f"unknown kernel family {self.kernel_family!r}; "
@@ -360,12 +348,8 @@ def run_bo(hf: HighFidelityModel, config: BoConfig) -> BoTrace:
         budget_left = config.max_evaluations - data.n
         acquired = np.empty((0, hf.dim))
         if not converged and budget_left > 0:
-            spec = AcquisitionSpec(family=config.acquisition, kappa=config.kappa)
             acquired = acquire_batch(
-                model,
-                spec,
-                hf.bounds,
-                n_acq=min(config.n_acq, budget_left),
+                model, config, hf.bounds, n_acq=min(config.n_acq, budget_left)
             )
         trace.iterations.append(
             BoIteration(

@@ -6,9 +6,9 @@ Phi is the inversion module's objective: the misfit LS plus the Gaussian
 prior term when the problem has a prior.  Each step mixes a random-walk
 kernel with an independence kernel whose proposal is built from the
 inversion stage's profile grid.  The sampler prefetches log densities along
-each block's most likely path, so a few batched surrogate calls per block
-replace one call per step, with the arithmetic of a one-step-at-a-time
-sampler.
+each block's most likely path and rescores, in one kind of round, from where
+each chain leaves it, so a few batched surrogate calls per block replace one
+call per step, with the arithmetic of a one-step-at-a-time sampler.
 Per-chain kernel density estimates and a dense-grid reference posterior give
 a qualitative picture of multimodality that the local Laplace summary cannot
 provide.
@@ -210,14 +210,15 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[Chain
     densities, so a start where exp() underflows needs no retry.  No state
     is shared between chains.
 
-    Density evaluations are prefetched along each block's most likely path
-    (Brockwell 2006; Strid 2010): every q proposal accepted and every
-    random-walk proposal rejected.  On that path the state before a step is
-    the q point of the chain's last q step, so one batched call scores every
-    proposal of the block.  A chain follows the path to its first mismatch,
-    a rejected q or an accepted random-walk proposal; off the path it scores
-    its random-walk proposals from its own state up to its next q step, one
-    batched call for all chains, until an accepted q proposal brings it back.
+    Density evaluations are prefetched along each block's most likely path,
+    the speculation (Brockwell 2006; Strid 2010): every q proposal accepted
+    and every random-walk proposal rejected.  On it the state before a step
+    is the q point of the chain's last q step, so one batched call scores
+    every proposal of the block.  Then follows one kind of round: each finds
+    every chain's next step off the speculation, a rejected q or an accepted
+    random-walk proposal, and scores the chain's random-walk proposals again
+    from its state there up to its next q step, one batched call for all
+    chains.
     Every proposal and acceptance test is computed with the arithmetic of a
     one-step-at-a-time sampler, and only the batches in which log densities
     are computed differ.  So the chains are that sampler's bit for bit
@@ -274,8 +275,9 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[Chain
         bar = np.where(indep, log_q, 0.0) - expo
         steps = np.arange(size)
 
-        # On the path the state before step t is the q point of the chain's
-        # last q step k < t (index k + 1 for _take), or the block's start (0).
+        # The speculation accepts every q proposal and rejects every random
+        # walk, so the state before step t is the q point of the chain's last
+        # q step k < t (index k + 1 for _take) or the block's start (0).
         after = np.maximum.accumulate(np.where(indep, steps + 1, 0), axis=1)
         before = np.concatenate([np.zeros((n_chains, 1), dtype=int), after[:, :-1]], axis=1)
         x_before = _take(current, q_points, before)
@@ -284,73 +286,45 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[Chain
         logp_new = log_density(proposals.reshape(-1, d)).reshape(indep.shape)
         evaluations += size
         logp_before = _take(logp, logp_new, before)
-        gain = _log_gain(logp_new, logp_before)
-        np.add(gain, _take(q.log_density(current), log_q, before), out=gain, where=indep)
-        path_accept = bar < gain
-        # The state and log density after a chain's first mismatch.
-        left_at = np.where(path_accept[:, :, None], proposals, x_before)
-        left_logp = np.where(path_accept, logp_new, logp_before)
-        mismatch = _next_true(path_accept != indep)
+        lq_before = _take(q.log_density(current), log_q, before)
         next_q = _next_true(indep)
 
-        # Rounds advance every chain by at least one step.  block_accepted
-        # starts on the path and is rewritten where a chain leaves it;
-        # proposals and logp_new come to hold, at each accepted step, the
-        # point the chain moved to and its log density.
+        # Each round decides the steps (ci, ti) whose inputs were just written,
+        # then takes each chain's state at its first step from pos off the
+        # speculation as the state before its steps up to its next q step, and
+        # scores their random-walk proposals again.  proposals and logp_new so
+        # hold, at each accepted step, the point taken and its log density.
         block_accepted = accepted[:, start : start + size]
-        block_accepted[:] = path_accept
         pos = np.zeros(n_chains, dtype=int)  # each chain's next step to decide
-        on_path = np.ones(n_chains, dtype=bool)
-        x, x_logp = current.copy(), logp.copy()  # the state of a chain off the path
+        live = chains  # the chains that may still leave the speculation
+        ci, ti = np.repeat(chains, size), np.tile(steps, n_chains)
         while True:
-            # On the path: run to the next mismatch and leave the path there.
-            run = np.flatnonzero(on_path)
-            m = mismatch[run, pos[run]]
-            pos[run] = np.minimum(m + 1, size)
-            leave, m = run[m < size], m[m < size]
-            on_path[leave] = False
-            x[leave] = left_at[leave, m]
-            x_logp[leave] = left_logp[leave, m]
-
-            # Off the path: score the random-walk proposals from the chain's
-            # own state up to its next q step, as if each were rejected.
-            off = ~on_path & (pos < size)
-            if not off.any():
+            gain = _log_gain(logp_new[ci, ti], logp_before[ci, ti])
+            np.add(gain, lq_before[ci, ti], out=gain, where=indep[ci, ti])
+            block_accepted[ci, ti] = bar[ci, ti] < gain
+            leaves = (block_accepted[live] != indep[live]) & (steps >= pos[live, None])
+            found = leaves.any(axis=1)
+            live, m = live[found], leaves[found].argmax(axis=1)
+            if not live.size:
                 break
-            stop = np.where(off, next_q[chains, pos], size)
-            walkers = np.flatnonzero(off)
-            lengths = stop[walkers] - pos[walkers]
-            # Row r of a walker whose rows start at row r0 scores step pos + r - r0.
-            ci = np.repeat(walkers, lengths)
-            r0 = np.cumsum(lengths) - lengths
-            ti = np.arange(ci.size) + np.repeat(pos[walkers] - r0, lengths)
-            pos = np.minimum(stop + 1, size)  # chains not off the path are done
-            if ci.size:
-                walk = x[ci] + shift[ci, ti]
-                walk_logp = log_density(walk)
-                evaluations += np.bincount(ci, minlength=n_chains)
-                walk_accept = bar[ci, ti] < _log_gain(walk_logp, x_logp[ci])
-                block_accepted[ci, ti] = walk_accept
-                # Each chain's first accepted walk step moves it; the later
-                # ones are scored again from there in the next round.
-                hit = np.flatnonzero(walk_accept)
-                first = np.ones(hit.size, dtype=bool)
-                first[1:] = ci[hit[1:]] != ci[hit[:-1]]
-                hit = hit[first]
-                moved, k = ci[hit], ti[hit]
-                x[moved] = proposals[moved, k] = walk[hit]
-                x_logp[moved] = logp_new[moved, k] = walk_logp[hit]
-                pos[moved] = k + 1
-                stop[moved] = size
-
-            # Every walk step rejected up to a q step: decide it from the
-            # chain's own state; an accepted q point is on the path again.
-            at_q = np.flatnonzero(stop < size)
-            t = stop[at_q]
-            gain = _log_gain(logp_new[at_q, t], x_logp[at_q]) + q.log_density(x[at_q])
-            take = bar[at_q, t] < gain
-            block_accepted[at_q, t] = take
-            on_path[at_q[take]] = True
+            took = block_accepted[live, m]
+            x = np.where(took[:, None], proposals[live, m], x_before[live, m])
+            x_logp = np.where(took, logp_new[live, m], logp_before[live, m])
+            pos[live] = m + 1
+            lengths = np.minimum(next_q[live, m + 1] + 1, size) - pos[live]
+            # Row r of a chain whose rows start at row r0 is step pos + r - r0.
+            k = np.repeat(np.arange(live.size), lengths)
+            ci = live[k]
+            ti = np.arange(k.size) + (pos[live] - np.cumsum(lengths) + lengths)[k]
+            x_before[ci, ti] = x[k]
+            logp_before[ci, ti] = x_logp[k]
+            lq_before[ci, ti] = q.log_density(x)[k]
+            walk = ~indep[ci, ti]
+            wc, wt = ci[walk], ti[walk]
+            if wc.size:
+                proposals[wc, wt] = x_before[wc, wt] + shift[wc, wt]
+                logp_new[wc, wt] = log_density(proposals[wc, wt])
+                evaluations += np.bincount(wc, minlength=n_chains)
 
         # The state after step t is the point taken at the last accepted step.
         last = np.maximum.accumulate(np.where(block_accepted, steps + 1, 0), axis=1)

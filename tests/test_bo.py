@@ -12,7 +12,6 @@ from scipy.spatial.distance import pdist
 
 import gpinverse.bo as bo
 from gpinverse import (
-    AcquisitionSpec,
     BoConfig,
     ConfigurationError,
     Dataset,
@@ -53,10 +52,9 @@ def _toy_model(seed=0, n=5, bounds=((-3.0, 3.0),)):
 class TestAcquisitionValues:
     def test_ucb_with_zero_kappa_equals_mean(self):
         model = _toy_model()
-        spec = AcquisitionSpec(family="ucb", kappa=0.0)
         q = np.linspace(-3, 3, 11).reshape(-1, 1)
         mean, _ = gp_predict_many(model, q)
-        values, _ = _acquisition_and_grad(model, spec, q)
+        values, _ = _acquisition_and_grad(model, BoConfig(kappa=0.0), q)
         np.testing.assert_allclose(values, mean, rtol=1e-12)
 
     def test_ei_zero_when_no_improvement_possible(self):
@@ -86,7 +84,7 @@ class TestAcquisitionValues:
         _, var = gp_predict_many(model, x)
         assert var[0] > 0
         values = [
-            _acquisition_and_grad(model, AcquisitionSpec("ucb", kappa=k), x)[0][0]
+            _acquisition_and_grad(model, BoConfig(kappa=k), x)[0][0]
             for k in (0.1, 1.0, 5.0, 50.0)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -101,12 +99,12 @@ class TestAcquisitionValues:
             {"kappa": -1.0},
             {"kappa": math.nan},
             {"kappa": math.inf},
-            {"family": "pi"},
+            {"acquisition": "pi"},
         ],
     )
-    def test_invalid_acquisition_spec_rejected(self, kwargs):
+    def test_invalid_acquisition_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
-            AcquisitionSpec(**kwargs)
+            BoConfig(**kwargs)
 
 
 def _central_difference(fn, x, h):
@@ -162,8 +160,8 @@ def _gradient_cases(draw, zero_noise=False):
     model = gp_fit(ds, KernelSpec(family, length_scale, signal_variance), noise)
     acq = draw(
         st.one_of(
-            st.builds(AcquisitionSpec, st.just("ucb"), st.floats(0.0, 10.0)),
-            st.builds(AcquisitionSpec, st.just("ei")),
+            st.builds(BoConfig, kappa=st.floats(0.0, 10.0)),
+            st.just(BoConfig(acquisition="ei")),
         )
     )
     queries = draw(arrays(float, (3, dim), elements=coords))
@@ -185,7 +183,7 @@ class TestAscentGradients:
         mean, var, dmean, dvar = gp_predict_grad(model, x)
         _, dacq = _acquisition_and_grad(model, acq, x)
         rows = var == 0.0
-        if acq.family == "ucb":
+        if acq.acquisition == "ucb":
             expected = dmean
         else:
             # EI has a kink where the mean meets the incumbent at sigma = 0
@@ -207,9 +205,7 @@ class TestAcquireBatch:
         x = np.array([[-3.0], [-2.5], [-2.0], [2.9]])
         ds = Dataset(x=x, y=np.sin(x[:, 0]), bounds=((-3.0, 3.0),))
         model = gp_fit(ds, KernelSpec("matern52", 0.8, 1.0), 1e-6)
-        picks = acquire_batch(
-            model, AcquisitionSpec("ucb", kappa=200.0), ds.bounds, 1
-        )
+        picks = acquire_batch(model, BoConfig(kappa=200.0), ds.bounds, 1)
         grid = np.linspace(-3, 3, 512).reshape(-1, 1)
         _, var = gp_predict_many(model, grid)
         decile = np.quantile(var, 0.9)
@@ -218,16 +214,14 @@ class TestAcquireBatch:
 
     def test_batch_of_one_equals_plain_argmax(self):
         model = _toy_model(seed=3)
-        spec = AcquisitionSpec("ucb", kappa=200.0)
-        a = acquire_batch(model, spec, model.data.bounds, 1)
-        b = acquire_batch(model, spec, model.data.bounds, 1)
+        config = BoConfig(kappa=200.0)
+        a = acquire_batch(model, config, model.data.bounds, 1)
+        b = acquire_batch(model, config, model.data.bounds, 1)
         np.testing.assert_array_equal(a, b)
 
     def test_batch_points_are_distinct_and_in_bounds(self):
         model = _toy_model(seed=1)
-        picks = acquire_batch(
-            model, AcquisitionSpec("ucb", kappa=200.0), model.data.bounds, 4
-        )
+        picks = acquire_batch(model, BoConfig(kappa=200.0), model.data.bounds, 4)
         assert picks.shape == (4, 1)
         assert np.all(picks >= -3.0) and np.all(picks <= 3.0)
         # exclusion radius is 1% of the width (0.06 here)
@@ -238,9 +232,7 @@ class TestAcquireBatch:
     def test_degenerate_bounds_rejected(self):
         model = _toy_model()
         with pytest.raises(ConfigurationError, match="degenerate"):
-            acquire_batch(
-                model, AcquisitionSpec("ucb", kappa=1.0), ((0.0, 0.0),), 1
-            )
+            acquire_batch(model, BoConfig(kappa=1.0), ((0.0, 0.0),), 1)
 
     def test_output_shift_leaves_acquired_points_unchanged(self):
         # UCB values move with a constant output shift but the argmax stays
@@ -251,21 +243,21 @@ class TestAcquireBatch:
         spec = KernelSpec("matern52", 1.0, 1.0)
         m0 = gp_fit(Dataset(x=x, y=y, bounds=bounds), spec, 1e-6)
         m1 = gp_fit(Dataset(x=x, y=y + 5.0, bounds=bounds), spec, 1e-6)
-        acq = AcquisitionSpec("ucb", kappa=200.0)
+        acq = BoConfig(kappa=200.0)
         p0 = acquire_batch(m0, acq, bounds, 3)
         p1 = acquire_batch(m1, acq, bounds, 3)
         np.testing.assert_allclose(p0, p1, atol=1e-9)
 
 
-def _per_start_pick(model, spec, bounds):
+def _per_start_pick(model, config, bounds):
     """One pick by the per-start form: an L-BFGS-B run from each start alone."""
     lo, hi = np.asarray(bounds, dtype=float).T
     grid = _probe_grid(bounds)
-    grid_scores = _acquisition_and_grad(model, spec, grid)[0]
+    grid_scores = _acquisition_and_grad(model, config, grid)[0]
     starts = grid[np.argsort(-grid_scores, kind="stable")[:ASCENT_STARTS]]
 
     def neg_acq(x):
-        value, grad = _acquisition_and_grad(model, spec, x[None, :])
+        value, grad = _acquisition_and_grad(model, config, x[None, :])
         return -value[0], -grad[0]
 
     ends = []
@@ -275,7 +267,7 @@ def _per_start_pick(model, spec, bounds):
             options={"maxiter": 30},
         )
         ends.append(np.clip(res.x, lo, hi))
-    end_scores = _acquisition_and_grad(model, spec, np.array(ends))[0]
+    end_scores = _acquisition_and_grad(model, config, np.array(ends))[0]
     return max(np.max(grid_scores), np.max(end_scores))
 
 
@@ -286,12 +278,11 @@ class TestStackedAscent:
     def test_reaches_the_per_start_maximum(self, preset):
         config = PRESETS[preset].bo
         hf = get_benchmark(PRESETS[preset].benchmark)
-        spec = AcquisitionSpec(config.acquisition, config.kappa)
         for n in (config.n_init, config.n_init + 4, config.n_init + 8):
             model = _fit_for_config(sample_initial_design(hf, n, config.seed), config)
-            pick = acquire_batch(model, spec, hf.bounds, 1)
-            got = _acquisition_and_grad(model, spec, pick)[0][0]
-            want = _per_start_pick(model, spec, hf.bounds)
+            pick = acquire_batch(model, config, hf.bounds, 1)
+            got = _acquisition_and_grad(model, config, pick)[0][0]
+            want = _per_start_pick(model, config, hf.bounds)
             assert got >= want - 1e-9 * abs(want)
 
     def test_one_optimizer_run_per_pick(self, monkeypatch):
@@ -305,7 +296,7 @@ class TestStackedAscent:
 
         monkeypatch.setattr(bo.sopt, "minimize", counting)
         model = _toy_model(seed=2, bounds=((-3.0, 3.0), (0.0, 1.0)))
-        acquire_batch(model, AcquisitionSpec("ucb", kappa=200.0), model.data.bounds, 3)
+        acquire_batch(model, BoConfig(kappa=200.0), model.data.bounds, 3)
         assert calls == [(2 * ASCENT_STARTS,)] * 3
 
     def test_non_finite_acquisition_is_a_numerical_error(self, monkeypatch):
@@ -320,7 +311,7 @@ class TestStackedAscent:
 
         monkeypatch.setattr(bo, "gp_predict_many", nan_past_0_9)
         with pytest.raises(NumericalError, match="not finite"):
-            acquire_batch(model, AcquisitionSpec("ucb", kappa=200.0), hf.bounds, 1)
+            acquire_batch(model, BoConfig(kappa=200.0), hf.bounds, 1)
 
 
 class TestValidationMse:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import gpinverse.cli
 import gpinverse.inversion
 import gpinverse.presets
+import gpinverse.sampling
 from gpinverse.bo import MAX_EVALUATIONS, MAX_VALIDATION_POINTS, BoConfig
 from gpinverse.cli import main
 from gpinverse.errors import (
@@ -1013,7 +1014,7 @@ def test_perfbench_tracing_hooks_wrap_and_restore_the_package(tmp_path):
     } <= recorded
 
 
-def test_tools_run_on_a_stub_problem(tmp_path, capsys, function_surrogate):
+def test_tools_run_on_a_stub_problem(tmp_path, capsys, monkeypatch, function_surrogate):
     sweep = _script("tools", "criterion8_sweep")
     problem = InverseProblem(
         surrogate=function_surrogate(lambda x: x[0]),
@@ -1030,6 +1031,24 @@ def test_tools_run_on_a_stub_problem(tmp_path, capsys, function_surrogate):
         for centre in (0.3, -8.5, 0.6)
     ]
     assert sweep.kde_peak_hits(chains, problem.bounds, interval) == 2
+
+    # density_calls counts the batched calls through sampling.log_posterior,
+    # here wrapped once more to count them independently, and restores it
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return gpinverse.inversion.log_posterior(*args)
+
+    monkeypatch.setattr(gpinverse.sampling, "log_posterior", counting)
+    mcmc = McmcConfig(n_chains=3, n_steps=300, burn_in=30, seed=5)
+    profile = gpinverse.inversion.evaluate_profile_grid(problem, 64)
+    row = sweep.sweep_row(problem, mcmc, profile, interval)
+    columns = dict(zip(sweep.HEADER.split(), row.split()))
+    assert columns["seed"] == "5"
+    assert int(columns["density_calls"]) == len(calls) >= 1 + 3  # the starts and 3 blocks
+    assert int(columns["density_evals"]) == sum(calls)
+    assert gpinverse.sampling.log_posterior is counting
 
     digests = _script("tools", "preset_digests")
     assert digests.main([str(tmp_path / "out"), "no-such-preset"]) == 2

@@ -30,6 +30,7 @@ from gpinverse import (
     run_mcmc,
     silverman_bandwidth,
 )
+from gpinverse import sampling
 from gpinverse.gp import _MEAN_CHUNK_ROWS, kernel_matrix
 from gpinverse.sampling import (
     _BLOCK_STEPS,
@@ -183,8 +184,9 @@ class TestMcmc:
 def _reference_run_mcmc(problem, config, profile):
     """The one-step-at-a-time sampler: one log density call per lockstep step.
 
-    Returns the (n_chains, n_steps, d) paths, the accept flags and the
-    independence proposals made and accepted per chain.
+    Returns the (n_chains, n_steps, d) paths, the accept flags, the
+    independence proposals made and accepted per chain, and the flags of the
+    steps that proposed from q.
     """
     d = problem.dim
     lo, hi = np.asarray(problem.bounds, dtype=float).T
@@ -205,6 +207,7 @@ def _reference_run_mcmc(problem, config, profile):
     accepted = np.zeros((n_chains, n_steps), dtype=bool)
     made = np.zeros(n_chains, dtype=int)
     taken = np.zeros(n_chains, dtype=int)
+    indep_steps = np.zeros((n_chains, n_steps), dtype=bool)
     for start in range(0, n_steps, _BLOCK_STEPS):
         size = min(_BLOCK_STEPS, n_steps - start)
         normal, expo, choice, cell_u, offsets = (
@@ -221,6 +224,7 @@ def _reference_run_mcmc(problem, config, profile):
             ))
         )
         indep = choice < INDEPENDENCE_PROBABILITY
+        indep_steps[:, start : start + size] = indep
         q_points = q.sample(cell_u.ravel(), offsets.reshape(-1, d)).reshape(offsets.shape)
         keep = np.where(indep, 0.0, 1.0)[:, :, None]
         shift = np.where(indep[:, :, None], q_points, step * normal)
@@ -242,13 +246,13 @@ def _reference_run_mcmc(problem, config, profile):
             block_path[:, t] = current
         made += indep.sum(axis=1)
         taken += (indep & block_accepted).sum(axis=1)
-    return path, accepted, made, taken
+    return path, accepted, made, taken, indep_steps
 
 
 def _assert_matches_reference(prob, cfg, profile, reference_errstate="raise"):
     chains = run_mcmc(prob, cfg, profile)
     with np.errstate(invalid=reference_errstate):
-        path, accepted, made, taken = _reference_run_mcmc(prob, cfg, profile)
+        path, accepted, made, taken, _ = _reference_run_mcmc(prob, cfg, profile)
     for i, chain in enumerate(chains):
         np.testing.assert_array_equal(chain.path.view(np.int64), path[i].view(np.int64))
         np.testing.assert_array_equal(chain.accepted, accepted[i])
@@ -258,6 +262,34 @@ def _assert_matches_reference(prob, cfg, profile, reference_errstate="raise"):
         # the start and every step's proposal are scored at least once
         assert chain.density_evaluations >= 1 + cfg.n_steps
     return chains
+
+
+def _batch_layout(accepted, indep):
+    """The prefetching sampler's log density batch sizes and rows per chain.
+
+    Built from the one-step sampler's flags.  A step leaves the speculation
+    where its accept flag differs from its q flag.  The first batch scores
+    the starts; each block then scores every proposal of its speculation,
+    and round r scores, for every chain, the random-walk steps after the
+    chain's r-th step off the speculation up to its next q step.  Rounds
+    with no such step make no call.
+    """
+    n_chains, n_steps = accepted.shape
+    sizes, rows = [n_chains], np.ones(n_chains, dtype=int)
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        block = slice(start, start + _BLOCK_STEPS)
+        acc, ind = accepted[:, block], indep[:, block]
+        sizes.append(acc.size)
+        rows += acc.shape[1]
+        rounds = np.zeros(acc.shape[1] + 1, dtype=int)
+        for i in range(n_chains):
+            for r, t in enumerate(np.flatnonzero(acc[i] != ind[i])):
+                q_after = np.flatnonzero(ind[i, t + 1 :])
+                walks = q_after[0] if q_after.size else acc.shape[1] - t - 1
+                rounds[r] += walks
+                rows[i] += walks
+        sizes.extend(int(n) for n in rounds if n)
+    return sizes, rows
 
 
 def _stub_problem(function_surrogate, dim, sigma=0.5):
@@ -283,6 +315,27 @@ class TestPrefetch:
         prob = _stub_problem(function_surrogate, dim)
         cfg = McmcConfig(n_chains=n_chains, n_steps=300, burn_in=30, proposal_scale=scale, seed=4)
         _assert_matches_reference(prob, cfg, evaluate_profile_grid(prob, 64))
+
+    @pytest.mark.parametrize("scale", [0.01, 0.2, 1.0])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_batch_layout(self, function_surrogate, monkeypatch, dim, scale):
+        # The batches follow from the chains alone, so a change of the round
+        # loop that keeps the chains must keep every call's rows as well.
+        prob = _stub_problem(function_surrogate, dim)
+        cfg = McmcConfig(n_chains=5, n_steps=300, burn_in=30, proposal_scale=scale, seed=4)
+        profile = evaluate_profile_grid(prob, 64)
+        sizes = []
+
+        def recording(problem, x):
+            sizes.append(len(x))
+            return log_posterior(problem, x)
+
+        monkeypatch.setattr(sampling, "log_posterior", recording)
+        chains = run_mcmc(prob, cfg, profile)
+        _, accepted, _, _, indep = _reference_run_mcmc(prob, cfg, profile)
+        want_sizes, want_rows = _batch_layout(accepted, indep)
+        assert sizes == want_sizes
+        assert [c.density_evaluations for c in chains] == want_rows.tolist()
 
     @pytest.mark.parametrize("scale", [0.01, 1.0], ids=["high-acceptance", "leaves-box"])
     def test_matches_where_the_density_underflows(self, function_surrogate, scale):

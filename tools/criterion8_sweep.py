@@ -10,9 +10,10 @@ stage's ``mcmc.seed`` varies.  For each seed the script prints the number of
 chains whose KDE peak lies in the dominant high-probability interval (the
 criterion needs at least 7 of 10), the lowest and highest acceptance rate
 (the criterion needs them inside (0.05, 0.95)), the independence
-proposals made and accepted over all chains, the seconds ``run_mcmc`` took
-and the rows of batched log density calls over all chains
-(``density_evaluations``).  The dominant interval is the
+proposals made and accepted over all chains, the seconds ``run_mcmc`` took,
+the rows of batched log density calls over all chains
+(``density_evaluations``) and the number of those calls, counted by
+wrapping ``gpinverse.sampling.log_posterior``.  The dominant interval is the
 one with the most mass under a 512-point reference posterior, as in
 ``tests/test_acceptance.py::test_criterion_8_mcmc_diagnostics``.
 """
@@ -26,6 +27,7 @@ import time
 
 import numpy as np
 
+from gpinverse import sampling
 from gpinverse.inversion import evaluate_profile_grid
 from gpinverse.presets import get_preset, run_experiment
 from gpinverse.sampling import grid_posterior, kde_estimate, run_mcmc
@@ -49,6 +51,39 @@ def kde_peak_hits(chains, bounds, interval) -> int:
     return sum(lo <= p <= hi for p in peaks)
 
 
+HEADER = (
+    "seed hits min_accept max_accept indep_made indep_accepted run_mcmc_s "
+    "density_evals density_calls"
+)
+
+
+def sweep_row(problem, mcmc, profile, interval) -> str:
+    """One output line: ``run_mcmc`` at ``mcmc.seed`` and the HEADER columns."""
+    original = sampling.log_posterior
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    sampling.log_posterior = counting
+    try:
+        start = time.perf_counter()
+        chains = run_mcmc(problem, mcmc, profile)
+        seconds = time.perf_counter() - start
+    finally:
+        sampling.log_posterior = original
+    rates = [c.acceptance_rate for c in chains]
+    return (
+        f"{mcmc.seed} {kde_peak_hits(chains, problem.bounds, interval)}/{len(chains)} "
+        f"{min(rates):.4f} {max(rates):.4f} "
+        f"{sum(c.independence_proposals for c in chains)} "
+        f"{sum(c.independence_accepted for c in chains)} "
+        f"{seconds:.3f} {sum(c.density_evaluations for c in chains)} {calls}"
+    )
+
+
 def main(argv: list[str]) -> int:
     seeds = [int(a) for a in argv] or list(range(10))
     config = get_preset("mixed1d-mcmc")
@@ -58,19 +93,9 @@ def main(argv: list[str]) -> int:
     profile = evaluate_profile_grid(problem, config.inversion.grid_resolution)
     interval = dominant_interval(problem, result.summary.hp_regions)
     print(f"dominant interval [{interval[0]:.4f}, {interval[1]:.4f}]")
-    print("seed hits min_accept max_accept indep_made indep_accepted run_mcmc_s density_evals")
+    print(HEADER)
     for seed in seeds:
-        start = time.perf_counter()
-        chains = run_mcmc(problem, dataclasses.replace(config.mcmc, seed=seed), profile)
-        seconds = time.perf_counter() - start
-        rates = [c.acceptance_rate for c in chains]
-        print(
-            f"{seed} {kde_peak_hits(chains, problem.bounds, interval)}/{len(chains)} "
-            f"{min(rates):.4f} {max(rates):.4f} "
-            f"{sum(c.independence_proposals for c in chains)} "
-            f"{sum(c.independence_accepted for c in chains)} "
-            f"{seconds:.3f} {sum(c.density_evaluations for c in chains)}"
-        )
+        print(sweep_row(problem, dataclasses.replace(config.mcmc, seed=seed), profile, interval))
     return 0
 
 
