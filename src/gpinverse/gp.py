@@ -8,7 +8,12 @@ gp_fit and the likelihood objective share one factor-and-solve path: the
 noise and jitter are written onto K's diagonal in place, numpy's cholesky
 factors it and LAPACK potrs solves against the outputs.
 
-Predictions come batched over query rows; gp_predict_grad adds the closed-form
+Predictions come batched over query rows.  Every posterior mean is one
+einsum over the row-major (m, n) cross-covariance k(x, X): it sums each row
+along its contiguous axis in an order fixed by n alone, where BLAS gemv
+picks kernels by a row's place in its batch and by thread splits, so a row's
+mean has the same bits in any batch and at any thread count.  The variance
+solves against the transpose.  gp_predict_grad adds the closed-form
 gradients of the posterior mean and variance in the query point, which the
 acquisition ascent uses.  The inversion stage reads only the posterior mean,
 from GpModel.predict_mean in row chunks, and its exact gradient and Hessian in
@@ -61,7 +66,7 @@ _JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 _SQRT5 = math.sqrt(5.0)
 
-# Query rows per kernel block in GpModel.predict_mean, so that the (n, rows)
+# Query rows per kernel block in GpModel.predict_mean, so that the (rows, n)
 # block stays a few MB however large the profile grid is.
 _MEAN_CHUNK_ROWS = 4096
 
@@ -107,19 +112,17 @@ def _kernel_from_r(family: str, ell: float, s2: float, r: np.ndarray) -> np.ndar
     return s2 * (1.0 + t + t * t / 3.0) * np.exp(-t)
 
 
-def _kernel_grad_over_r(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+def _kernel_grad_over_r(family: str, ell: float, s2: float, r: np.ndarray) -> np.ndarray:
     """g(r) = k'(r) / r, finite at r = 0 for both families."""
-    s2, ell = spec.signal_variance, spec.length_scale
-    if spec.family == "rbf":
+    if family == "rbf":
         return -_kernel_from_r("rbf", ell, s2, r) / (ell * ell)
     t = _SQRT5 * r / ell
     return -s2 * 5.0 / (3.0 * ell * ell) * (1.0 + t) * np.exp(-t)
 
 
-def _kernel_dgrad_over_r(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+def _kernel_dgrad_over_r(family: str, ell: float, s2: float, r: np.ndarray) -> np.ndarray:
     """g'(r) / r, finite at r = 0; the Hessian of k(x, X_i) is g I + (g'/r) D D^T."""
-    s2, ell = spec.signal_variance, spec.length_scale
-    if spec.family == "rbf":
+    if family == "rbf":
         return _kernel_from_r("rbf", ell, s2, r) / ell**4
     return s2 * 25.0 / (3.0 * ell**4) * np.exp(-_SQRT5 * r / ell)
 
@@ -157,23 +160,23 @@ class GpModel:
         """Posterior mean at each row of x, equal to gp_predict_many's."""
         x = _query_points(self, x)
         return np.concatenate([
-            kernel_matrix(self.kernel, self.data.x, x[i : i + _MEAN_CHUNK_ROWS]).T
-            @ self.alpha
-            for i in range(0, x.shape[0], _MEAN_CHUNK_ROWS)
+            np.einsum("ij,j->i", kernel_matrix(self.kernel, block, self.data.x), self.alpha)
+            for block in (x[i : i + _MEAN_CHUNK_ROWS] for i in range(0, len(x), _MEAN_CHUNK_ROWS))
         ])
 
     def mean_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean (m,) and its gradient (m, d) at each row of x."""
         _, ks, _, dmean = _mean_grad_terms(self, x)
-        return ks.T @ self.alpha, dmean
+        return np.einsum("ij,j->i", ks, self.alpha), dmean
 
     def mean_hessian(self, x: np.ndarray) -> np.ndarray:
         """(d, d) Hessian of the posterior mean at one point x."""
         x = _query_points(self, np.reshape(x, (1, -1)))
         r = cdist(self.data.x, x)[:, 0]
         diff = x - self.data.x
-        g = _kernel_grad_over_r(self.kernel, r)
-        w = self.alpha * _kernel_dgrad_over_r(self.kernel, r)
+        p = (self.kernel.family, self.kernel.length_scale, self.kernel.signal_variance)
+        g = _kernel_grad_over_r(*p, r)
+        w = self.alpha * _kernel_dgrad_over_r(*p, r)
         return float(g @ self.alpha) * np.eye(x.shape[1]) + (diff * w[:, None]).T @ diff
 
 
@@ -254,29 +257,27 @@ def _query_points(model: GpModel, x: np.ndarray) -> np.ndarray:
 
 
 def _posterior(model: GpModel, ks: np.ndarray):
-    """Mean, L^-1 ks and variance floored at zero from the (n, m) cross-covariance."""
-    mean = ks.T @ model.alpha
-    v = sla.solve_triangular(model.chol, ks, lower=True)
+    """Mean, L^-1 ks^T and variance floored at zero from the (m, n) cross-covariance."""
+    v = sla.solve_triangular(model.chol, ks.T, lower=True)
     var = np.maximum(model.kernel.signal_variance - np.sum(v * v, axis=0), 0.0)
-    return mean, v, var
+    return np.einsum("ij,j->i", ks, model.alpha), v, var
 
 
 def gp_predict_many(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at each row of x, shape (m, d)."""
     x = _query_points(model, x)
-    mean, _, var = _posterior(model, kernel_matrix(model.kernel, model.data.x, x))
+    mean, _, var = _posterior(model, kernel_matrix(model.kernel, x, model.data.x))
     return mean, var
 
 
 def _mean_grad_terms(model: GpModel, x: np.ndarray):
-    """Checked rows x, their (n, m) cross-covariance, g(r) and mean gradient."""
+    """Checked rows x, their (m, n) cross-covariance, g(r) and mean gradient."""
     x = _query_points(model, x)
-    r = cdist(model.data.x, x)
-    spec = model.kernel
-    ks = _kernel_from_r(spec.family, spec.length_scale, spec.signal_variance, r)
-    g = _kernel_grad_over_r(spec, r)
+    r = cdist(x, model.data.x)
+    p = (model.kernel.family, model.kernel.length_scale, model.kernel.signal_variance)
+    ks, g = _kernel_from_r(*p, r), _kernel_grad_over_r(*p, r)
     alpha = model.alpha
-    return x, ks, g, x * (g.T @ alpha)[:, None] - (g * alpha[:, None]).T @ model.data.x
+    return x, ks, g, x * (g @ alpha)[:, None] - (g * alpha) @ model.data.x
 
 
 def gp_predict_grad(model: GpModel, x: np.ndarray):
@@ -292,8 +293,8 @@ def gp_predict_grad(model: GpModel, x: np.ndarray):
     """
     x, ks, g, dmean = _mean_grad_terms(model, x)
     mean, v, var = _posterior(model, ks)
-    gw = g * sla.solve_triangular(model.chol, v, lower=True, trans="T")
-    dvar = -2.0 * (x * gw.sum(axis=0)[:, None] - gw.T @ model.data.x)
+    gw = g * sla.solve_triangular(model.chol, v, lower=True, trans="T").T
+    dvar = -2.0 * (x * gw.sum(axis=1)[:, None] - gw @ model.data.x)
     dvar[var == 0.0] = 0.0
     return mean, var, dmean, dvar
 
@@ -323,9 +324,9 @@ def _neg_lml_objective(data: Dataset, family: str, noise_variance: float):
     which links another OpenBLAS build and differs in the last bits.  The
     gradient is -1/2 tr((alpha alpha^T - K^-1) dK/dtheta) (Rasmussen &
     Williams 2006, eq. 5.9) at the jitter rung that factored, with K^-1 from
-    LAPACK potri on the same factor.  dK/dlog s2 is the noise-free kernel;
-    dK/dlog l is k r^2/l^2 for the RBF and
-    s2 t^2 (1 + t) exp(-t) / 3 with t = sqrt(5) r/l for the Matern 5/2.
+    potrs against the identity on the same factor, as alpha is solved.
+    dK/dlog s2 is the noise-free kernel and dK/dlog l is -r^2 g(r), with
+    g(r) = k'(r)/r from _kernel_grad_over_r.
     """
     _check_fit_inputs(data, noise_variance)
     r = cdist(data.x, data.x)
@@ -344,15 +345,8 @@ def _neg_lml_objective(data: Dataset, family: str, noise_variance: float):
         if fac is None:
             return math.inf, np.zeros(2)
         chol, alpha, _ = fac
-        if family == "rbf":
-            dk_dlog_ell = k * (r * r) / (ell * ell)
-        else:
-            t = _SQRT5 * r / ell
-            dk_dlog_ell = s2 / 3.0 * t * t * (1.0 + t) * np.exp(-t)
-        # potri fills the lower triangle and leaves the upper one zero
-        kinv = sla.lapack.dpotri(chol, lower=1)[0]
-        kinv = kinv + kinv.T
-        kinv.flat[:: len(alpha) + 1] *= 0.5
+        dk_dlog_ell = -(r * r) * _kernel_grad_over_r(family, ell, s2, r)
+        kinv = sla.lapack.dpotrs(chol, np.eye(len(alpha)), lower=1)[0]
         grad = [alpha @ dk @ alpha - np.vdot(kinv, dk) for dk in (dk_dlog_ell, k)]
         return -_lml(data.y, chol, alpha), -0.5 * np.array(grad)
 

@@ -265,7 +265,7 @@ PRESETS = {
                 "improvement-seeking acquisition concentrates samples near the "
                 "incumbent optimum instead of covering the domain"
             ),
-            bo=BoConfig(acquisition="ei", kappa=0.0, max_evaluations=20),
+            bo=BoConfig(acquisition="ei", max_evaluations=20),
         ),
     )
 }

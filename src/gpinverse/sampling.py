@@ -223,13 +223,10 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[Chain
     one-step-at-a-time sampler, and only the batches in which log densities
     are computed differ.  So the chains are that sampler's bit for bit
     whenever the surrogate's mean at a row does not depend on the other rows
-    of its batch; ``log_posterior`` adds no such dependence of its own.
-    ``GpModel.predict_mean`` comes within rounding of it: BLAS may sum a
-    row's k(x)^T alpha in another order in another batch, and an acceptance
-    test can then differ only where E falls within those last bits of the
-    log ratio.  ``ChainResult.density_evaluations`` counts each chain's
-    rows in the batched calls, the start and the discarded prefetches
-    included.
+    of its batch, as ``GpModel.predict_mean``'s does not; ``log_posterior``
+    adds no such dependence of its own.  ``ChainResult.density_evaluations``
+    counts each chain's rows in the batched calls, the start and the
+    discarded prefetches included.
     """
     d = problem.dim
     lo, hi = np.asarray(problem.bounds, dtype=float).T

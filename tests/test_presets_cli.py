@@ -6,6 +6,8 @@ import importlib.util
 import json
 import os
 import pkgutil
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -966,6 +968,42 @@ def _script(folder, name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_cli_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # A fitted run's artifacts must have the same bytes whatever the BLAS
+    # thread count of the host.  OpenBLAS reads it once, at import, so each
+    # count runs in its own process.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "benchmark = forrester1d\n"
+        "bo.n_init = 4\n"
+        "bo.max_evaluations = 10\n"
+        "bo.n_val = 200\n"
+        "inversion.observed = -6.02\n"
+        "inversion.obs_variance = 0.72\n"
+        "inversion.grid_resolution = 256\n"
+        "inversion.n_starts = 4\n"
+    )
+    sha256 = _script("tools", "preset_digests")._sha256
+    src = os.path.dirname(os.path.dirname(gpinverse.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        argv = [sys.executable, "-m", "gpinverse.cli", "run", "--config", str(cfg), "--out", str(out)]
+        subprocess.run(argv, env=env, check=True, capture_output=True)
+        digests.append({
+            os.path.relpath(os.path.join(root, f), out): sha256(os.path.join(root, f))
+            for root, _, files in os.walk(out)
+            for f in files
+        })
+    assert "profiles.csv" in digests[0]
+    assert digests[0] == digests[1]
 
 
 def test_every_perfbench_workload_config_parses():

@@ -31,7 +31,7 @@ from gpinverse import (
     silverman_bandwidth,
 )
 from gpinverse import sampling
-from gpinverse.gp import _MEAN_CHUNK_ROWS, kernel_matrix
+from gpinverse.gp import _MEAN_CHUNK_ROWS, gp_predict_many
 from gpinverse.sampling import (
     _BLOCK_STEPS,
     INDEPENDENCE_PROBABILITY,
@@ -371,7 +371,8 @@ class TestPrefetch:
 
     def test_matches_the_one_step_sampler_on_a_gp(self):
         # Ten chains put rows at the tail of the one-step sampler's batches,
-        # which BLAS rounds with another kernel (see the next test).
+        # where a BLAS product would round with another kernel (see the next
+        # test).
         rng = np.random.default_rng(0)
         x = rng.uniform(-2.0, 2.0, (12, 1))
         model = gp_fit(
@@ -383,17 +384,16 @@ class TestPrefetch:
         cfg = McmcConfig(n_chains=10, n_steps=300, burn_in=30, proposal_scale=0.2, seed=2)
         _assert_matches_reference(prob, cfg, evaluate_profile_grid(prob, 256))
 
-    def test_batching_moves_a_gp_mean_only_by_its_rounding(self):
+    @pytest.mark.parametrize("n", [25, 300])
+    def test_batching_keeps_a_gp_mean_bit_for_bit(self, n):
         # The prefetch scores rows in other batches than the one-step
-        # sampler.  A row's GP mean is the dot product k(x)^T alpha, which
-        # BLAS sums in an order that can depend on the row's place in its
-        # batch (the last m mod 4 rows and thread splits take other
-        # kernels), so a batch may move it, by at most twice the bound
-        # gamma_n sum |k_i alpha_i| that holds for any order (Higham 2002,
-        # eq. 3.5).  log_posterior adds no batch dependence of its own.
+        # sampler.  BLAS gemv rounds the last m mod 4 rows of a batch, and
+        # rows at a thread split, with other kernels; the GP's einsum sums
+        # each row of its (m, n) cross-covariance in an order fixed by n, so
+        # no batch moves a mean.  log_posterior adds no batch dependence.
         sizes = [1, 10, 1280, _MEAN_CHUNK_ROWS + 1]
         rng = np.random.default_rng(0)
-        x = rng.uniform(-2.0, 2.0, (25, 2))
+        x = rng.uniform(-2.0, 2.0, (n, 2))
         model = gp_fit(
             Dataset(x=x, y=np.sin(x).sum(axis=1), bounds=((-2.0, 2.0),) * 2),
             KernelSpec("matern52", 0.8, 1.3),
@@ -409,18 +409,19 @@ class TestPrefetch:
         points = rng.uniform(-3.0, 3.0, (sum(sizes), 2))
         parts = np.split(points, np.cumsum(sizes)[:-1])
 
-        whole = model.predict_mean(points)
-        split = np.concatenate([model.predict_mean(p) for p in parts])
-        n, u = model.data.n, np.finfo(float).eps / 2
-        terms = np.abs(kernel_matrix(model.kernel, model.data.x, points) * model.alpha[:, None])
-        assert np.all(np.abs(whole - split) <= 2 * n * u / (1 - n * u) * terms.sum(axis=0))
-
-        same = whole.view(np.int64) == split.view(np.int64)
-        assert same.mean() > 0.5
+        whole = model.predict_mean(points).view(np.int64)
+        for mean in (
+            model.predict_mean,
+            lambda p: model.mean_grad(p)[0],
+            lambda p: gp_predict_many(model, p)[0],
+        ):
+            np.testing.assert_array_equal(mean(points).view(np.int64), whole)
+            split = np.concatenate([mean(p) for p in parts])
+            np.testing.assert_array_equal(split.view(np.int64), whole)
         by_part = [log_posterior(prob, p) for p in parts]
         for k, column in enumerate(log_posterior(prob, points)):
             joined = np.concatenate([lp[k] for lp in by_part])
-            np.testing.assert_array_equal(column[same].view(np.int64), joined[same].view(np.int64))
+            np.testing.assert_array_equal(column.view(np.int64), joined.view(np.int64))
 
 
 def _dense_kde(samples, grid, h):
