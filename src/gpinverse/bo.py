@@ -339,7 +339,7 @@ def run_bo(hf: HighFidelityModel, config: BoConfig) -> BoTrace:
                 f"surrogate fit failed at iteration {iteration} "
                 f"with {data.n} samples: {exc}"
             ) from exc
-        pred, _ = gp_predict_many(model, val_points)
+        pred = model.predict_mean(val_points)
         mse = float(np.mean((val_truth - pred) ** 2))
         mse_norm = mse / val_var
         criterion = mse_norm if config.mse_mode == "normalized" else mse

@@ -16,8 +16,12 @@ mean has the same bits in any batch and at any thread count.  The variance
 solves against the transpose.  gp_predict_grad adds the closed-form
 gradients of the posterior mean and variance in the query point, which the
 acquisition ascent uses.  The inversion stage reads only the posterior mean,
-from GpModel.predict_mean in row chunks, and its exact gradient and Hessian in
-x, with no step sizes.
+from GpModel.predict_mean in row blocks, and its exact gradient and Hessian in
+x, with no step sizes.  predict_mean computes every block's distances and
+kernel in arrays it allocates once per call, and each block's means straight
+into the output: a fresh MB-sized temporary is mapped by the allocator and
+page-faulted anew each time, which cost a dense profile grid more than its
+arithmetic.
 
 Hyperparameters (length scale, signal variance) are fitted by maximizing the
 log marginal likelihood in log space: a fixed probe grid over the bounded
@@ -67,7 +71,9 @@ _JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 _SQRT5 = math.sqrt(5.0)
 
 # Query rows per kernel block in GpModel.predict_mean, so that the (rows, n)
-# block stays a few MB however large the profile grid is.
+# block stays a few MB however large the profile grid is.  The at most three
+# block arrays are allocated once per call and reused by every block, so the
+# allocator maps and page-faults them once, not once a block.
 _MEAN_CHUNK_ROWS = 4096
 
 # Cells per axis of the log (length scale, signal variance) probe grid that
@@ -104,18 +110,39 @@ class KernelSpec:
             raise ConfigurationError("signal_variance must be positive")
 
 
-def _kernel_from_r(family: str, ell: float, s2: float, r: np.ndarray) -> np.ndarray:
-    """Covariance as a function of Euclidean distance r >= 0."""
+def _kernel_from_r(family: str, ell: float, s2: float, r: np.ndarray, work=()) -> np.ndarray:
+    """Overwrite the distances r >= 0 with the covariance k(r) and return r.
+
+    The Matern family also writes into ``work``, two more arrays of r's
+    shape, allocated when not given.  The operations and their order are
+    those of s2 exp(-r^2 / (2 l^2)) and of s2 ((1 + t) + t^2 / 3) exp(-t)
+    with t = sqrt(5) r / l, so the bits do not depend on the arrays used.
+    """
     if family == "rbf":
-        return s2 * np.exp(-(r * r) / (2.0 * ell * ell))
-    t = _SQRT5 * r / ell
-    return s2 * (1.0 + t + t * t / 3.0) * np.exp(-t)
+        np.multiply(r, r, out=r)
+        np.negative(r, out=r)
+        r /= 2.0 * ell * ell
+        np.exp(r, out=r)
+        r *= s2
+        return r
+    poly, one_plus_t = work or (np.empty_like(r), np.empty_like(r))
+    r *= _SQRT5
+    r /= ell
+    np.multiply(r, r, out=poly)
+    poly /= 3.0
+    np.add(r, 1.0, out=one_plus_t)
+    poly += one_plus_t
+    poly *= s2
+    np.negative(r, out=r)
+    np.exp(r, out=r)
+    r *= poly
+    return r
 
 
 def _kernel_grad_over_r(family: str, ell: float, s2: float, r: np.ndarray) -> np.ndarray:
     """g(r) = k'(r) / r, finite at r = 0 for both families."""
     if family == "rbf":
-        return -_kernel_from_r("rbf", ell, s2, r) / (ell * ell)
+        return -_kernel_from_r("rbf", ell, s2, r.copy()) / (ell * ell)
     t = _SQRT5 * r / ell
     return -s2 * 5.0 / (3.0 * ell * ell) * (1.0 + t) * np.exp(-t)
 
@@ -123,7 +150,7 @@ def _kernel_grad_over_r(family: str, ell: float, s2: float, r: np.ndarray) -> np
 def _kernel_dgrad_over_r(family: str, ell: float, s2: float, r: np.ndarray) -> np.ndarray:
     """g'(r) / r, finite at r = 0; the Hessian of k(x, X_i) is g I + (g'/r) D D^T."""
     if family == "rbf":
-        return _kernel_from_r("rbf", ell, s2, r) / ell**4
+        return _kernel_from_r("rbf", ell, s2, r.copy()) / ell**4
     return s2 * 25.0 / (3.0 * ell**4) * np.exp(-_SQRT5 * r / ell)
 
 
@@ -135,8 +162,7 @@ def kernel_matrix(spec: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarra
         raise ShapeError(
             f"point sets have dimensions {xa.shape[1]} and {xb.shape[1]}"
         )
-    r = cdist(xa, xb)
-    return _kernel_from_r(spec.family, spec.length_scale, spec.signal_variance, r)
+    return _kernel_from_r(spec.family, spec.length_scale, spec.signal_variance, cdist(xa, xb))
 
 
 @dataclass(frozen=True)
@@ -159,10 +185,17 @@ class GpModel:
     def predict_mean(self, x: np.ndarray) -> np.ndarray:
         """Posterior mean at each row of x, equal to gp_predict_many's."""
         x = _query_points(self, x)
-        return np.concatenate([
-            np.einsum("ij,j->i", kernel_matrix(self.kernel, block, self.data.x), self.alpha)
-            for block in (x[i : i + _MEAN_CHUNK_ROWS] for i in range(0, len(x), _MEAN_CHUNK_ROWS))
-        ])
+        p = (self.kernel.family, self.kernel.length_scale, self.kernel.signal_variance)
+        mean = np.empty(len(x))
+        # one distance array, and the Matern family's two work arrays, serve
+        # every block
+        blocks = np.empty((1 if p[0] == "rbf" else 3, min(len(x), _MEAN_CHUNK_ROWS), self.data.n))
+        for i in range(0, len(x), _MEAN_CHUNK_ROWS):
+            rows = x[i : i + _MEAN_CHUNK_ROWS]
+            r, *work = blocks[:, : len(rows)]
+            k = _kernel_from_r(*p, cdist(rows, self.data.x, out=r), work)
+            np.einsum("ij,j->i", k, self.alpha, out=mean[i : i + len(rows)])
+        return mean
 
     def mean_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean (m,) and its gradient (m, d) at each row of x."""
@@ -275,7 +308,8 @@ def _mean_grad_terms(model: GpModel, x: np.ndarray):
     x = _query_points(model, x)
     r = cdist(x, model.data.x)
     p = (model.kernel.family, model.kernel.length_scale, model.kernel.signal_variance)
-    ks, g = _kernel_from_r(*p, r), _kernel_grad_over_r(*p, r)
+    g = _kernel_grad_over_r(*p, r)
+    ks = _kernel_from_r(*p, r)
     alpha = model.alpha
     return x, ks, g, x * (g @ alpha)[:, None] - (g * alpha) @ model.data.x
 
@@ -333,7 +367,7 @@ def _neg_lml_objective(data: Dataset, family: str, noise_variance: float):
 
     def factor(theta: np.ndarray):
         ell, s2 = math.exp(theta[0]), math.exp(theta[1])
-        k = _kernel_from_r(family, ell, s2, r)
+        k = _kernel_from_r(family, ell, s2, r.copy())
         return ell, s2, k, _cholesky_with_jitter(k.copy(), noise_variance, data.y)
 
     def neg_lml(theta: np.ndarray) -> float:

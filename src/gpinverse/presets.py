@@ -31,7 +31,9 @@ from .baselines import eval_deterministic, fit_deterministic
 from .benchmarks import check_in_bounds, eval_benchmark, get_benchmark
 from .bo import BoConfig, BoTrace, run_bo, _validation_set
 from .errors import ConfigurationError, GpInverseError, ShapeError
-from .gp import LENGTH_SCALE_FACTORS, KernelSpec, gp_fit, gp_predict_many
+# gp_predict_many is not called here, but perfbench/tracing.py wraps it on
+# this module as well as on gp and bo
+from .gp import LENGTH_SCALE_FACTORS, KernelSpec, gp_fit, gp_predict_many  # noqa: F401
 from .inversion import (
     HP_THRESHOLD,
     MAX_GRID_CELLS,
@@ -525,11 +527,12 @@ def _run_inversion_stage(config, hf, model, result):
 
     _write_json(result, "posterior.json", summary)
     # points is the C-order mesh of the axes: each axis value is formatted
-    # once and gathered into its column by the mesh index
-    axes, _, ls, nls_norm = profile
+    # once and gathered into its column by the mesh index.  nls_normalized
+    # is not written: it is a function of ls (see README).
+    axes, _, ls, _ = profile
     index = np.indices([len(ax) for ax in axes]).reshape(len(axes), -1)
     coords = {name: _texts(ax)[i] for name, ax, i in zip(("x", "y"), axes, index)}
-    _write_csv(result, "profiles.csv", {**coords, "ls": ls, "nls_normalized": nls_norm})
+    _write_csv(result, "profiles.csv", {**coords, "ls": ls})
 
     result.problem = problem
     result.summary = summary
@@ -599,7 +602,7 @@ def _run_compare_stage(config, result):
         scores = {}
         for fam in ("matern52", "rbf"):
             model = gp_fit(data, KernelSpec(fam, 1.0, 1.0), config.bo.noise_variance)
-            pred, _ = gp_predict_many(model, points)
+            pred = model.predict_mean(points)
             scores["gp-" + fam] = float(np.mean((truth - pred) ** 2))
         for fam in DETERMINISTIC_FAMILIES:
             surr = fit_deterministic(fam, data)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gpinverse import (
     sample_initial_design,
 )
 from gpinverse.gp import (
+    _MEAN_CHUNK_ROWS,
     _hyper_bounds,
     _kernel_from_r,
     _neg_lml_objective,
@@ -197,15 +199,43 @@ class TestFitPredict:
             np.testing.assert_allclose(mean, mean_o, rtol=1e-8, atol=1e-10)
             np.testing.assert_allclose(var, np.maximum(var_o, 0), rtol=1e-6, atol=1e-8)
 
-    def test_chunked_mean_equals_batched_prediction_exactly(self):
-        from gpinverse.gp import _MEAN_CHUNK_ROWS
-
+    @pytest.mark.parametrize("family", ["rbf", "matern52"])
+    def test_chunked_mean_equals_batched_prediction_exactly(self, family):
         rng = np.random.default_rng(5)
         bounds = ((-2.0, 2.0), (-2.0, 2.0))
         x = rng.uniform(-2, 2, size=(12, 2))
-        model = gp_fit(_dataset(x, np.sin(x).sum(axis=1), bounds), KernelSpec("matern52", 0.8, 1.3), 1e-6)
+        model = gp_fit(_dataset(x, np.sin(x).sum(axis=1), bounds), KernelSpec(family, 0.8, 1.3), 1e-6)
         q = rng.uniform(-2, 2, size=(2 * _MEAN_CHUNK_ROWS + 7, 2))
         assert np.array_equal(model.predict_mean(q), gp_predict_many(model, q)[0])
+
+    @pytest.mark.parametrize("family", ["rbf", "matern52"])
+    @pytest.mark.parametrize("blocks", [3, 12])
+    def test_chunked_mean_holds_at_most_three_blocks(self, family, blocks):
+        # the blocks are computed in arrays allocated once per call, so the
+        # peak does not grow with the number of blocks
+        rng = np.random.default_rng(6)
+        bounds = ((-2.0, 2.0), (-2.0, 2.0))
+        x = rng.uniform(-2, 2, size=(40, 2))
+        model = gp_fit(_dataset(x, np.sin(x).sum(axis=1), bounds), KernelSpec(family, 0.8, 1.3), 1e-6)
+        q = rng.uniform(-2, 2, size=(blocks * _MEAN_CHUNK_ROWS + 5, 2))
+        model.predict_mean(q[:10])
+        tracemalloc.start()
+        try:
+            mean = model.predict_mean(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_bytes = _MEAN_CHUNK_ROWS * model.data.n * 8
+        assert peak <= mean.nbytes + 3 * block_bytes + 64 * 1024
+
+    def test_empty_batch_gives_empty_arrays(self):
+        ds = _dataset([[0.0, 0.0], [1.0, 0.5], [-1.0, 2.0]], [0.3, -0.2, 1.0], ((-5.0, 5.0),) * 2)
+        model = gp_fit(ds, KernelSpec("matern52", 0.7, 1.6), 1e-4)
+        empty = np.empty((0, 2))
+        mean, dmean = model.mean_grad(empty)
+        for values in (model.predict_mean(empty), *gp_predict_many(model, empty), mean):
+            assert values.shape == (0,)
+        assert dmean.shape == (0, 2)
 
     def test_variance_never_exceeds_prior(self):
         ds = _dataset([[0.0], [1.0], [2.5]], [0.3, -0.2, 1.0])

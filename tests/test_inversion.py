@@ -1,4 +1,5 @@
-"""Inversion machinery on exact stub surrogates: fast and GP-independent."""
+"""Inversion machinery on exact stub surrogates, fast and GP-independent, and
+on a small fitted GP where the surrogate's own batch handling is tested."""
 
 import math
 
@@ -7,10 +8,13 @@ import pytest
 
 from gpinverse import (
     ConfigurationError,
+    Dataset,
     GaussianPrior,
     InferenceError,
     InverseProblem,
+    KernelSpec,
     NumericalError,
+    gp_fit,
     high_probability_region,
     laplace_approximation,
     log_posterior,
@@ -82,6 +86,20 @@ class TestFunctionals:
         # LS = 2 sigma^2 exactly, so NLS = e^-1
         log_nls = log_posterior(prob, np.array([[0.5]]))[1][0]
         assert math.exp(log_nls) == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("prior", [None, GaussianPrior([0.5, 0.5], [[0.1, 0.0], [0.0, 0.1]])])
+    def test_empty_batch_gives_empty_arrays(self, prior):
+        x = np.array([[0.1, 0.2], [0.8, 0.4], [0.5, 0.9]])
+        data = Dataset(x=x, y=x.sum(axis=1), bounds=((0.0, 1.0), (0.0, 1.0)))
+        prob = InverseProblem(
+            surrogate=gp_fit(data, KernelSpec("rbf", 0.5, 1.0), 1e-6),
+            observed=1.0,
+            obs_variance=0.1,
+            bounds=data.bounds,
+            prior=prior,
+        )
+        ls, log_nls = log_posterior(prob, np.empty((0, 2)))
+        assert ls.shape == log_nls.shape == (0,)
 
     def test_ls_nls_order_anticorrespondence(self, function_surrogate):
         prob = InverseProblem(

@@ -608,16 +608,19 @@ def _capture_results(monkeypatch) -> list:
     return results
 
 
-def _assert_profiles_recover_nls(outdir, result, coords):
-    # NLS is exp(-ls / (2 obs_variance)) for a run, which has no prior
+def _assert_profiles_recover_nls(outdir, result, coords, resolution):
+    # NLS is exp(-ls / (2 obs_variance)) for a run, which has no prior, and
+    # the README's recipe gives the profile's nls_normalized from it
     lines = (outdir / "profiles.csv").read_text().splitlines()
-    assert lines[0] == ",".join([*coords, "ls", "nls_normalized"])
+    assert lines[0] == ",".join([*coords, "ls"])
     table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
     points, ls = table[:, : len(coords)], table[:, len(coords)]
     obs_variance = json.loads((outdir / "manifest.json").read_text())["inversion"]["obs_variance"]
-    recovered = np.exp(-ls / (2.0 * obs_variance))
+    log_nls = -ls / (2.0 * obs_variance)
     expected = np.exp(gpinverse.inversion.log_posterior(result.problem, points)[1])
-    assert recovered.tobytes() == expected.tobytes()
+    assert np.exp(log_nls).tobytes() == expected.tobytes()
+    profile = gpinverse.inversion.evaluate_profile_grid(result.problem, resolution)
+    assert np.exp(log_nls - log_nls.max()).tobytes() == profile[3].tobytes()
 
 
 def test_cli_2d_run_writes_profiles_from_which_nls_is_recovered(tmp_path, monkeypatch):
@@ -632,7 +635,7 @@ def test_cli_2d_run_writes_profiles_from_which_nls_is_recovered(tmp_path, monkey
     )
     outdir = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 0
-    _assert_profiles_recover_nls(outdir, results[0], ("x", "y"))
+    _assert_profiles_recover_nls(outdir, results[0], ("x", "y"), 64)
     # the coordinate cells are repr of the linspace axes, in C order
     (xlo, xhi), (ylo, yhi) = results[0].problem.bounds
     xs, ys = np.linspace(xlo, xhi, 64), np.linspace(ylo, yhi, 64)
@@ -671,7 +674,7 @@ def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path, monkeypatch):
     overlay = (outdir / "kde_overlay.csv").read_text().splitlines()
     assert len(overlay) == 1 + 2 * 2001
     assert overlay[1].startswith("0,") and overlay[-1].startswith("1,")
-    _assert_profiles_recover_nls(outdir, results[0], ("x",))
+    _assert_profiles_recover_nls(outdir, results[0], ("x",), 256)
     # the kde files and the overlay match the row-by-row rule on densities
     # recomputed from the chains
     lo, hi = results[0].problem.bounds[0]
