@@ -6,9 +6,10 @@ Phi is the inversion module's objective: the misfit LS plus the Gaussian
 prior term when the problem has a prior.  Each step mixes a random-walk
 kernel with an independence kernel whose proposal is built from the
 inversion stage's profile grid.  The sampler prefetches log densities along
-each block's most likely path and rescores, in one kind of round, from where
-each chain leaves it, so a few batched surrogate calls per block replace one
-call per step, with the arithmetic of a one-step-at-a-time sampler.
+each block's most likely path and rescores where the chains leave it, in
+rounds that resolve the independent stretches of every chain at once, so a
+few batched surrogate calls per block replace one call per step, with the
+arithmetic of a one-step-at-a-time sampler.
 Per-chain kernel density estimates and a dense-grid reference posterior give
 a qualitative picture of multimodality that the local Laplace summary cannot
 provide.
@@ -98,7 +99,7 @@ class ChainResult:
     acceptance_rate: float
     independence_proposals: int  # steps that proposed from the profile q
     independence_accepted: int  # of those, the accepted ones
-    density_evaluations: int  # rows in batched log density calls, prefetches included
+    density_evaluations: int  # rows in batched log density calls, rescored rows included
 
 
 def _chain_rng(seed: int, chain_index: int) -> np.random.Generator:
@@ -161,12 +162,12 @@ class _ProfileProposal:
         return self.cell_log_density[flat]
 
 
-def _next_true(mask: np.ndarray) -> np.ndarray:
-    """(n, size + 1) array: the first step >= t at which ``mask`` holds, else size."""
-    n, size = mask.shape
-    first = np.where(mask, np.arange(size), size)
-    first = np.concatenate([first, np.full((n, 1), size)], axis=1)
-    return np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1]
+def _reach(indep: np.ndarray) -> np.ndarray:
+    """(n, size) array: the step after the first q step after t, else size."""
+    n, size = indep.shape
+    after = np.where(indep[:, 1:], np.arange(2, size + 1), size)
+    after = np.concatenate([after, np.full((n, 1), size)], axis=1)
+    return np.minimum.accumulate(after[:, ::-1], axis=1)[:, ::-1]
 
 
 def _take(start: np.ndarray, values: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -214,19 +215,27 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[Chain
     the speculation (Brockwell 2006; Strid 2010): every q proposal accepted
     and every random-walk proposal rejected.  On it the state before a step
     is the q point of the chain's last q step, so one batched call scores
-    every proposal of the block.  Then follows one kind of round: each finds
-    every chain's next step off the speculation, a rejected q or an accepted
-    random-walk proposal, and scores the chain's random-walk proposals again
-    from its state there up to its next q step, one batched call for all
-    chains.
+    every proposal of the block.  Rounds follow, one batched call each for
+    all chains.  A group is a q step and the random-walk steps after it; an
+    accepted q proposal makes a group's states independent of the groups
+    before it.  Each round takes, in every group of every chain, the first
+    step whose decision differs from the one its successors' states were
+    written for (at first a rejected q or an accepted random-walk proposal),
+    and scores the group's later random-walk proposals again from the state
+    after it.  A q step waits until it is its chain's first such step, when
+    its inputs are final.  So each chain's first such step is final too, a
+    run makes at most the rounds of one that resolves one step per chain per
+    round, and a group resolved on states that a later round changes is
+    scored again.
     Every proposal and acceptance test is computed with the arithmetic of a
     one-step-at-a-time sampler, and only the batches in which log densities
     are computed differ.  So the chains are that sampler's bit for bit
     whenever the surrogate's mean at a row does not depend on the other rows
     of its batch, as ``GpModel.predict_mean``'s does not; ``log_posterior``
     adds no such dependence of its own.  ``ChainResult.density_evaluations``
-    counts each chain's rows in the batched calls, the start and the
-    discarded prefetches included.
+    counts each chain's rows in the batched calls, the start, the discarded
+    prefetches and the rows scored again included; like the chains, it
+    depends only on the seed and the problem.
     """
     d = problem.dim
     lo, hi = np.asarray(problem.bounds, dtype=float).T
@@ -284,50 +293,64 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[Chain
         evaluations += size
         logp_before = _take(logp, logp_new, before)
         lq_before = _take(q.log_density(current), log_q, before)
-        next_q = _next_true(indep)
 
-        # Each round decides the steps (ci, ti) whose inputs were just written,
-        # then takes each chain's state at its first step from pos off the
-        # speculation as the state before its steps up to its next q step, and
-        # scores their random-walk proposals again.  proposals and logp_new so
-        # hold, at each accepted step, the point taken and its log density.
-        block_accepted = accepted[:, start : start + size]
-        pos = np.zeros(n_chains, dtype=int)  # each chain's next step to decide
-        live = chains  # the chains that may still leave the speculation
-        ci, ti = np.repeat(chains, size), np.tile(steps, n_chains)
+        # Each round decides the steps whose inputs were just written.  An
+        # event is a step whose decision differs from the one its successors'
+        # states were written for: written starts as the speculation, and
+        # stale marks a q step whose state before was rewritten after its
+        # successors were.  The first event of each group is resolved, a q
+        # step's only as its chain's first: the state after it is written as
+        # the state before the steps up to the next q step, whose random-walk
+        # proposals are scored again.  proposals and logp_new so hold, at each
+        # accepted step, the point taken and its log density.  Chain c's step
+        # t is row c * size + t of the flat views below, and group numbers
+        # differ between chains.
+        group = (np.cumsum(indep, axis=1) + (size + 1) * chains[:, None]).ravel()
+        reach = (_reach(indep) + size * chains[:, None]).ravel()
+        x_before, proposals, shift = (a.reshape(-1, d) for a in (x_before, proposals, shift))
+        logp_before, logp_new, lq_before, bar, is_q = (
+            a.ravel() for a in (logp_before, logp_new, lq_before, bar, indep)
+        )
+        decided = np.empty_like(is_q)
+        written, stale = is_q.copy(), np.zeros_like(is_q)
+        rows = np.arange(is_q.size)
         while True:
-            gain = _log_gain(logp_new[ci, ti], logp_before[ci, ti])
-            np.add(gain, lq_before[ci, ti], out=gain, where=indep[ci, ti])
-            block_accepted[ci, ti] = bar[ci, ti] < gain
-            leaves = (block_accepted[live] != indep[live]) & (steps >= pos[live, None])
-            found = leaves.any(axis=1)
-            live, m = live[found], leaves[found].argmax(axis=1)
-            if not live.size:
+            gain = _log_gain(logp_new[rows], logp_before[rows])
+            np.add(gain, lq_before[rows], out=gain, where=is_q[rows])
+            decided[rows] = bar[rows] < gain
+            events = np.flatnonzero((decided != written) | (stale & ~decided))
+            if not events.size:
                 break
-            took = block_accepted[live, m]
-            x = np.where(took[:, None], proposals[live, m], x_before[live, m])
-            x_logp = np.where(took, logp_new[live, m], logp_before[live, m])
-            pos[live] = m + 1
-            lengths = np.minimum(next_q[live, m + 1] + 1, size) - pos[live]
-            # Row r of a chain whose rows start at row r0 is step pos + r - r0.
-            k = np.repeat(np.arange(live.size), lengths)
-            ci = live[k]
-            ti = np.arange(k.size) + (pos[live] - np.cumsum(lengths) + lengths)[k]
-            x_before[ci, ti] = x[k]
-            logp_before[ci, ti] = x_logp[k]
-            lq_before[ci, ti] = q.log_density(x)[k]
-            walk = ~indep[ci, ti]
-            wc, wt = ci[walk], ti[walk]
-            if wc.size:
-                proposals[wc, wt] = x_before[wc, wt] + shift[wc, wt]
-                logp_new[wc, wt] = log_density(proposals[wc, wt])
-                evaluations += np.bincount(wc, minlength=n_chains)
+            g, live = group[events], events // size
+            first = np.concatenate(([True], g[1:] != g[:-1]))
+            first &= ~is_q[events] | np.concatenate(([True], live[1:] != live[:-1]))
+            events = events[first]
+            took = decided[events]
+            x = np.where(took[:, None], proposals[events], x_before[events])
+            x_logp = np.where(took, logp_new[events], logp_before[events])
+            lengths = reach[events] - events - 1
+            # Row r of an event whose rows start at row r0 is row event + 1 + r - r0.
+            k = np.repeat(np.arange(events.size), lengths)
+            rows = np.arange(k.size) + (events + 1 - np.cumsum(lengths) + lengths)[k]
+            x_before[rows] = x[k]
+            logp_before[rows] = x_logp[k]
+            lq_before[rows] = q.log_density(x)[k]
+            written[events] = took
+            stale[events] = False
+            stale[rows] = is_q[rows]  # the q step that ends a group
+            walk = rows[~is_q[rows]]
+            written[walk] = False
+            if walk.size:
+                proposals[walk] = x_before[walk] + shift[walk]
+                logp_new[walk] = log_density(proposals[walk])
+                evaluations += np.bincount(walk // size, minlength=n_chains)
 
         # The state after step t is the point taken at the last accepted step.
+        accepted[:, start : start + size] = block_accepted = decided.reshape(indep.shape)
         last = np.maximum.accumulate(np.where(block_accepted, steps + 1, 0), axis=1)
-        path[:, start : start + size] = _take(current, proposals, last)
+        path[:, start : start + size] = _take(current, proposals.reshape(n_chains, size, d), last)
         current = path[:, start + size - 1]
-        logp = _take(logp, logp_new, last[:, -1:])[:, 0]
+        logp = _take(logp, logp_new.reshape(indep.shape), last[:, -1:])[:, 0]
         made += indep.sum(axis=1)
         taken += (indep & block_accepted).sum(axis=1)
 

@@ -265,21 +265,21 @@ def _assert_matches_reference(prob, cfg, profile, reference_errstate="raise"):
 
 
 def _batch_layout(accepted, indep):
-    """The prefetching sampler's log density batch sizes and rows per chain.
+    """The serial schedule's log density batch sizes per block, and rows per chain.
 
-    Built from the one-step sampler's flags.  A step leaves the speculation
-    where its accept flag differs from its q flag.  The first batch scores
-    the starts; each block then scores every proposal of its speculation,
-    and round r scores, for every chain, the random-walk steps after the
-    chain's r-th step off the speculation up to its next q step.  Rounds
-    with no such step make no call.
+    Built from the one-step sampler's flags for a round loop that resolves
+    each chain's steps off the speculation one at a time: a step leaves the
+    speculation where its accept flag differs from its q flag.  A first
+    batch scores the starts; each block then scores every proposal of its
+    speculation, and round r scores, for every chain, the random-walk steps
+    after the chain's r-th step off the speculation up to its next q step.
+    Rounds with no such step make no call.
     """
     n_chains, n_steps = accepted.shape
-    sizes, rows = [n_chains], np.ones(n_chains, dtype=int)
+    blocks, rows = [], np.ones(n_chains, dtype=int)
     for start in range(0, n_steps, _BLOCK_STEPS):
         block = slice(start, start + _BLOCK_STEPS)
         acc, ind = accepted[:, block], indep[:, block]
-        sizes.append(acc.size)
         rows += acc.shape[1]
         rounds = np.zeros(acc.shape[1] + 1, dtype=int)
         for i in range(n_chains):
@@ -288,8 +288,45 @@ def _batch_layout(accepted, indep):
                 walks = q_after[0] if q_after.size else acc.shape[1] - t - 1
                 rounds[r] += walks
                 rows[i] += walks
-        sizes.extend(int(n) for n in rounds if n)
-    return sizes, rows
+        blocks.append([acc.size] + [int(n) for n in rounds if n])
+    return blocks, rows
+
+
+def _run_within_serial_schedule(monkeypatch, prob, cfg, profile):
+    """run_mcmc's chains, checked against the serial schedule of _batch_layout.
+
+    Records the batch sizes per block (q is sampled once per block, before
+    the block's first density call) and asserts that the starts take one
+    batch, each block's first batch scores its whole speculation, each block
+    makes at most the serial schedule's batches and each chain scores at
+    least its rows.  Returns the chains, the batches made, and the serial
+    schedule's batches and rows.
+    """
+    batches = [[]]
+    sample = _ProfileProposal.sample
+
+    def recording(problem, x):
+        batches[-1].append(len(x))
+        return log_posterior(problem, x)
+
+    def opening_a_block(self, cell_u, offsets):
+        batches.append([])
+        return sample(self, cell_u, offsets)
+
+    monkeypatch.setattr(sampling, "log_posterior", recording)
+    monkeypatch.setattr(_ProfileProposal, "sample", opening_a_block)
+    chains = run_mcmc(prob, cfg, profile)
+    monkeypatch.undo()
+    _, accepted, _, _, indep = _reference_run_mcmc(prob, cfg, profile)
+    want_blocks, want_rows = _batch_layout(accepted, indep)
+    starts, blocks = batches[0], batches[1:]
+    assert starts == [cfg.n_chains]
+    assert len(blocks) == len(want_blocks)
+    for got, want in zip(blocks, want_blocks):
+        assert got[0] == want[0]
+        assert len(got) <= len(want)
+    assert all(c.density_evaluations >= r for c, r in zip(chains, want_rows))
+    return chains, 1 + sum(map(len, blocks)), 1 + sum(map(len, want_blocks)), want_rows
 
 
 def _stub_problem(function_surrogate, dim, sigma=0.5):
@@ -319,23 +356,32 @@ class TestPrefetch:
     @pytest.mark.parametrize("scale", [0.01, 0.2, 1.0])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_batch_layout(self, function_surrogate, monkeypatch, dim, scale):
-        # The batches follow from the chains alone, so a change of the round
-        # loop that keeps the chains must keep every call's rows as well.
+        # The round loop resolves a chain's q-step groups in the same round,
+        # so its batches depend on intermediate decisions; the serial
+        # schedule, fixed by the final flags, bounds them.
         prob = _stub_problem(function_surrogate, dim)
         cfg = McmcConfig(n_chains=5, n_steps=300, burn_in=30, proposal_scale=scale, seed=4)
         profile = evaluate_profile_grid(prob, 64)
-        sizes = []
+        _, made, serial, _ = _run_within_serial_schedule(monkeypatch, prob, cfg, profile)
+        if scale < 1.0:
+            # q proposals are accepted here, so independent groups share rounds
+            assert made < serial
 
-        def recording(problem, x):
-            sizes.append(len(x))
-            return log_posterior(problem, x)
-
-        monkeypatch.setattr(sampling, "log_posterior", recording)
-        chains = run_mcmc(prob, cfg, profile)
-        _, accepted, _, _, indep = _reference_run_mcmc(prob, cfg, profile)
-        want_sizes, want_rows = _batch_layout(accepted, indep)
-        assert sizes == want_sizes
-        assert [c.density_evaluations for c in chains] == want_rows.tolist()
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_with_a_proposal_built_for_another_observation(
+        self, function_surrogate, monkeypatch, dim
+    ):
+        # q mostly misses the posterior, so q steps are rejected and rounds
+        # resolve groups on states that a later rewrite replaces: those rows
+        # are scored again, and the serial schedule still bounds the calls.
+        prob = _stub_problem(function_surrogate, dim)
+        profile = evaluate_profile_grid(
+            dataclasses.replace(prob, observed=prob.observed + 2.0), 64
+        )
+        cfg = McmcConfig(n_chains=5, n_steps=300, burn_in=30, proposal_scale=0.2, seed=4)
+        _assert_matches_reference(prob, cfg, profile)
+        chains, _, _, rows = _run_within_serial_schedule(monkeypatch, prob, cfg, profile)
+        assert any(c.density_evaluations > r for c, r in zip(chains, rows))
 
     @pytest.mark.parametrize("scale", [0.01, 1.0], ids=["high-acceptance", "leaves-box"])
     def test_matches_where_the_density_underflows(self, function_surrogate, scale):
