@@ -20,7 +20,6 @@ from typing import Optional
 import numpy as np
 from scipy import optimize as sopt
 from scipy import special as ssp
-from scipy.spatial.distance import cdist
 
 from .benchmarks import HighFidelityModel, eval_benchmark, sample_initial_design
 from .data import Dataset
@@ -48,8 +47,7 @@ __all__ = [
 
 GRID_POINTS_1D = 1024
 GRID_POINTS_PER_DIM_2D = 64
-ASCENT_STARTS = 8  # best probe-grid points, under the penalized score, per pick
-EXCLUSION_FRACTION = 0.01  # pending-point radius as a fraction of domain width
+ASCENT_STARTS = 8  # best probe-grid points that start the ascent
 
 # Upper bounds on the counts that size a run's arrays: the training set
 # sizes the n x n kernel factor and the (n, m) cross-kernel of every batch
@@ -86,7 +84,9 @@ def upper_confidence_bound(mu, sigma, kappa):
     return np.asarray(mu, dtype=float) + kappa * np.asarray(sigma, dtype=float)
 
 
-def _scores(model, config, mu, sigma):
+def _scores(model, config, x):
+    mu, var = gp_predict_many(model, x)
+    sigma = np.sqrt(var)
     if config.acquisition == "ucb":
         return upper_confidence_bound(mu, sigma, config.kappa)
     return expected_improvement(mu, sigma, float(np.max(model.data.y)))
@@ -123,73 +123,45 @@ def _probe_grid(bounds) -> np.ndarray:
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def _penalized_scores(model, config, candidates, picked, radii):
-    """Acquisition with predictive sigma suppressed near pending picks."""
-    mu, var = gp_predict_many(model, candidates)
-    sigma = np.sqrt(var)
-    if picked:
-        dist = cdist(candidates / radii, np.asarray(picked) / radii)
-        sigma = np.where(np.any(dist <= 1.0, axis=1), 0.0, sigma)
-    return _scores(model, config, mu, sigma)
+def acquire_batch(model: GpModel, config: BoConfig, bounds) -> np.ndarray:
+    """The (1, d) in-bounds maximizer of config's acquisition: one pick.
 
-
-def acquire_batch(
-    model: GpModel,
-    config: BoConfig,
-    bounds,
-    n_acq: int,
-) -> np.ndarray:
-    """Select n_acq in-bounds points by greedy maximization of config's acquisition.
-
-    Each pick scores a fixed probe grid, then runs one L-BFGS-B ascent on the
+    It scores a fixed probe grid, then runs one L-BFGS-B ascent on the
     ASCENT_STARTS best grid points stacked into one vector, maximizing the sum
     of their acquisition values (one batched prediction per step), and takes
-    the best of the grid and the ascent endpoints.  Already-picked locations
-    have their predictive uncertainty zeroed inside a small exclusion radius,
-    both in the scores and in the choice of starts, so the next pick lands
-    elsewhere.  Exact ties go to the lexicographically smallest point.
-    Nothing is random, so the picks depend only on the model and the bounds.
-    A non-finite acquisition or ascent gradient raises NumericalError naming
-    the pick.
+    the best of the grid and the ascent endpoints.  Exact ties go to the
+    lexicographically smallest point.  Nothing is random, so the pick depends
+    only on the model and the bounds.  A non-finite acquisition or ascent
+    gradient raises NumericalError.
     """
-    if n_acq < 1:
-        raise ConfigurationError("n_acq must be >= 1")
     lo, hi = np.asarray(bounds, dtype=float).T
-    widths = hi - lo
-    if np.any(widths <= 0):
+    if np.any(hi - lo <= 0):
         raise ConfigurationError("degenerate bounds: every width must be positive")
-    radii = EXCLUSION_FRACTION * widths
     grid = _probe_grid(bounds)
 
     def neg_total(flat):
         value, grad = _acquisition_and_grad(model, config, flat.reshape(-1, len(lo)))
         if not (np.all(np.isfinite(value)) and np.all(np.isfinite(grad))):
-            raise NumericalError(f"acquisition ascent is not finite at pick {len(picked)}")
+            raise NumericalError("acquisition ascent is not finite")
         return -np.sum(value), -grad.ravel()
 
-    picked: list[np.ndarray] = []
-    for _ in range(n_acq):
-        grid_scores = _penalized_scores(model, config, grid, picked, radii)
-        starts = grid[np.argsort(-grid_scores, kind="stable")[:ASCENT_STARTS]]
-        res = sopt.minimize(
-            neg_total,
-            starts.ravel(),
-            method="L-BFGS-B",
-            jac=True,
-            bounds=np.tile(bounds, (ASCENT_STARTS, 1)),
-            options={"maxiter": 30},
-        )
-        ends = np.clip(res.x.reshape(starts.shape), lo, hi)
-        candidates = np.vstack([grid, ends])
-        scores = np.concatenate(
-            [grid_scores, _penalized_scores(model, config, ends, picked, radii)]
-        )
-        if not np.all(np.isfinite(scores)):
-            raise NumericalError(f"acquisition is not finite at pick {len(picked)}")
-        best = np.max(scores)
-        tied = candidates[scores >= best]
-        picked.append(tied[np.lexsort(tied.T[::-1])[0]])
-    return np.array(picked)
+    grid_scores = _scores(model, config, grid)
+    starts = grid[np.argsort(-grid_scores, kind="stable")[:ASCENT_STARTS]]
+    res = sopt.minimize(
+        neg_total,
+        starts.ravel(),
+        method="L-BFGS-B",
+        jac=True,
+        bounds=np.tile(bounds, (ASCENT_STARTS, 1)),
+        options={"maxiter": 30},
+    )
+    ends = np.clip(res.x.reshape(starts.shape), lo, hi)
+    candidates = np.vstack([grid, ends])
+    scores = np.concatenate([grid_scores, _scores(model, config, ends)])
+    if not np.all(np.isfinite(scores)):
+        raise NumericalError("acquisition is not finite")
+    tied = candidates[scores >= np.max(scores)]
+    return tied[np.lexsort(tied.T[::-1])[:1]]
 
 
 def _validation_set(
@@ -213,11 +185,10 @@ class BoConfig:
     skips marginal-likelihood fitting and uses those values directly.
     ``acquisition`` is "ucb" or "ei": ``kappa`` weights sigma in UCB, and EI
     improves on the best (largest) observed training output of the model
-    being queried.
+    being queried.  Each iteration acquires one point (acquire_batch).
     """
 
     n_init: int = 5
-    n_acq: int = 1
     max_evaluations: int = 25
     mse_threshold: float = 1e-3
     mse_mode: str = "absolute"
@@ -226,7 +197,6 @@ class BoConfig:
     noise_variance: float = 1e-6
     acquisition: str = "ucb"
     kappa: float = 200.0
-    restarts: int = 3
     seed: int = 0
     fixed_length_scale: Optional[float] = None
     fixed_signal_variance: Optional[float] = None
@@ -234,8 +204,6 @@ class BoConfig:
     def __post_init__(self):
         if self.n_init < 2:
             raise ConfigurationError("n_init must be >= 2")
-        if self.n_acq < 1:
-            raise ConfigurationError("n_acq must be >= 1")
         if not self.n_init <= self.max_evaluations <= MAX_EVALUATIONS:
             raise ConfigurationError(
                 f"max_evaluations must lie in [n_init, {MAX_EVALUATIONS}]"
@@ -260,8 +228,6 @@ class BoConfig:
                 f"unknown kernel family {self.kernel_family!r}; "
                 f"choose from {KERNEL_FAMILIES}"
             )
-        if self.restarts < 1:
-            raise ConfigurationError("restarts must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
         if not 0 <= self.noise_variance < math.inf:
@@ -311,10 +277,7 @@ def _fit_for_config(data: Dataset, config: BoConfig) -> GpModel:
         )
         return gp_fit(data, spec, config.noise_variance)
     return gp_optimize_hyperparameters(
-        data,
-        family=config.kernel_family,
-        noise_variance=config.noise_variance,
-        restarts=config.restarts,
+        data, family=config.kernel_family, noise_variance=config.noise_variance
     )
 
 
@@ -345,12 +308,9 @@ def run_bo(hf: HighFidelityModel, config: BoConfig) -> BoTrace:
         criterion = mse_norm if config.mse_mode == "normalized" else mse
 
         converged = criterion <= config.mse_threshold
-        budget_left = config.max_evaluations - data.n
         acquired = np.empty((0, hf.dim))
-        if not converged and budget_left > 0:
-            acquired = acquire_batch(
-                model, config, hf.bounds, n_acq=min(config.n_acq, budget_left)
-            )
+        if not converged and data.n < config.max_evaluations:
+            acquired = acquire_batch(model, config, hf.bounds)
         trace.iterations.append(
             BoIteration(
                 index=iteration,

@@ -77,8 +77,10 @@ _SQRT5 = math.sqrt(5.0)
 _MEAN_CHUNK_ROWS = 4096
 
 # Cells per axis of the log (length scale, signal variance) probe grid that
-# seeds the hyperparameter ascents.
+# seeds the hyperparameter ascents, and the number of ascents, each from one
+# of the best cells.
 _PROBE_POINTS_PER_AXIS = 7
+HYPERPARAMETER_ASCENTS = 3
 
 # Length scales, as multiples of the widest box width, that the fit searches
 # and that a fixed length scale must lie in: far outside them the kernel and
@@ -396,30 +398,26 @@ def _hyper_bounds(data: Dataset) -> tuple[tuple[float, float], tuple[float, floa
 
 
 def gp_optimize_hyperparameters(
-    data: Dataset,
-    family: str,
-    noise_variance: float,
-    restarts: int,
+    data: Dataset, family: str, noise_variance: float
 ) -> GpModel:
     """Fit (length scale, signal variance) by marginal-likelihood maximization.
 
     The search runs in the log box of _hyper_bounds.  -LML is evaluated on
     a 7 x 7 (_PROBE_POINTS_PER_AXIS) grid over that box; bounded L-BFGS-B
-    ascents with the exact gradient then start from the ``restarts`` best
-    finite cells (a stable sort, so equal cells keep grid order).  The best
-    finite endpoint wins, earlier ascents winning ties.  Nothing is random.
+    ascents with the exact gradient then start from the HYPERPARAMETER_ASCENTS
+    (3) best finite cells (a stable sort, so equal cells keep grid order).
+    The best finite endpoint wins, earlier ascents winning ties.  Nothing is
+    random.
 
     Known limit: on ill-conditioned zero-noise RBF designs the ascent can
     stop below a derivative-free search: on 12 equispaced points of sin(6x)
-    on [0, 1] with 3 restarts it ends 0.036 nats below a seeded Powell
-    search.  No preset fits such a design.
+    on [0, 1] it ends 0.036 nats below a seeded Powell search.  No preset
+    fits such a design.
     """
     if data.n < 2:
         raise DegenerateDataError(
             "hyperparameter estimation needs at least 2 training points"
         )
-    if restarts < 1:
-        raise ConfigurationError("restarts must be >= 1")
     log_bounds = [(math.log(lo), math.log(hi)) for lo, hi in _hyper_bounds(data)]
 
     failed = "all hyperparameter restarts failed to produce a valid factorization"
@@ -432,7 +430,7 @@ def gp_optimize_hyperparameters(
     cells = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
     values = np.array([neg_lml(theta) for theta in cells])
     finite = np.flatnonzero(np.isfinite(values))
-    starts = cells[finite[np.argsort(values[finite], kind="stable")[:restarts]]]
+    starts = cells[finite[np.argsort(values[finite], kind="stable")[:HYPERPARAMETER_ASCENTS]]]
 
     best_val = math.inf
     best_theta = None

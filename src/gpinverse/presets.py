@@ -33,7 +33,8 @@ from .bo import BoConfig, BoTrace, run_bo, _validation_set
 from .errors import ConfigurationError, GpInverseError, ShapeError
 # gp_predict_many is not called here, but perfbench/tracing.py wraps it on
 # this module as well as on gp and bo
-from .gp import LENGTH_SCALE_FACTORS, KernelSpec, gp_fit, gp_predict_many  # noqa: F401
+from .gp import HYPERPARAMETER_ASCENTS, LENGTH_SCALE_FACTORS
+from .gp import KernelSpec, gp_fit, gp_predict_many  # noqa: F401
 from .inversion import (
     HP_THRESHOLD,
     MAX_GRID_CELLS,
@@ -59,6 +60,17 @@ __all__ = [
     "config_from_text",
     "load_config_file",
 ]
+
+# Cells of the reference posterior of an mcmc stage on a 1-D benchmark.
+MCMC_GRID_RESOLUTION = 512
+
+# Keys that were settings and are now constants: a config may still set
+# each, but only to the constant's value.
+FIXED_KEYS = {
+    "bo.n_acq": 1,
+    "bo.restarts": HYPERPARAMETER_ASCENTS,
+    "mcmc_grid_resolution": MCMC_GRID_RESOLUTION,
+}
 
 @dataclass(frozen=True)
 class InversionSettings:
@@ -106,9 +118,10 @@ class ExperimentConfig:
     set) runs ``bo`` as given on each benchmark and fits every family to the
     samples it drew, so ``bo.max_evaluations`` is their shared budget; a
     ``bo.mse_threshold`` met earlier stops it short, and mse.csv records the
-    count.  It has no inversion or mcmc stage.  ``mcmc_grid_resolution``
-    sizes the reference grid of an mcmc stage on a 1-D benchmark and keeps
-    its default otherwise, since no other stage evaluates that grid.
+    count.  It has no inversion or mcmc stage, and names each benchmark
+    once.  An mcmc stage on a 1-D benchmark evaluates its reference posterior
+    on MCMC_GRID_RESOLUTION (512) cells.  ``name`` is a single file name
+    without NUL, since the CLI's default output directory joins it.
     """
 
     name: str
@@ -117,14 +130,12 @@ class ExperimentConfig:
     bo: BoConfig = BoConfig()
     inversion: Optional[InversionSettings] = None
     mcmc: Optional[McmcConfig] = None
-    mcmc_grid_resolution: int = 512
     compare_benchmarks: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not 64 <= self.mcmc_grid_resolution <= MAX_GRID_CELLS:
-            raise ConfigurationError(
-                f"mcmc_grid_resolution must lie in [64, {MAX_GRID_CELLS}]"
-            )
+        name = self.name
+        if name in ("", ".", "..") or "\0" in name or os.path.basename(name) != name:
+            raise ConfigurationError(f"name {name!r} is not a single file name")
         if self.mcmc is not None and self.inversion is None:
             raise ConfigurationError("mcmc stage requires an inversion stage")
         if self.mcmc is not None:
@@ -134,21 +145,14 @@ class ExperimentConfig:
                     f"mcmc.n_chains * mcmc.n_steps * {dim} dimension(s) exceeds "
                     f"the {MAX_CHAIN_VALUES} chain path values allowed"
                 )
-        default_grid = ExperimentConfig.mcmc_grid_resolution
-        if self.mcmc_grid_resolution != default_grid:
-            if self.mcmc is None:
-                raise ConfigurationError("mcmc_grid_resolution is set without an mcmc stage")
-            if get_benchmark(self.benchmark).dim != 1:
-                raise ConfigurationError(
-                    "mcmc_grid_resolution is set but the mcmc stage builds its "
-                    f"reference grid only on a 1-D benchmark, not {self.benchmark!r}"
-                )
         if self.compare_benchmarks and (
             self.inversion is not None or self.mcmc is not None
         ):
             raise ConfigurationError(
                 "a comparison (compare_benchmarks) takes no inversion or mcmc settings"
             )
+        if len(set(self.compare_benchmarks)) < len(self.compare_benchmarks):
+            raise ConfigurationError("compare_benchmarks names a benchmark twice")
         for name in self.compare_benchmarks:
             if get_benchmark(name).dim != 1:
                 raise ConfigurationError(f"compare benchmark {name!r} is not 1-D")
@@ -303,7 +307,7 @@ def _format_value(v) -> str:
 
 def config_to_text(config: ExperimentConfig) -> str:
     """Serialize a config to the flat dotted key = value format."""
-    scalars = ("name", "benchmark", "description", "mcmc_grid_resolution")
+    scalars = ("name", "benchmark", "description")
     lines = [f"{k} = {getattr(config, k)}" for k in scalars]
     for section in _SECTIONS:
         settings = getattr(config, section)
@@ -331,12 +335,18 @@ def _coerce(hint, raw: str):
     return hint(raw)
 
 
+def check_fixed_key(key: str, value, where: str = "") -> None:
+    """Raise ConfigurationError unless ``value`` is the constant ``key`` became."""
+    if str(value) != str(FIXED_KEYS[key]):
+        raise ConfigurationError(f"{where}{key} = {value}: the key is fixed at {FIXED_KEYS[key]}")
+
+
 def config_from_text(text: str) -> ExperimentConfig:
     """Parse the flat dotted format back into an ExperimentConfig.
 
     Each value is parsed as the annotated type of its field; a value that
-    does not parse, or a key given twice, raises ConfigurationError naming
-    its line and key.
+    does not parse, a key given twice, or a FIXED_KEYS key set to another
+    value than its constant raises ConfigurationError naming its line and key.
     """
     entries: dict[str, dict[str, tuple[int, str]]] = {"": {}, **{s: {} for s in _SECTIONS}}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -361,6 +371,10 @@ def config_from_text(text: str) -> ExperimentConfig:
         hints = typing.get_type_hints(cls)
         kwargs = {}
         for name, (lineno, raw) in entries[section].items():
+            key = f"{section}.{name}" if section else name
+            if key in FIXED_KEYS:
+                check_fixed_key(key, raw, f"line {lineno}: ")
+                continue
             if name not in hints or name in _SECTIONS:
                 raise ConfigurationError(
                     f"line {lineno}: unknown {cls.__name__} field {name!r}"
@@ -368,7 +382,6 @@ def config_from_text(text: str) -> ExperimentConfig:
             try:
                 kwargs[name] = _coerce(hints[name], raw)
             except ValueError as exc:
-                key = f"{section}.{name}" if section else name
                 raise ConfigurationError(f"line {lineno}: {key}: {exc}") from None
         return kwargs
 
@@ -549,7 +562,6 @@ def _run_mcmc_stage(config, result, profile):
     chains = run_mcmc(problem, config.mcmc, profile)
     result.chains = chains
     record = result.manifest["mcmc"]
-    record["mcmc_grid_resolution"] = config.mcmc_grid_resolution
     # the n_steps step texts, and the two flag texts, serve every chain
     steps = _texts(np.arange(config.mcmc.n_steps))
     flags = np.array(["0", "1"], dtype=object)
@@ -578,7 +590,7 @@ def _run_mcmc_stage(config, result, profile):
                     fh.write("x,density\n" + "\n".join(rows) + "\n")
                 prefix = f"{ch.chain_index},"
                 overlay.write(prefix + ("\n" + prefix).join(rows) + "\n")
-        ref = grid_posterior(evaluate_profile_grid(problem, config.mcmc_grid_resolution))
+        ref = grid_posterior(evaluate_profile_grid(problem, MCMC_GRID_RESOLUTION))
         _write_csv(
             result, "grid_posterior.csv", {"x": ref.grid, "density": ref.density}
         )

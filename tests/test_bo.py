@@ -205,7 +205,7 @@ class TestAcquireBatch:
         x = np.array([[-3.0], [-2.5], [-2.0], [2.9]])
         ds = Dataset(x=x, y=np.sin(x[:, 0]), bounds=((-3.0, 3.0),))
         model = gp_fit(ds, KernelSpec("matern52", 0.8, 1.0), 1e-6)
-        picks = acquire_batch(model, BoConfig(kappa=200.0), ds.bounds, 1)
+        picks = acquire_batch(model, BoConfig(kappa=200.0), ds.bounds)
         grid = np.linspace(-3, 3, 512).reshape(-1, 1)
         _, var = gp_predict_many(model, grid)
         decile = np.quantile(var, 0.9)
@@ -215,24 +215,14 @@ class TestAcquireBatch:
     def test_batch_of_one_equals_plain_argmax(self):
         model = _toy_model(seed=3)
         config = BoConfig(kappa=200.0)
-        a = acquire_batch(model, config, model.data.bounds, 1)
-        b = acquire_batch(model, config, model.data.bounds, 1)
+        a = acquire_batch(model, config, model.data.bounds)
+        b = acquire_batch(model, config, model.data.bounds)
         np.testing.assert_array_equal(a, b)
-
-    def test_batch_points_are_distinct_and_in_bounds(self):
-        model = _toy_model(seed=1)
-        picks = acquire_batch(model, BoConfig(kappa=200.0), model.data.bounds, 4)
-        assert picks.shape == (4, 1)
-        assert np.all(picks >= -3.0) and np.all(picks <= 3.0)
-        # exclusion radius is 1% of the width (0.06 here)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert abs(picks[i, 0] - picks[j, 0]) > 0.06 * 0.999
 
     def test_degenerate_bounds_rejected(self):
         model = _toy_model()
         with pytest.raises(ConfigurationError, match="degenerate"):
-            acquire_batch(model, BoConfig(kappa=1.0), ((0.0, 0.0),), 1)
+            acquire_batch(model, BoConfig(kappa=1.0), ((0.0, 0.0),))
 
     def test_output_shift_leaves_acquired_points_unchanged(self):
         # UCB values move with a constant output shift but the argmax stays
@@ -244,8 +234,9 @@ class TestAcquireBatch:
         m0 = gp_fit(Dataset(x=x, y=y, bounds=bounds), spec, 1e-6)
         m1 = gp_fit(Dataset(x=x, y=y + 5.0, bounds=bounds), spec, 1e-6)
         acq = BoConfig(kappa=200.0)
-        p0 = acquire_batch(m0, acq, bounds, 3)
-        p1 = acquire_batch(m1, acq, bounds, 3)
+        p0 = acquire_batch(m0, acq, bounds)
+        p1 = acquire_batch(m1, acq, bounds)
+        assert p0.shape == (1, 1) and -3.0 <= p0[0, 0] <= 3.0
         np.testing.assert_allclose(p0, p1, atol=1e-9)
 
 
@@ -280,13 +271,14 @@ class TestStackedAscent:
         hf = get_benchmark(PRESETS[preset].benchmark)
         for n in (config.n_init, config.n_init + 4, config.n_init + 8):
             model = _fit_for_config(sample_initial_design(hf, n, config.seed), config)
-            pick = acquire_batch(model, config, hf.bounds, 1)
+            pick = acquire_batch(model, config, hf.bounds)
             got = _acquisition_and_grad(model, config, pick)[0][0]
             want = _per_start_pick(model, config, hf.bounds)
             assert got >= want - 1e-9 * abs(want)
 
     def test_one_optimizer_run_per_pick(self, monkeypatch):
-        # the per-start form made ASCENT_STARTS runs of d variables per pick
+        # the per-start form made ASCENT_STARTS runs of d variables per pick;
+        # the stacked form makes one run of ASCENT_STARTS * d variables
         calls = []
         minimize = bo.sopt.minimize
 
@@ -296,8 +288,8 @@ class TestStackedAscent:
 
         monkeypatch.setattr(bo.sopt, "minimize", counting)
         model = _toy_model(seed=2, bounds=((-3.0, 3.0), (0.0, 1.0)))
-        acquire_batch(model, BoConfig(kappa=200.0), model.data.bounds, 3)
-        assert calls == [(2 * ASCENT_STARTS,)] * 3
+        acquire_batch(model, BoConfig(kappa=200.0), model.data.bounds)
+        assert calls == [(2 * ASCENT_STARTS,)]
 
     def test_non_finite_acquisition_is_a_numerical_error(self, monkeypatch):
         hf = get_benchmark("forrester1d")
@@ -311,7 +303,7 @@ class TestStackedAscent:
 
         monkeypatch.setattr(bo, "gp_predict_many", nan_past_0_9)
         with pytest.raises(NumericalError, match="not finite"):
-            acquire_batch(model, BoConfig(kappa=200.0), hf.bounds, 1)
+            acquire_batch(model, BoConfig(kappa=200.0), hf.bounds)
 
 
 class TestValidationMse:

@@ -330,27 +330,27 @@ class TestHyperparameterFit:
         k = kernel_matrix(spec, x, x) + 1e-8 * np.eye(25)
         y = np.linalg.cholesky(k) @ rng.standard_normal(25)
         ds = Dataset(x=x, y=y, bounds=((-5.0, 5.0),))
-        model = gp_optimize_hyperparameters(ds, "rbf", 1e-6, restarts=4)
+        model = gp_optimize_hyperparameters(ds, "rbf", 1e-6)
         assert 0.5 <= model.kernel.length_scale <= 2.0
 
     def test_repeated_fits_are_identical(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(0, 1, size=(8, 1))
         ds = Dataset(x=x, y=np.sin(6 * x[:, 0]), bounds=((0.0, 1.0),))
-        a = gp_optimize_hyperparameters(ds, "matern52", 1e-6, restarts=3)
-        b = gp_optimize_hyperparameters(ds, "matern52", 1e-6, restarts=3)
+        a = gp_optimize_hyperparameters(ds, "matern52", 1e-6)
+        b = gp_optimize_hyperparameters(ds, "matern52", 1e-6)
         assert a.kernel == b.kernel
 
     def test_constant_outputs_push_variance_to_lower_bound(self):
         x = np.linspace(0, 1, 6).reshape(-1, 1)
         ds = Dataset(x=x, y=np.full(6, 2.5), bounds=((0.0, 1.0),))
-        model = gp_optimize_hyperparameters(ds, "rbf", 1e-6, restarts=2)
+        model = gp_optimize_hyperparameters(ds, "rbf", 1e-6)
         assert model.kernel.signal_variance <= 1e-4
 
     def test_needs_two_points(self):
         ds = _dataset([[0.0]], [1.0])
         with pytest.raises(DegenerateDataError):
-            gp_optimize_hyperparameters(ds, "rbf", 1e-6, restarts=1)
+            gp_optimize_hyperparameters(ds, "rbf", 1e-6)
 
     def test_objective_equals_fitted_model_likelihood_exactly(self):
         # rbf signal variances up to 1e12 under zero noise push the
@@ -431,10 +431,10 @@ class TestHyperparameterFit:
         # on this design L-BFGS-B from the box center and seeded uniform
         # starts stops 1.55 nats short; the probe grid's best cells do not
         ds = sample_initial_design(get_benchmark("forrester1d"), 5, 0)
-        model = gp_optimize_hyperparameters(ds, "matern52", 1e-6, restarts=3)
+        model = gp_optimize_hyperparameters(ds, "matern52", 1e-6)
         assert log_marginal_likelihood(model) >= -14.587308079441788 - 1e-9
 
     def test_zero_noise_duplicates_fail_every_restart(self):
         ds = _dataset([[0.0], [1.0], [1.0]], [0.0, 1.0, 1.0])
         with pytest.raises(NumericalError, match="all hyperparameter restarts failed"):
-            gp_optimize_hyperparameters(ds, "matern52", 0.0, restarts=2)
+            gp_optimize_hyperparameters(ds, "matern52", 0.0)

@@ -36,6 +36,7 @@ from gpinverse.inversion import (
     PosteriorSummary,
 )
 from gpinverse.presets import (
+    FIXED_KEYS,
     PRESETS,
     ExperimentConfig,
     ExperimentResult,
@@ -100,13 +101,11 @@ def _configs(draw):
     fixed = draw(st.one_of(st.none(), st.tuples(_positive, _positive)))
     bo = BoConfig(
         n_init=n_init,
-        n_acq=draw(st.integers(1, 8)),
         max_evaluations=draw(st.integers(n_init, 500)),
         mse_threshold=draw(_positive),
         n_val=draw(st.integers(100, MAX_VALIDATION_POINTS)),
         noise_variance=draw(st.floats(min_value=0.0, allow_infinity=False)),
         kappa=draw(st.floats(min_value=0.0, allow_infinity=False)),
-        restarts=draw(st.integers(1, 20)),
         seed=draw(_seeds),
         fixed_length_scale=None if fixed is None else fixed[0],
         fixed_signal_variance=None if fixed is None else fixed[1],
@@ -138,11 +137,6 @@ def _configs(draw):
         bo=bo,
         inversion=inversion,
         mcmc=mcmc,
-        mcmc_grid_resolution=(
-            ExperimentConfig.mcmc_grid_resolution
-            if mcmc is None
-            else draw(st.integers(64, 4096))
-        ),
     )
 
 
@@ -361,11 +355,10 @@ def test_config_values_parse_as_their_annotated_types():
     assert parsed.inversion.x_true == (-1.5, -0.6)
     parsed = config_from_text(
         "benchmark = mixed1d\n"
-        "mcmc_grid_resolution = 256\n"
         "inversion.x_true = 0.5\n"
         "mcmc.n_chains = 2\n"
     )
-    assert parsed.mcmc_grid_resolution == 256
+    assert parsed.mcmc.n_chains == 2
     with pytest.raises(ConfigurationError, match="line 2: inversion.x_true"):
         config_from_text("benchmark = mixed2d\ninversion.x_true = 1.0, abc\n")
     with pytest.raises(ConfigurationError, match="line 1"):
@@ -426,14 +419,27 @@ _COMPARE = _SMALL_RUN + "compare_benchmarks = forrester1d\n"
         _RUN_OBS + "mcmc.seed = -1\n",
         # one sample per chain is too few for its kernel density estimate
         _RUN_OBS + "mcmc.n_steps = 5\nmcmc.burn_in = 4\n",
+        # retired keys are accepted only at their constants (see FIXED_KEYS)
         _RUN_OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 10\n",
         _RUN_OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 262145\n",
-        # the reference grid belongs to the mcmc stage, which is not set
         _RUN_OBS + "mcmc_grid_resolution = 300\n",
         _SMALL_RUN + "compare_benchmarks = mixed1d, mixed2d\n",
         _SMALL_RUN + "compare_benchmarks = mixed1d, nosuch\n",
         _COMPARE + _OBS,
         _COMPARE + "mcmc.seed = 1\n",
+        _RUN_OBS + "bo.n_acq = 2\n",
+        _RUN_OBS + "bo.restarts = 4\n",
+        _RUN_OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 2048\n",
+        # a name is one file name under results/ or $GPINVERSE_OUT
+        _RUN_OBS + "name =\n",
+        _RUN_OBS + "name = .\n",
+        _RUN_OBS + "name = ..\n",
+        _RUN_OBS + "name = ../escaped\n",
+        _RUN_OBS + "name = runs/a\n",
+        _RUN_OBS + "name = /tmp/absolute\n",
+        _RUN_OBS + "name = a\0b\n",
+        # each benchmark is compared once
+        _SMALL_RUN + "compare_benchmarks = forrester1d, forrester1d\n",
     ],
 )
 def test_cli_bad_setting_exits_2_before_surrogate_stage(tmp_path, capsys, text):
@@ -475,7 +481,7 @@ def test_cli_surrogate_stage_failure_writes_the_manifest_with_an_error_record(
         # the fit succeeds, but the kernel gradient overflows in the ascent
         (
             "bo.fixed_length_scale = 0.05\nbo.fixed_signal_variance = 1e305\n",
-            "acquisition ascent is not finite at pick 0",
+            "acquisition ascent is not finite",
         ),
     ],
 )
@@ -525,25 +531,24 @@ def test_cli_count_over_its_memory_cap_exits_2_before_bo(
     assert not outdir.exists()
 
 
-def test_cli_mcmc_grid_resolution_on_a_2d_benchmark_exits_2(tmp_path, monkeypatch, capsys):
-    # the mcmc stage builds its reference grid only in 1-D, so on mixed2d the
-    # key would be recorded in the manifest without being used
+@pytest.mark.parametrize("key", sorted(FIXED_KEYS))
+def test_cli_retired_key_parses_only_at_its_constant(tmp_path, monkeypatch, capsys, key):
+    # a retired key at its constant's value changes nothing; at any other
+    # value the run stops before the surrogate stage, naming line and key
+    text = _RUN_OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\n"
+    value = FIXED_KEYS[key]
+    assert config_from_text(text + f"{key} = {value}\n") == config_from_text(text)
     _fail_if_bo_runs(monkeypatch)
-    text = (
-        _SMALL_RUN.replace("forrester1d", "mixed2d")
-        + _INV
-        + "inversion.x_true = 0.5, 1.5\n"
-        + "inversion.grid_resolution = 64\n"
-        + "mcmc.n_steps = 100\nmcmc.burn_in = 10\n"
-    )
-    assert config_from_text(text).mcmc_grid_resolution == 512
-    cfg = tmp_path / "mcmc2d.cfg"
-    cfg.write_text(text + "mcmc_grid_resolution = 300\n")
+    cfg = tmp_path / "retired.cfg"
+    cfg.write_text(text + f"{key} = {value + 1}\n")
     outdir = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 2
+    lineno = text.count("\n") + 1
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: mcmc_grid_resolution")
-    assert "'mixed2d'" in err
+    assert err == (
+        f"configuration error: line {lineno}: {key} = {value + 1}: "
+        f"the key is fixed at {value}\n"
+    )
     assert not outdir.exists()
 
 
@@ -653,7 +658,6 @@ def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path, monkeypatch):
         + "inversion.n_starts = 4\n"
         + "inversion.grid_resolution = 256\n"
         + "mcmc.n_chains = 2\nmcmc.n_steps = 50\nmcmc.burn_in = 10\n"
-        + "mcmc_grid_resolution = 64\n"
     )
     outdir = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 0
@@ -663,7 +667,6 @@ def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path, monkeypatch):
     assert [r[0] for r in rows] == [str(t) for t in range(50)]
     assert {r[2] for r in rows} <= {"0", "1"}
     manifest = json.loads((outdir / "manifest.json").read_text())
-    assert manifest["mcmc"]["mcmc_grid_resolution"] == 64
     made = manifest["mcmc"]["independence_proposals"]
     taken = manifest["mcmc"]["independence_accepted"]
     assert len(made) == len(taken) == 2
@@ -926,8 +929,9 @@ def test_inversion_stage_evaluates_the_profile_grid_once(tmp_path, monkeypatch):
 
 def test_mcmc_run_evaluates_two_profile_grids_through_presets(tmp_path, monkeypatch):
     # the level sets and the chains share the inversion grid, and the
-    # reference posterior reads a second one of mcmc_grid_resolution; the
-    # sampling module evaluates none of its own
+    # reference posterior reads a second one of 512 cells
+    # (presets.MCMC_GRID_RESOLUTION); the sampling module evaluates none of
+    # its own
     calls = []
     original = gpinverse.inversion.evaluate_profile_grid
 
@@ -943,10 +947,9 @@ def test_mcmc_run_evaluates_two_profile_grids_through_presets(tmp_path, monkeypa
         _RUN_OBS
         + "inversion.grid_resolution = 256\n"
         + "mcmc.n_chains = 2\nmcmc.n_steps = 50\nmcmc.burn_in = 10\n"
-        + "mcmc_grid_resolution = 128\n"
     )
     run_experiment(config, str(tmp_path / "out"))
-    assert calls == [("presets", 256), ("presets", 128)]
+    assert calls == [("presets", 256), ("presets", 512)]
 
 
 def test_cli_output_env_var_respected(tmp_path, monkeypatch):
@@ -1010,13 +1013,21 @@ def test_cli_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_every_perfbench_workload_config_parses():
-    # a config key the benchmark writes must not be removed or renamed
+    # every config key the benchmark writes must keep parsing; a retired key
+    # among them must hold its constant, so stripping it changes nothing
     workloads = _script("perfbench", "workloads")
     for name, spec in workloads.WORKLOADS.items():
         for bo_seed in spec["panel"]:
-            config = config_from_text(workloads.config_text(name, 0, bo_seed))
+            text = workloads.config_text(name, 0, bo_seed)
+            config = config_from_text(text)
             assert config.benchmark == spec["keys"]["benchmark"]
             assert config.bo.seed == bo_seed
+            kept = [
+                line
+                for line in text.splitlines(keepends=True)
+                if line.partition("=")[0].strip() not in FIXED_KEYS
+            ]
+            assert config_from_text("".join(kept)) == config
 
 
 def test_perfbench_tracing_hooks_wrap_and_restore_the_package(tmp_path):
@@ -1039,7 +1050,6 @@ def test_perfbench_tracing_hooks_wrap_and_restore_the_package(tmp_path):
             + _OBS
             + "inversion.n_starts = 2\ninversion.grid_resolution = 64\n"
             + "mcmc.n_chains = 1\nmcmc.n_steps = 20\nmcmc.burn_in = 5\n"
-            + "mcmc_grid_resolution = 64\n"
         )
         gpinverse.cli.run_experiment(config, str(tmp_path / "out"))
     finally:
@@ -1104,8 +1114,20 @@ def test_fit_replay_refits_a_recorded_run_bit_for_bit(tmp_path):
     with open(tmp_path / "trace.json", encoding="utf-8") as fh:
         iterations = json.load(fh)["iterations"]
     assert [r["n_samples"] for r in iterations] == [4, 5, 6]
-    replay = _script("tools", "fit_replay").replay(str(tmp_path))
-    assert replay == [(r["index"], r["log_marginal_likelihood"]) for r in iterations]
+    fit_replay = _script("tools", "fit_replay")
+    expected = [(r["index"], r["log_marginal_likelihood"]) for r in iterations]
+    assert fit_replay.replay(str(tmp_path)) == expected
+    # a manifest written while bo.n_acq and bo.restarts were settings records
+    # them: at their constants the replay is the same, at other values it stops
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["bo"].update(n_acq=1, restarts=3)
+    path.write_text(json.dumps(manifest))
+    assert fit_replay.replay(str(tmp_path)) == expected
+    manifest["bo"]["restarts"] = 4
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigurationError, match="bo.restarts = 4: the key is fixed at 3"):
+        fit_replay.replay(str(tmp_path))
 
 
 def test_public_names_are_bound_and_package_reexports_are_declared():

@@ -13,6 +13,10 @@ every point ``acquired`` by the earlier iterations.  It prints one
 ``run iteration lml`` line per fit, where ``run`` is the run's directory
 relative to DIR (the preset name for preset_digests output).
 
+A manifest written before ``bo.n_acq`` and ``bo.restarts`` became constants
+still records them; each is accepted at its constant's value, and any other
+value raises ConfigurationError, as ``gpinverse run`` treats the config key.
+
 The fits use the checkout on PYTHONPATH, while the
 ``log_marginal_likelihood`` of each iteration in ``trace.json`` is that of
 the checkout which wrote DIR, so the two compare their hyperparameter fits
@@ -31,6 +35,7 @@ import numpy as np
 from gpinverse.benchmarks import eval_benchmark, get_benchmark, sample_initial_design
 from gpinverse.bo import BoConfig, _fit_for_config
 from gpinverse.gp import log_marginal_likelihood
+from gpinverse.presets import FIXED_KEYS, check_fixed_key
 
 
 def replay(run_dir: str) -> list[tuple[int, float]]:
@@ -40,7 +45,13 @@ def replay(run_dir: str) -> list[tuple[int, float]]:
     with open(os.path.join(run_dir, "trace.json"), encoding="utf-8") as fh:
         iterations = json.load(fh)["iterations"]
     hf = get_benchmark(manifest["benchmark"])
-    config = BoConfig(**manifest["bo"])
+    settings = {}
+    for name, value in manifest["bo"].items():
+        if f"bo.{name}" in FIXED_KEYS:
+            check_fixed_key(f"bo.{name}", value)
+        else:
+            settings[name] = value
+    config = BoConfig(**settings)
     data = sample_initial_design(hf, config.n_init, config.seed)
     fits = []
     for record in iterations:
