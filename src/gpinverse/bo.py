@@ -49,11 +49,12 @@ GRID_POINTS_1D = 1024
 GRID_POINTS_PER_DIM_2D = 64
 ASCENT_STARTS = 8  # best probe-grid points that start the ascent
 
-# Upper bounds on the counts that size a run's arrays: the training set
-# sizes the n x n kernel factor and the (n, m) cross-kernel of every batch
-# prediction, and the validation set is predicted in one batch of n_val rows.
-MAX_EVALUATIONS = 1000
-MAX_VALIDATION_POINTS = 10_000
+UCB_KAPPA = 200.0  # UCB's weight on sigma
+NOISE_VARIANCE = 1e-6  # the nugget of every fit
+VALIDATION_POINTS = 1000  # seeded uniform points whose MSE decides convergence
+# Largest training set: up to 100 points a fit has the same bits at any BLAS
+# thread count, while from 101 on OpenBLAS threads the fit's dot products.
+MAX_EVALUATIONS = 100
 
 
 def _norm_pdf(z):
@@ -88,7 +89,7 @@ def _scores(model, config, x):
     mu, var = gp_predict_many(model, x)
     sigma = np.sqrt(var)
     if config.acquisition == "ucb":
-        return upper_confidence_bound(mu, sigma, config.kappa)
+        return upper_confidence_bound(mu, sigma, UCB_KAPPA)
     return expected_improvement(mu, sigma, float(np.max(model.data.y)))
 
 
@@ -97,7 +98,7 @@ def _acquisition_and_grad(model, config, x):
 
     d sigma = d var / (2 sigma), which is 0 where sigma = 0 because
     gp_predict_grad zeroes d var where the variance is floored at zero.  UCB
-    differentiates to d mu + kappa d sigma and EI to Phi(z) d mu + phi(z)
+    differentiates to d mu + UCB_KAPPA d sigma and EI to Phi(z) d mu + phi(z)
     d sigma; at sigma = 0 EI is max(mu - incumbent, 0), whose gradient is d mu
     where mu exceeds the incumbent and 0 elsewhere.
     """
@@ -106,8 +107,7 @@ def _acquisition_and_grad(model, config, x):
     positive = sigma > 0
     dsigma = dvar / (2.0 * np.where(positive, sigma, 1.0))[:, None]
     if config.acquisition == "ucb":
-        kappa = config.kappa
-        return upper_confidence_bound(mu, sigma, kappa), dmu + kappa * dsigma
+        return upper_confidence_bound(mu, sigma, UCB_KAPPA), dmu + UCB_KAPPA * dsigma
     incumbent = float(np.max(model.data.y))
     improve = mu - incumbent
     z = np.where(positive, improve / np.where(positive, sigma, 1.0), 0.0)
@@ -164,13 +164,11 @@ def acquire_batch(model: GpModel, config: BoConfig, bounds) -> np.ndarray:
     return tied[np.lexsort(tied.T[::-1])[:1]]
 
 
-def _validation_set(
-    hf: HighFidelityModel, n_val: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded uniform points over the benchmark box and the benchmark there."""
+def _validation_set(hf: HighFidelityModel, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """VALIDATION_POINTS seeded uniform points in the box and the benchmark there."""
     rng = np.random.default_rng(seed)
     lo, hi = np.asarray(hf.bounds, dtype=float).T
-    points = lo + rng.random((n_val, hf.dim)) * (hi - lo)
+    points = lo + rng.random((VALIDATION_POINTS, hf.dim)) * (hi - lo)
     return points, np.array([eval_benchmark(hf, p) for p in points])
 
 
@@ -183,20 +181,18 @@ class BoConfig:
     ("normalized", for benchmarks whose output scale makes a fixed absolute
     target meaningless).  Setting ``fixed_length_scale``/``fixed_signal_variance``
     skips marginal-likelihood fitting and uses those values directly.
-    ``acquisition`` is "ucb" or "ei": ``kappa`` weights sigma in UCB, and EI
-    improves on the best (largest) observed training output of the model
-    being queried.  Each iteration acquires one point (acquire_batch).
+    ``acquisition`` is "ucb" (sigma weighted by UCB_KAPPA) or "ei", which
+    improves on the best (largest) training output of the model queried.  Each
+    iteration acquires one point; every fit has the nugget NOISE_VARIANCE, and
+    the MSE is over VALIDATION_POINTS seeded uniform points.
     """
 
     n_init: int = 5
     max_evaluations: int = 25
     mse_threshold: float = 1e-3
     mse_mode: str = "absolute"
-    n_val: int = 1000
     kernel_family: str = "matern52"
-    noise_variance: float = 1e-6
     acquisition: str = "ucb"
-    kappa: float = 200.0
     seed: int = 0
     fixed_length_scale: Optional[float] = None
     fixed_signal_variance: Optional[float] = None
@@ -212,17 +208,10 @@ class BoConfig:
             raise ConfigurationError("mse_threshold must be positive")
         if self.mse_mode not in ("absolute", "normalized"):
             raise ConfigurationError("mse_mode must be 'absolute' or 'normalized'")
-        if not 100 <= self.n_val <= MAX_VALIDATION_POINTS:
-            raise ConfigurationError(
-                f"n_val must lie in [100, {MAX_VALIDATION_POINTS}]: at least 100 "
-                "for a meaningful validation estimate"
-            )
         if self.acquisition not in ("ei", "ucb"):
             raise ConfigurationError(
                 f"unknown acquisition family {self.acquisition!r}; use 'ei' or 'ucb'"
             )
-        if not 0 <= self.kappa < math.inf:
-            raise ConfigurationError("kappa must be finite and nonnegative")
         if self.kernel_family not in KERNEL_FAMILIES:
             raise ConfigurationError(
                 f"unknown kernel family {self.kernel_family!r}; "
@@ -230,8 +219,6 @@ class BoConfig:
             )
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
-        if not 0 <= self.noise_variance < math.inf:
-            raise ConfigurationError("noise_variance must be finite and nonnegative")
         if (self.fixed_length_scale is None) != (self.fixed_signal_variance is None):
             raise ConfigurationError(
                 "fixed_length_scale and fixed_signal_variance must be set together"
@@ -275,9 +262,9 @@ def _fit_for_config(data: Dataset, config: BoConfig) -> GpModel:
             length_scale=config.fixed_length_scale,
             signal_variance=config.fixed_signal_variance,
         )
-        return gp_fit(data, spec, config.noise_variance)
+        return gp_fit(data, spec, NOISE_VARIANCE)
     return gp_optimize_hyperparameters(
-        data, family=config.kernel_family, noise_variance=config.noise_variance
+        data, family=config.kernel_family, noise_variance=NOISE_VARIANCE
     )
 
 
@@ -285,7 +272,7 @@ def run_bo(hf: HighFidelityModel, config: BoConfig) -> BoTrace:
     """Run the adaptive surrogate-construction loop on one benchmark."""
     data = sample_initial_design(hf, config.n_init, config.seed)
     val_seed = int(np.random.default_rng([config.seed, 1]).integers(2**31))
-    val_points, val_truth = _validation_set(hf, config.n_val, val_seed)
+    val_points, val_truth = _validation_set(hf, val_seed)
     val_var = float(np.var(val_truth))
     if val_var <= 0:
         raise ConfigurationError(

@@ -420,7 +420,7 @@ def gp_optimize_hyperparameters(
         )
     log_bounds = [(math.log(lo), math.log(hi)) for lo, hi in _hyper_bounds(data)]
 
-    failed = "all hyperparameter restarts failed to produce a valid factorization"
+    failed = "all hyperparameter ascents failed to produce a valid factorization"
     try:
         neg_lml, neg_lml_and_grad = _neg_lml_objective(data, family, noise_variance)
     except DegenerateDataError as exc:

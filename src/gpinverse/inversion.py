@@ -180,7 +180,12 @@ class MapCluster:
 
     ``objective`` is Phi at ``x``, in LS units, and ``grad_norm`` the norm of
     grad Phi; ``ls_residual`` is LS alone, equal to ``objective`` without a
-    prior.
+    prior.  On a curve of exact solutions (the zero-misfit arcs of
+    mixed2d-inverse and rosenbrock2d-inverse) an exact-fit cluster's ``x`` is
+    where its L-BFGS-B starts stopped along the curve, and that follows the
+    last bits of the mean: a change to those bits alone moved 6 of 15 and 6 of
+    16 such clusters by over 1e-7, one by 2.9e-2.  Only ``objective`` and the
+    curve are determined, not the 16 digits of ``x``.
     """
 
     x: np.ndarray

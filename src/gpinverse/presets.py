@@ -29,6 +29,7 @@ import numpy as np
 from .baselines import FAMILIES as DETERMINISTIC_FAMILIES
 from .baselines import eval_deterministic, fit_deterministic
 from .benchmarks import check_in_bounds, eval_benchmark, get_benchmark
+from .bo import NOISE_VARIANCE, UCB_KAPPA, VALIDATION_POINTS
 from .bo import BoConfig, BoTrace, run_bo, _validation_set
 from .errors import ConfigurationError, GpInverseError, ShapeError
 # gp_predict_many is not called here, but perfbench/tracing.py wraps it on
@@ -69,6 +70,9 @@ MCMC_GRID_RESOLUTION = 512
 FIXED_KEYS = {
     "bo.n_acq": 1,
     "bo.restarts": HYPERPARAMETER_ASCENTS,
+    "bo.n_val": VALIDATION_POINTS,
+    "bo.noise_variance": NOISE_VARIANCE,
+    "bo.kappa": UCB_KAPPA,
     "mcmc_grid_resolution": MCMC_GRID_RESOLUTION,
 }
 
@@ -336,9 +340,13 @@ def _coerce(hint, raw: str):
 
 
 def check_fixed_key(key: str, value, where: str = "") -> None:
-    """Raise ConfigurationError unless ``value`` is the constant ``key`` became."""
-    if str(value) != str(FIXED_KEYS[key]):
-        raise ConfigurationError(f"{where}{key} = {value}: the key is fixed at {FIXED_KEYS[key]}")
+    """Raise ConfigurationError unless ``value``, parsed as the type of the
+    constant ``key`` became, equals it: ``200`` is 200.0, ``3.0`` is no int."""
+    constant = FIXED_KEYS[key]
+    with contextlib.suppress(ValueError):
+        if type(constant)(str(value)) == constant:
+            return
+    raise ConfigurationError(f"{where}{key} = {value}: the key is fixed at {constant}")
 
 
 def config_from_text(text: str) -> ExperimentConfig:
@@ -609,11 +617,11 @@ def _run_compare_stage(config, result):
         hf = get_benchmark(name)
         trace = run_bo(hf, config.bo)
         data = trace.final_model.data
-        points, truth = _validation_set(hf, config.bo.n_val, val_seed)
+        points, truth = _validation_set(hf, val_seed)
 
         scores = {}
         for fam in ("matern52", "rbf"):
-            model = gp_fit(data, KernelSpec(fam, 1.0, 1.0), config.bo.noise_variance)
+            model = gp_fit(data, KernelSpec(fam, 1.0, 1.0), NOISE_VARIANCE)
             pred = model.predict_mean(points)
             scores["gp-" + fam] = float(np.mean((truth - pred) ** 2))
         for fam in DETERMINISTIC_FAMILIES:

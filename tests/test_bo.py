@@ -1,5 +1,6 @@
 """Acquisition functions, batch selection, validation MSE, and the BO loop."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import optimize as sopt
-from scipy.spatial.distance import pdist
 
 import gpinverse.bo as bo
 from gpinverse import (
@@ -30,9 +30,12 @@ from gpinverse import (
 )
 from gpinverse.bo import (
     ASCENT_STARTS,
+    UCB_KAPPA,
+    VALIDATION_POINTS,
     _acquisition_and_grad,
     _fit_for_config,
     _probe_grid,
+    _scores,
     _validation_set,
 )
 from gpinverse.gp import gp_predict_grad
@@ -50,12 +53,13 @@ def _toy_model(seed=0, n=5, bounds=((-3.0, 3.0),)):
 
 
 class TestAcquisitionValues:
-    def test_ucb_with_zero_kappa_equals_mean(self):
+    def test_ucb_weights_sigma_by_ucb_kappa(self):
         model = _toy_model()
         q = np.linspace(-3, 3, 11).reshape(-1, 1)
-        mean, _ = gp_predict_many(model, q)
-        values, _ = _acquisition_and_grad(model, BoConfig(kappa=0.0), q)
-        np.testing.assert_allclose(values, mean, rtol=1e-12)
+        mean, var = gp_predict_many(model, q)
+        want = upper_confidence_bound(mean, np.sqrt(var), UCB_KAPPA)
+        np.testing.assert_array_equal(_scores(model, BoConfig(), q), want)
+        np.testing.assert_array_equal(_acquisition_and_grad(model, BoConfig(), q)[0], want)
 
     def test_ei_zero_when_no_improvement_possible(self):
         assert expected_improvement(0.5, 0.0, 1.0) == 0.0
@@ -78,33 +82,13 @@ class TestAcquisitionValues:
             incumbent = rng.normal(scale=5)
             assert expected_improvement(mu, sigma, incumbent) >= 0.0
 
-    def test_ucb_monotone_in_kappa(self):
-        model = _toy_model()
-        x = np.array([[0.77]])
-        _, var = gp_predict_many(model, x)
-        assert var[0] > 0
-        values = [
-            _acquisition_and_grad(model, BoConfig(kappa=k), x)[0][0]
-            for k in (0.1, 1.0, 5.0, 50.0)
-        ]
-        assert all(a < b for a, b in zip(values, values[1:]))
-
     def test_ucb_vectorized_helper(self):
         got = upper_confidence_bound([1.0, 2.0], [0.5, 0.0], 2.0)
         np.testing.assert_allclose(got, [2.0, 2.0])
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"kappa": -1.0},
-            {"kappa": math.nan},
-            {"kappa": math.inf},
-            {"acquisition": "pi"},
-        ],
-    )
-    def test_invalid_acquisition_rejected(self, kwargs):
+    def test_invalid_acquisition_rejected(self):
         with pytest.raises(ConfigurationError):
-            BoConfig(**kwargs)
+            BoConfig(acquisition="pi")
 
 
 def _central_difference(fn, x, h):
@@ -143,27 +127,31 @@ def _assert_gradients_match_central_differences(model, acq, x, h, atol):
 def _gradient_cases(draw, zero_noise=False):
     """A fitted model on a random design, an acquisition and query rows."""
     dim = draw(st.integers(1, 2))
-    n = draw(st.integers(2, 4 if zero_noise else 8))
     coords = st.floats(-2.0, 2.0)
-    x = draw(arrays(float, (n, dim), elements=coords))
-    family = draw(st.sampled_from(["matern52", "rbf"]))
-    length_scale = draw(st.floats(0.3, 2.0))
-    signal_variance = draw(st.floats(0.5, 2.0))
-    noise = 1e-3 * signal_variance
     if zero_noise:
         # without noise the variance at a training point is zero up to
-        # rounding, and clipped to exactly 0 where rounding makes it negative
-        assume(pdist(x).min() > length_scale)
-        noise = 0.0
+        # rounding, and clipped to exactly 0 where rounding makes it negative.
+        # The 2 to 4 points sit on distinct nodes of a lattice of spacing 1.2,
+        # each moved by at most 0.1, so they stand at least 1.0 apart, which
+        # is 2.5 length scales or more.  That keeps the noise-free kernel
+        # well posed, and keeps the odd part of sigma near a training point,
+        # which UCB_KAPPA magnifies in the central differences across the
+        # kink of sigma there, well inside their atol.
+        lattice = list(itertools.product(range(4), repeat=dim))
+        nodes = draw(st.permutations(lattice))[: draw(st.integers(2, 4))]
+        shifts = draw(arrays(float, (len(nodes), dim), elements=st.floats(-0.1, 0.1)))
+        x = -1.8 + 1.2 * np.array(nodes, dtype=float) + shifts
+        length_scale = draw(st.floats(0.2, 0.4))
+    else:
+        x = draw(arrays(float, (draw(st.integers(2, 8)), dim), elements=coords))
+        length_scale = draw(st.floats(0.3, 2.0))
+    family = draw(st.sampled_from(["matern52", "rbf"]))
+    signal_variance = draw(st.floats(0.5, 2.0))
+    noise = 0.0 if zero_noise else 1e-3 * signal_variance
     bounds = ((-2.0, 2.0),) * dim
     ds = Dataset(x=x, y=np.sin(2.0 * x).sum(axis=1), bounds=bounds)
     model = gp_fit(ds, KernelSpec(family, length_scale, signal_variance), noise)
-    acq = draw(
-        st.one_of(
-            st.builds(BoConfig, kappa=st.floats(0.0, 10.0)),
-            st.just(BoConfig(acquisition="ei")),
-        )
-    )
+    acq = draw(st.sampled_from([BoConfig(), BoConfig(acquisition="ei")]))
     queries = draw(arrays(float, (3, dim), elements=coords))
     return model, acq, np.vstack([queries, x[:1]])
 
@@ -205,7 +193,7 @@ class TestAcquireBatch:
         x = np.array([[-3.0], [-2.5], [-2.0], [2.9]])
         ds = Dataset(x=x, y=np.sin(x[:, 0]), bounds=((-3.0, 3.0),))
         model = gp_fit(ds, KernelSpec("matern52", 0.8, 1.0), 1e-6)
-        picks = acquire_batch(model, BoConfig(kappa=200.0), ds.bounds)
+        picks = acquire_batch(model, BoConfig(), ds.bounds)
         grid = np.linspace(-3, 3, 512).reshape(-1, 1)
         _, var = gp_predict_many(model, grid)
         decile = np.quantile(var, 0.9)
@@ -214,7 +202,7 @@ class TestAcquireBatch:
 
     def test_batch_of_one_equals_plain_argmax(self):
         model = _toy_model(seed=3)
-        config = BoConfig(kappa=200.0)
+        config = BoConfig()
         a = acquire_batch(model, config, model.data.bounds)
         b = acquire_batch(model, config, model.data.bounds)
         np.testing.assert_array_equal(a, b)
@@ -222,7 +210,7 @@ class TestAcquireBatch:
     def test_degenerate_bounds_rejected(self):
         model = _toy_model()
         with pytest.raises(ConfigurationError, match="degenerate"):
-            acquire_batch(model, BoConfig(kappa=1.0), ((0.0, 0.0),))
+            acquire_batch(model, BoConfig(), ((0.0, 0.0),))
 
     def test_output_shift_leaves_acquired_points_unchanged(self):
         # UCB values move with a constant output shift but the argmax stays
@@ -233,7 +221,7 @@ class TestAcquireBatch:
         spec = KernelSpec("matern52", 1.0, 1.0)
         m0 = gp_fit(Dataset(x=x, y=y, bounds=bounds), spec, 1e-6)
         m1 = gp_fit(Dataset(x=x, y=y + 5.0, bounds=bounds), spec, 1e-6)
-        acq = BoConfig(kappa=200.0)
+        acq = BoConfig()
         p0 = acquire_batch(m0, acq, bounds)
         p1 = acquire_batch(m1, acq, bounds)
         assert p0.shape == (1, 1) and -3.0 <= p0[0, 0] <= 3.0
@@ -288,7 +276,7 @@ class TestStackedAscent:
 
         monkeypatch.setattr(bo.sopt, "minimize", counting)
         model = _toy_model(seed=2, bounds=((-3.0, 3.0), (0.0, 1.0)))
-        acquire_batch(model, BoConfig(kappa=200.0), model.data.bounds)
+        acquire_batch(model, BoConfig(), model.data.bounds)
         assert calls == [(2 * ASCENT_STARTS,)]
 
     def test_non_finite_acquisition_is_a_numerical_error(self, monkeypatch):
@@ -303,7 +291,7 @@ class TestStackedAscent:
 
         monkeypatch.setattr(bo, "gp_predict_many", nan_past_0_9)
         with pytest.raises(NumericalError, match="not finite"):
-            acquire_batch(model, BoConfig(kappa=200.0), hf.bounds)
+            acquire_batch(model, BoConfig(), hf.bounds)
 
 
 class TestValidationMse:
@@ -327,13 +315,14 @@ class TestValidationMse:
         y = np.array([model.evaluator(p) for p in x]) + c
         ds = Dataset(x=x, y=y, bounds=model.bounds)
         gp = gp_fit(ds, KernelSpec("matern52", 2.0, 2.0), 1e-8)
-        points, truth = _validation_set(model, 500, seed=1)
+        points, truth = _validation_set(model, seed=1)
         pred, _ = gp_predict_many(gp, points)
         assert float(np.mean((truth - pred) ** 2)) == pytest.approx(c * c, rel=0.05)
 
     def test_seeded_points_are_reproducible(self):
         model = get_benchmark("mixed1d")
-        first, second = _validation_set(model, 200, 5), _validation_set(model, 200, 5)
+        first, second = _validation_set(model, 5), _validation_set(model, 5)
+        assert first[0].shape == (VALIDATION_POINTS, 1)
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
@@ -341,14 +330,14 @@ class TestValidationMse:
 class TestRunBo:
     def test_immediate_convergence_gives_single_record(self):
         hf = get_benchmark("forrester1d")
-        cfg = BoConfig(max_evaluations=25, mse_threshold=1e9, n_val=100, seed=0)
+        cfg = BoConfig(max_evaluations=25, mse_threshold=1e9, seed=0)
         trace = run_bo(hf, cfg)
         assert trace.converged and len(trace.iterations) == 1
         assert trace.iterations[0].n_samples == cfg.n_init
 
     def test_dataset_sizes_strictly_increase(self):
         hf = get_benchmark("forrester1d")
-        cfg = BoConfig(max_evaluations=9, mse_threshold=1e-12, n_val=100, seed=0)
+        cfg = BoConfig(max_evaluations=9, mse_threshold=1e-12, seed=0)
         trace = run_bo(hf, cfg)
         sizes = [r.n_samples for r in trace.iterations]
         assert sizes == sorted(set(sizes))
@@ -357,7 +346,7 @@ class TestRunBo:
 
     def test_trace_is_deterministic(self):
         hf = get_benchmark("forrester1d")
-        cfg = BoConfig(max_evaluations=8, mse_threshold=1e-12, n_val=100, seed=3)
+        cfg = BoConfig(max_evaluations=8, mse_threshold=1e-12, seed=3)
         a = run_bo(hf, cfg)
         b = run_bo(hf, cfg)
         assert [r.mse for r in a.iterations] == [r.mse for r in b.iterations]
@@ -365,7 +354,7 @@ class TestRunBo:
 
     def test_records_hold_each_fit_likelihood(self):
         hf = get_benchmark("forrester1d")
-        cfg = BoConfig(max_evaluations=8, mse_threshold=1e-12, n_val=100, seed=3)
+        cfg = BoConfig(max_evaluations=8, mse_threshold=1e-12, seed=3)
         trace = run_bo(hf, cfg)
         last = trace.iterations[-1].log_marginal_likelihood
         assert last == log_marginal_likelihood(trace.final_model)
@@ -376,7 +365,7 @@ class TestRunBo:
             raise DegenerateDataError("no factor")
 
         monkeypatch.setattr(bo, "gp_optimize_hyperparameters", failing_fit)
-        cfg = BoConfig(max_evaluations=8, n_val=100, seed=0)
+        cfg = BoConfig(max_evaluations=8, seed=0)
         with pytest.raises(
             NumericalError, match="failed at iteration 0 with 5 samples: no factor"
         ):
@@ -384,7 +373,7 @@ class TestRunBo:
 
     def test_acquired_points_strictly_inside_bounds(self):
         hf = get_benchmark("mixed1d")
-        cfg = BoConfig(max_evaluations=10, mse_threshold=1e-12, n_val=100, seed=1)
+        cfg = BoConfig(max_evaluations=10, mse_threshold=1e-12, seed=1)
         trace = run_bo(hf, cfg)
         for rec in trace.iterations:
             for p in np.atleast_2d(rec.acquired):
@@ -405,8 +394,6 @@ class TestRunBo:
             BoConfig(n_init=1)
         with pytest.raises(ConfigurationError):
             BoConfig(mse_threshold=0.0)
-        with pytest.raises(ConfigurationError):
-            BoConfig(n_val=10)
         with pytest.raises(ConfigurationError):
             BoConfig(mse_mode="weird")
         with pytest.raises(ConfigurationError):

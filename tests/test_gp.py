@@ -436,5 +436,5 @@ class TestHyperparameterFit:
 
     def test_zero_noise_duplicates_fail_every_restart(self):
         ds = _dataset([[0.0], [1.0], [1.0]], [0.0, 1.0, 1.0])
-        with pytest.raises(NumericalError, match="all hyperparameter restarts failed"):
+        with pytest.raises(NumericalError, match="all hyperparameter ascents failed"):
             gp_optimize_hyperparameters(ds, "matern52", 0.0)

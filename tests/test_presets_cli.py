@@ -19,7 +19,7 @@ import gpinverse.cli
 import gpinverse.inversion
 import gpinverse.presets
 import gpinverse.sampling
-from gpinverse.bo import MAX_EVALUATIONS, MAX_VALIDATION_POINTS, BoConfig
+from gpinverse.bo import MAX_EVALUATIONS, BoConfig
 from gpinverse.cli import main
 from gpinverse.errors import (
     ConfigurationError,
@@ -101,11 +101,8 @@ def _configs(draw):
     fixed = draw(st.one_of(st.none(), st.tuples(_positive, _positive)))
     bo = BoConfig(
         n_init=n_init,
-        max_evaluations=draw(st.integers(n_init, 500)),
+        max_evaluations=draw(st.integers(n_init, MAX_EVALUATIONS)),
         mse_threshold=draw(_positive),
-        n_val=draw(st.integers(100, MAX_VALIDATION_POINTS)),
-        noise_variance=draw(st.floats(min_value=0.0, allow_infinity=False)),
-        kappa=draw(st.floats(min_value=0.0, allow_infinity=False)),
         seed=draw(_seeds),
         fixed_length_scale=None if fixed is None else fixed[0],
         fixed_signal_variance=None if fixed is None else fixed[1],
@@ -370,7 +367,6 @@ _SMALL_RUN = (
     "bo.n_init = 4\n"
     "bo.max_evaluations = 6\n"
     "bo.mse_threshold = 1000000.0\n"
-    "bo.n_val = 100\n"
 )
 _INV = "inversion.obs_variance = 0.72\n"
 _OBS = _INV + "inversion.observed = -6.02\n"
@@ -429,6 +425,8 @@ _COMPARE = _SMALL_RUN + "compare_benchmarks = forrester1d\n"
         _COMPARE + "mcmc.seed = 1\n",
         _RUN_OBS + "bo.n_acq = 2\n",
         _RUN_OBS + "bo.restarts = 4\n",
+        # a fixed key's value must parse as its constant's type
+        _RUN_OBS + "bo.restarts = 3.0\n",
         _RUN_OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 2048\n",
         # a name is one file name under results/ or $GPINVERSE_OUT
         _RUN_OBS + "name =\n",
@@ -508,7 +506,7 @@ _MIXED2D_MCMC = (
 @pytest.mark.parametrize(
     "text, key, at_cap",
     [
-        ("benchmark = forrester1d\n" + _OBS, "bo.n_val", MAX_VALIDATION_POINTS),
+        # this cap keeps fits independent of the BLAS thread count
         ("benchmark = forrester1d\n" + _OBS, "bo.max_evaluations", MAX_EVALUATIONS),
         (_RUN_OBS, "inversion.n_starts", MAX_MAP_STARTS),
         # 10 chains of 2-D states fill the cap at n_steps = cap / 20
@@ -552,6 +550,16 @@ def test_cli_retired_key_parses_only_at_its_constant(tmp_path, monkeypatch, caps
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["bo.kappa = 200", "bo.noise_variance = 1e-6", "bo.noise_variance = 0.000001"],
+)
+def test_retired_key_parses_in_any_spelling_of_its_constant(line):
+    # the value is compared as the constant's type, not as its text (200.0,
+    # 1e-06), which test_cli_retired_key_parses_only_at_its_constant writes
+    assert config_from_text(_RUN_OBS + line + "\n") == config_from_text(_RUN_OBS)
+
+
 def test_cli_negative_seed_override_exits_2(tmp_path, capsys):
     outdir = tmp_path / "out"
     argv = ["run", "--preset", "forrester-inverse", "--seed", "-1", "--out", str(outdir)]
@@ -580,7 +588,6 @@ def test_cli_compare_budget_is_bo_max_evaluations(tmp_path):
         "bo.n_init = 5\n"
         "bo.max_evaluations = 8\n"
         "bo.mse_threshold = 1e-12\n"
-        "bo.n_val = 100\n"
         "compare_benchmarks = forrester1d\n"
     )
     outdir = tmp_path / "out"
@@ -891,7 +898,6 @@ def test_cli_runs_small_config_end_to_end(tmp_path, capsys):
         "bo.n_init = 4\n"
         "bo.max_evaluations = 6\n"
         "bo.mse_threshold = 1000000.0\n"
-        "bo.n_val = 100\n"
         "bo.seed = 0\n"
         "inversion.observed = -6.02\n"
         "inversion.obs_variance = 0.72\n"
@@ -961,7 +967,6 @@ def test_cli_output_env_var_respected(tmp_path, monkeypatch):
         "bo.n_init = 4\n"
         "bo.max_evaluations = 4\n"
         "bo.mse_threshold = 1000000.0\n"
-        "bo.n_val = 100\n"
     )
     assert main(["run", "--config", str(cfg)]) == 0
     assert (tmp_path / "envroot" / "tiny-env" / "manifest.json").exists()
@@ -976,21 +981,32 @@ def _script(folder, name):
     return module
 
 
-def test_cli_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "benchmark = forrester1d\n"
+        "bo.n_init = 4\n"
+        "bo.max_evaluations = 10\n"
+        "inversion.observed = -6.02\n"
+        "inversion.obs_variance = 0.72\n"
+        "inversion.grid_resolution = 256\n",
+        # a fit at bo.MAX_EVALUATIONS training points, the largest that parses
+        "benchmark = mixed2d\n"
+        "bo.n_init = 98\n"
+        f"bo.max_evaluations = {MAX_EVALUATIONS}\n"
+        "bo.mse_threshold = 1e-12\n"
+        "inversion.x_true = 1.248, 1.812\n"
+        "inversion.obs_variance = 0.1444\n"
+        "inversion.grid_resolution = 96\n",
+    ],
+    ids=["forrester1d", "mixed2d-at-the-cap"],
+)
+def test_cli_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, text):
     # A fitted run's artifacts must have the same bytes whatever the BLAS
     # thread count of the host.  OpenBLAS reads it once, at import, so each
     # count runs in its own process.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "benchmark = forrester1d\n"
-        "bo.n_init = 4\n"
-        "bo.max_evaluations = 10\n"
-        "bo.n_val = 200\n"
-        "inversion.observed = -6.02\n"
-        "inversion.obs_variance = 0.72\n"
-        "inversion.grid_resolution = 256\n"
-        "inversion.n_starts = 4\n"
-    )
+    cfg.write_text(text + "inversion.n_starts = 4\n")
     sha256 = _script("tools", "preset_digests")._sha256
     src = os.path.dirname(os.path.dirname(gpinverse.__file__))
     digests = []
@@ -1117,17 +1133,20 @@ def test_fit_replay_refits_a_recorded_run_bit_for_bit(tmp_path):
     fit_replay = _script("tools", "fit_replay")
     expected = [(r["index"], r["log_marginal_likelihood"]) for r in iterations]
     assert fit_replay.replay(str(tmp_path)) == expected
-    # a manifest written while bo.n_acq and bo.restarts were settings records
-    # them: at their constants the replay is the same, at other values it stops
+    # a manifest written while bo.n_acq, bo.restarts, bo.n_val,
+    # bo.noise_variance and bo.kappa were settings records them: at their
+    # constants the replay is the same, at other values it stops
     path = tmp_path / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["bo"].update(n_acq=1, restarts=3)
+    manifest["bo"].update(n_acq=1, restarts=3, n_val=1000, noise_variance=1e-6, kappa=200.0)
     path.write_text(json.dumps(manifest))
     assert fit_replay.replay(str(tmp_path)) == expected
-    manifest["bo"]["restarts"] = 4
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(ConfigurationError, match="bo.restarts = 4: the key is fixed at 3"):
-        fit_replay.replay(str(tmp_path))
+    for key, value, constant in (("restarts", 4, 3), ("kappa", 100.0, 200.0)):
+        path.write_text(json.dumps({**manifest, "bo": {**manifest["bo"], key: value}}))
+        with pytest.raises(
+            ConfigurationError, match=f"bo.{key} = {value}: the key is fixed at {constant}"
+        ):
+            fit_replay.replay(str(tmp_path))
 
 
 def test_public_names_are_bound_and_package_reexports_are_declared():

@@ -144,7 +144,7 @@ class TestMcmc:
         assert not np.array_equal(chain_0[0].path, chain_1[1].path)
         hf = get_benchmark("forrester1d")
         val_seeds = [
-            run_bo(hf, BoConfig(n_init=4, max_evaluations=4, n_val=100, seed=s))
+            run_bo(hf, BoConfig(n_init=4, max_evaluations=4, seed=s))
             .validation_seed
             for s in (3, 2**32 + 3)
         ]

@@ -13,9 +13,10 @@ every point ``acquired`` by the earlier iterations.  It prints one
 ``run iteration lml`` line per fit, where ``run`` is the run's directory
 relative to DIR (the preset name for preset_digests output).
 
-A manifest written before ``bo.n_acq`` and ``bo.restarts`` became constants
-still records them; each is accepted at its constant's value, and any other
-value raises ConfigurationError, as ``gpinverse run`` treats the config key.
+A manifest written before ``bo.n_acq``, ``bo.restarts``, ``bo.n_val``,
+``bo.noise_variance`` and ``bo.kappa`` became constants still records them;
+each is accepted at its constant's value, and any other value raises
+ConfigurationError, as ``gpinverse run`` treats the config key.
 
 The fits use the checkout on PYTHONPATH, while the
 ``log_marginal_likelihood`` of each iteration in ``trace.json`` is that of
