@@ -52,12 +52,14 @@ _STATIONARY_GRAD_TOL = 1e-4
 # evaluated at every cell and profiles.csv gets one row a cell.
 MAX_GRID_CELLS = 512**2
 
-# Upper bound on the MAP starts: each runs its own L-BFGS-B search, and the
-# clustering compares every endpoint with every cluster found so far.
+# Upper bound on the MAP starts: the joint search has n_starts * d variables,
+# and the clustering compares every endpoint with every cluster found so far.
 MAX_MAP_STARTS = 1024
 
-# L-BFGS-B iteration limit of each MAP start.
+# Iteration limit of the joint L-BFGS-B search over all MAP starts.
 MAP_MAX_ITER = 400
+
+_SURROGATE_ERRORS = (GpInverseError, ValueError, np.linalg.LinAlgError)
 
 # Level of the high-probability set the experiment pipeline reports: the
 # cells whose NLS is at least this fraction of the grid's peak.
@@ -176,16 +178,16 @@ def log_posterior(problem: InverseProblem, points: np.ndarray):
 
 @dataclass(frozen=True)
 class MapCluster:
-    """One merged group of converged optimization endpoints.
+    """One merged group of endpoints of the joint MAP search.
 
     ``objective`` is Phi at ``x``, in LS units, and ``grad_norm`` the norm of
     grad Phi; ``ls_residual`` is LS alone, equal to ``objective`` without a
-    prior.  On a curve of exact solutions (the zero-misfit arcs of
-    mixed2d-inverse and rosenbrock2d-inverse) an exact-fit cluster's ``x`` is
-    where its L-BFGS-B starts stopped along the curve, and that follows the
-    last bits of the mean: a change to those bits alone moved 6 of 15 and 6 of
-    16 such clusters by over 1e-7, one by 2.9e-2.  Only ``objective`` and the
-    curve are determined, not the 16 digits of ``x``.
+    prior, and each is resolved only to the rounding of the sum of all starts'
+    Phi.  On a curve of exact solutions (the zero-misfit arcs of mixed2d and
+    rosenbrock2d) an exact-fit cluster's ``x`` is where its starts stopped on
+    the curve, which follows the last bits of the mean: a change to those bits
+    alone moved 6 of 15 and 6 of 16 such clusters by over 1e-7, one by
+    2.9e-2.  Only ``objective`` and the curve are determined, not ``x``.
     """
 
     x: np.ndarray
@@ -297,12 +299,13 @@ def _flag_multimodal(clusters: Sequence[MapCluster], observed: float) -> bool:
 def map_multistart(problem: InverseProblem, n_starts: int, seed: int) -> PosteriorSummary:
     """Bounded quasi-Newton minimization of Phi from seeded uniform starts.
 
-    Each of the ``n_starts`` (1 to MAX_MAP_STARTS) starts runs L-BFGS-B for
-    at most MAP_MAX_ITER iterations.  Returns the clustered endpoint set
-    ordered best-first and flags multimodality when at least two clusters
-    sit within a factor 10 of the best objective.
-    ``metadata["failed_starts"]`` counts the starts whose optimization
-    raised or returned a non-finite result.
+    One L-BFGS-B run of at most MAP_MAX_ITER iterations minimizes the sum of
+    Phi over the ``n_starts`` (1 to MAX_MAP_STARTS) starts stacked into one
+    vector, scoring all in one batched call a step, and stops on the projected
+    gradient alone: the sum's decrease says nothing of one start.  Returns the
+    clusters best-first, multimodal when at least two are within 10x the best.
+    ``metadata["failed_starts"]`` counts starts dropped before the run (the
+    surrogate raised or Phi is not finite) and non-finite endpoints.
     """
     if not 1 <= n_starts <= MAX_MAP_STARTS:
         raise ConfigurationError(f"n_starts must lie in [1, {MAX_MAP_STARTS}]")
@@ -312,43 +315,45 @@ def map_multistart(problem: InverseProblem, n_starts: int, seed: int) -> Posteri
     lo, hi = np.asarray(problem.bounds, dtype=float).T
     starts = lo + rng.random((n_starts, problem.dim)) * (hi - lo)
 
-    def objective(x):
-        phi, grad, _, _ = _objective_and_grad(problem, x[None, :])
-        return float(phi[0]), grad[0]
+    failures = []
+    try:
+        phi = _objective_and_grad(problem, starts)[0]
+    except _SURROGATE_ERRORS:
+        phi = np.full(n_starts, math.nan)
+        for k, x0 in enumerate(starts):
+            try:
+                phi[k] = _objective_and_grad(problem, x0[None, :])[0][0]
+            except _SURROGATE_ERRORS as exc:
+                failures.append(f"start {k}: {exc}")
+    live = starts[np.isfinite(phi)]
+    if not len(live):
+        reason = "; ".join(failures) or f"Phi is {phi}"
+        raise InferenceError(f"every optimization start diverged: {reason}")
 
-    endpoints, objectives, grads, failures = [], [], [], []
-    for k, x0 in enumerate(starts):
-        try:
-            res = sopt.minimize(
-                objective,
-                x0,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=problem.bounds,
-                options={"maxiter": MAP_MAX_ITER},
-            )
-        except (GpInverseError, ValueError, np.linalg.LinAlgError) as exc:
-            failures.append(f"start {k}: {exc}")
-            continue
-        if not np.all(np.isfinite(res.x)) or not math.isfinite(res.fun):
-            failures.append(f"start {k}: non-finite result {res.fun!r}")
-            continue
-        endpoints.append(np.clip(res.x, lo, hi))
-        objectives.append(float(res.fun))
-        grads.append(res.jac)
-    if not endpoints:
-        raise InferenceError(
-            "every optimization start diverged: " + "; ".join(failures)
+    def total(flat):
+        value, grad, _, _ = _objective_and_grad(problem, flat.reshape(live.shape))
+        return np.sum(value), grad.ravel()
+
+    try:
+        res = sopt.minimize(
+            total, live.ravel(), jac=True, method="L-BFGS-B",
+            bounds=np.tile(problem.bounds, (len(live), 1)),
+            options={"maxiter": MAP_MAX_ITER, "ftol": 0.0},
         )
-    endpoints = np.array(endpoints)
-    ls_values = log_posterior(problem, endpoints)[0]
+    except _SURROGATE_ERRORS as exc:
+        raise InferenceError(f"the joint MAP search failed: {exc}") from exc
+    endpoints = np.clip(res.x.reshape(live.shape), lo, hi)
+    objectives, grads, resid, _ = _objective_and_grad(problem, endpoints)
+    ok = np.isfinite(objectives) & np.all(np.isfinite(grads), axis=1)
+    if not ok.any():
+        raise InferenceError("every optimization start diverged: no finite endpoint")
     clusters = _cluster_endpoints(
-        endpoints, np.array(objectives), ls_values, np.array(grads), problem
+        endpoints[ok], objectives[ok], np.square(resid[ok]), grads[ok], problem
     )
     return PosteriorSummary(
         map_clusters=clusters,
         multimodal=_flag_multimodal(clusters, problem.observed),
-        metadata={"failed_starts": len(failures)},
+        metadata={"failed_starts": n_starts - int(np.sum(ok))},
     )
 
 

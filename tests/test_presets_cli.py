@@ -375,69 +375,110 @@ _RUN_OBS = _SMALL_RUN + _OBS
 _COMPARE = _SMALL_RUN + "compare_benchmarks = forrester1d\n"
 
 
+# Each row names its id, so an edit to the shared run text renames no test.
 @pytest.mark.parametrize(
     "text",
     [
         # the level and the MAP iteration limit are constants, not keys
-        _RUN_OBS + "inversion.hp_threshold = 0.95\n",
-        _RUN_INV + "inversion.observed = nan\n",
-        _RUN_INV + "inversion.observed = inf\n",
-        _RUN_INV + "inversion.x_true = nan\n",
-        _RUN_INV + "inversion.x_true = 5.0\n",
-        _RUN_OBS + "inversion.grid_resolution = 32\n",
-        _RUN_OBS + "inversion.n_starts = 0\n",
-        _RUN_OBS + "inversion.max_iter = 400\n",
-        _SMALL_RUN + "inversion.obs_variance = inf\ninversion.observed = -6.02\n",
-        _SMALL_RUN + "inversion.obs_variance = 0\ninversion.observed = -6.02\n",
+        pytest.param(_RUN_OBS + "inversion.hp_threshold = 0.95\n", id="hp_threshold"),
+        pytest.param(_RUN_INV + "inversion.observed = nan\n", id="observed-nan"),
+        pytest.param(_RUN_INV + "inversion.observed = inf\n", id="observed-inf"),
+        pytest.param(_RUN_INV + "inversion.x_true = nan\n", id="x_true-nan"),
+        pytest.param(_RUN_INV + "inversion.x_true = 5.0\n", id="x_true-outside-box"),
+        pytest.param(_RUN_OBS + "inversion.grid_resolution = 32\n", id="grid_resolution-32"),
+        pytest.param(_RUN_OBS + "inversion.n_starts = 0\n", id="n_starts-0"),
+        pytest.param(_RUN_OBS + "inversion.max_iter = 400\n", id="max_iter"),
+        pytest.param(
+            _SMALL_RUN + "inversion.obs_variance = inf\ninversion.observed = -6.02\n",
+            id="obs_variance-inf",
+        ),
+        pytest.param(
+            _SMALL_RUN + "inversion.obs_variance = 0\ninversion.observed = -6.02\n",
+            id="obs_variance-0",
+        ),
         # exactly one of observed and x_true
-        _RUN_OBS + "inversion.x_true = 0.5\n",
-        _RUN_INV,
+        pytest.param(_RUN_OBS + "inversion.x_true = 0.5\n", id="observed-and-x_true"),
+        pytest.param(_RUN_INV, id="neither-observed-nor-x_true"),
         # 2048 cells per axis exceed the grid cap in 2-D
-        _SMALL_RUN.replace("forrester1d", "mixed2d") + _OBS,
-        _RUN_OBS + "bo.kappa = nan\n",
-        _RUN_OBS + "bo.noise_variance = -1.0\n",
-        _RUN_OBS + "bo.noise_variance = inf\n",
-        _RUN_OBS + "bo.fixed_length_scale = inf\nbo.fixed_signal_variance = 1.0\n",
-        _RUN_OBS + "bo.fixed_length_scale = 1.0\nbo.fixed_signal_variance = nan\n",
+        pytest.param(_SMALL_RUN.replace("forrester1d", "mixed2d") + _OBS, id="grid-cap-2d"),
+        pytest.param(_RUN_OBS + "bo.kappa = nan\n", id="kappa-nan"),
+        pytest.param(_RUN_OBS + "bo.noise_variance = -1.0\n", id="noise_variance-negative"),
+        pytest.param(_RUN_OBS + "bo.noise_variance = inf\n", id="noise_variance-inf"),
+        pytest.param(
+            _RUN_OBS + "bo.fixed_length_scale = inf\nbo.fixed_signal_variance = 1.0\n",
+            id="fixed_length_scale-inf",
+        ),
+        pytest.param(
+            _RUN_OBS + "bo.fixed_length_scale = 1.0\nbo.fixed_signal_variance = nan\n",
+            id="fixed_signal_variance-nan",
+        ),
         # outside [0.01, 10] times the box width, where the kernel overflows
-        _RUN_OBS + "bo.fixed_length_scale = 1e-300\nbo.fixed_signal_variance = 1.0\n",
-        _RUN_OBS + "bo.fixed_length_scale = 1e300\nbo.fixed_signal_variance = 1.0\n",
+        pytest.param(
+            _RUN_OBS + "bo.fixed_length_scale = 1e-300\nbo.fixed_signal_variance = 1.0\n",
+            id="fixed_length_scale-1e-300",
+        ),
+        pytest.param(
+            _RUN_OBS + "bo.fixed_length_scale = 1e300\nbo.fixed_signal_variance = 1.0\n",
+            id="fixed_length_scale-1e300",
+        ),
         # inside forrester1d's range, below mixed1d's [0.2, 200]
-        _SMALL_RUN + "compare_benchmarks = mixed1d\n"
-        + "bo.fixed_length_scale = 0.1\nbo.fixed_signal_variance = 1.0\n",
-        _RUN_OBS + "bo.acquisition = foo\n",
-        _RUN_OBS + "bo.kernel_family = foo\n",
-        _RUN_OBS + "bo.restarts = 0\n",
-        _RUN_OBS + "bo.seed = -1\n",
-        _RUN_OBS + "inversion.map_seed = -1\n",
-        _RUN_OBS + "bo.seed = 1\nbo.seed = 2\n",
-        _SMALL_RUN + "mcmc.seed = 1\n",
-        _RUN_OBS + "mcmc.seed = -1\n",
+        pytest.param(
+            _SMALL_RUN + "compare_benchmarks = mixed1d\n"
+            + "bo.fixed_length_scale = 0.1\nbo.fixed_signal_variance = 1.0\n",
+            id="fixed_length_scale-below-a-compared-range",
+        ),
+        pytest.param(_RUN_OBS + "bo.acquisition = foo\n", id="acquisition-foo"),
+        pytest.param(_RUN_OBS + "bo.kernel_family = foo\n", id="kernel_family-foo"),
+        pytest.param(_RUN_OBS + "bo.restarts = 0\n", id="restarts-0"),
+        pytest.param(_RUN_OBS + "bo.seed = -1\n", id="bo.seed-negative"),
+        pytest.param(_RUN_OBS + "inversion.map_seed = -1\n", id="map_seed-negative"),
+        pytest.param(_RUN_OBS + "bo.seed = 1\nbo.seed = 2\n", id="bo.seed-twice"),
+        pytest.param(_SMALL_RUN + "mcmc.seed = 1\n", id="mcmc-without-inversion"),
+        pytest.param(_RUN_OBS + "mcmc.seed = -1\n", id="mcmc.seed-negative"),
         # one sample per chain is too few for its kernel density estimate
-        _RUN_OBS + "mcmc.n_steps = 5\nmcmc.burn_in = 4\n",
+        pytest.param(
+            _RUN_OBS + "mcmc.n_steps = 5\nmcmc.burn_in = 4\n", id="one-sample-per-chain"
+        ),
         # retired keys are accepted only at their constants (see FIXED_KEYS)
-        _RUN_OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 10\n",
-        _RUN_OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 262145\n",
-        _RUN_OBS + "mcmc_grid_resolution = 300\n",
-        _SMALL_RUN + "compare_benchmarks = mixed1d, mixed2d\n",
-        _SMALL_RUN + "compare_benchmarks = mixed1d, nosuch\n",
-        _COMPARE + _OBS,
-        _COMPARE + "mcmc.seed = 1\n",
-        _RUN_OBS + "bo.n_acq = 2\n",
-        _RUN_OBS + "bo.restarts = 4\n",
+        pytest.param(
+            _RUN_OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 10\n",
+            id="mcmc_grid_resolution-10",
+        ),
+        pytest.param(
+            _RUN_OBS
+            + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 262145\n",
+            id="mcmc_grid_resolution-262145",
+        ),
+        pytest.param(_RUN_OBS + "mcmc_grid_resolution = 300\n", id="mcmc_grid_resolution-300"),
+        pytest.param(
+            _SMALL_RUN + "compare_benchmarks = mixed1d, mixed2d\n", id="compare-mixed-dims"
+        ),
+        pytest.param(
+            _SMALL_RUN + "compare_benchmarks = mixed1d, nosuch\n", id="compare-unknown"
+        ),
+        pytest.param(_COMPARE + _OBS, id="compare-with-inversion"),
+        pytest.param(_COMPARE + "mcmc.seed = 1\n", id="compare-with-mcmc"),
+        pytest.param(_RUN_OBS + "bo.n_acq = 2\n", id="n_acq-2"),
+        pytest.param(_RUN_OBS + "bo.restarts = 4\n", id="restarts-4"),
         # a fixed key's value must parse as its constant's type
-        _RUN_OBS + "bo.restarts = 3.0\n",
-        _RUN_OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 2048\n",
+        pytest.param(_RUN_OBS + "bo.restarts = 3.0\n", id="restarts-3.0"),
+        pytest.param(
+            _RUN_OBS + "mcmc.n_steps = 100\nmcmc.burn_in = 10\nmcmc_grid_resolution = 2048\n",
+            id="mcmc_grid_resolution-2048",
+        ),
         # a name is one file name under results/ or $GPINVERSE_OUT
-        _RUN_OBS + "name =\n",
-        _RUN_OBS + "name = .\n",
-        _RUN_OBS + "name = ..\n",
-        _RUN_OBS + "name = ../escaped\n",
-        _RUN_OBS + "name = runs/a\n",
-        _RUN_OBS + "name = /tmp/absolute\n",
-        _RUN_OBS + "name = a\0b\n",
+        pytest.param(_RUN_OBS + "name =\n", id="name-empty"),
+        pytest.param(_RUN_OBS + "name = .\n", id="name-dot"),
+        pytest.param(_RUN_OBS + "name = ..\n", id="name-dotdot"),
+        pytest.param(_RUN_OBS + "name = ../escaped\n", id="name-parent-path"),
+        pytest.param(_RUN_OBS + "name = runs/a\n", id="name-subdirectory"),
+        pytest.param(_RUN_OBS + "name = /tmp/absolute\n", id="name-absolute"),
+        pytest.param(_RUN_OBS + "name = a\0b\n", id="name-nul"),
         # each benchmark is compared once
-        _SMALL_RUN + "compare_benchmarks = forrester1d, forrester1d\n",
+        pytest.param(
+            _SMALL_RUN + "compare_benchmarks = forrester1d, forrester1d\n",
+            id="compare-twice",
+        ),
     ],
 )
 def test_cli_bad_setting_exits_2_before_surrogate_stage(tmp_path, capsys, text):
@@ -449,7 +490,9 @@ def test_cli_bad_setting_exits_2_before_surrogate_stage(tmp_path, capsys, text):
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("text, stage", [(_RUN_OBS, "bo"), (_COMPARE, "compare")])
+@pytest.mark.parametrize(
+    "text, stage", [(_RUN_OBS, "bo"), (_COMPARE, "compare")], ids=["bo", "compare"]
+)
 def test_cli_surrogate_stage_failure_writes_the_manifest_with_an_error_record(
     tmp_path, monkeypatch, capsys, text, stage
 ):
@@ -482,6 +525,7 @@ def test_cli_surrogate_stage_failure_writes_the_manifest_with_an_error_record(
             "acquisition ascent is not finite",
         ),
     ],
+    ids=["kernel-overflow", "kernel-gradient-overflow"],
 )
 def test_cli_surrogate_overflow_exits_3_without_lapack_text(tmp_path, capfd, settings, message):
     cfg = tmp_path / "huge.cfg"
@@ -513,6 +557,7 @@ _MIXED2D_MCMC = (
         (_MIXED2D_MCMC, "mcmc.n_steps", MAX_CHAIN_VALUES // 20),
         (_RUN_OBS + "mcmc.n_steps = 2\nmcmc.burn_in = 0\n", "mcmc.n_chains", MAX_CHAINS),
     ],
+    ids=["bo.max_evaluations", "inversion.n_starts", "mcmc.n_steps", "mcmc.n_chains"],
 )
 def test_cli_count_over_its_memory_cap_exits_2_before_bo(
     tmp_path, monkeypatch, capsys, text, key, at_cap
@@ -989,7 +1034,8 @@ def _script(folder, name):
         "bo.max_evaluations = 10\n"
         "inversion.observed = -6.02\n"
         "inversion.obs_variance = 0.72\n"
-        "inversion.grid_resolution = 256\n",
+        "inversion.grid_resolution = 256\n"
+        "inversion.n_starts = 4\n",
         # a fit at bo.MAX_EVALUATIONS training points, the largest that parses
         "benchmark = mixed2d\n"
         "bo.n_init = 98\n"
@@ -997,16 +1043,27 @@ def _script(folder, name):
         "bo.mse_threshold = 1e-12\n"
         "inversion.x_true = 1.248, 1.812\n"
         "inversion.obs_variance = 0.1444\n"
-        "inversion.grid_resolution = 96\n",
+        "inversion.grid_resolution = 96\n"
+        "inversion.n_starts = 4\n",
+        # the joint MAP search scores all 256 starts in each batched call,
+        # whose bits differ from those of one-row calls
+        "benchmark = mixed2d\n"
+        "bo.n_init = 40\n"
+        "bo.max_evaluations = 44\n"
+        "bo.mse_threshold = 1e-12\n"
+        "inversion.x_true = 1.248, 1.812\n"
+        "inversion.obs_variance = 0.1444\n"
+        "inversion.grid_resolution = 96\n"
+        "inversion.n_starts = 256\n",
     ],
-    ids=["forrester1d", "mixed2d-at-the-cap"],
+    ids=["forrester1d", "mixed2d-at-the-cap", "mixed2d-256-map-starts"],
 )
 def test_cli_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, text):
     # A fitted run's artifacts must have the same bytes whatever the BLAS
     # thread count of the host.  OpenBLAS reads it once, at import, so each
     # count runs in its own process.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(text + "inversion.n_starts = 4\n")
+    cfg.write_text(text)
     sha256 = _script("tools", "preset_digests")._sha256
     src = os.path.dirname(os.path.dirname(gpinverse.__file__))
     digests = []
