@@ -115,10 +115,10 @@ class KernelSpec:
 def _kernel_from_r(family: str, ell: float, s2: float, r: np.ndarray, work=()) -> np.ndarray:
     """Overwrite the distances r >= 0 with the covariance k(r) and return r.
 
-    ell and s2 may broadcast against r.  Matern also writes into ``work``,
-    two more arrays of r's shape, allocated when not given.  The steps are
-    those of s2 exp(-r^2 / (2 l^2)) and of s2 ((1 + t) + t^2 / 3) exp(-t), in
-    order, with t = sqrt(5) r / l, so the bits do not depend on the arrays.
+    The Matern family also writes into ``work``, two more arrays of r's
+    shape, allocated when not given.  The operations and their order are
+    those of s2 exp(-r^2 / (2 l^2)) and of s2 ((1 + t) + t^2 / 3) exp(-t)
+    with t = sqrt(5) r / l, so the bits do not depend on the arrays used.
     """
     if family == "rbf":
         np.multiply(r, r, out=r)
@@ -350,8 +350,8 @@ def _neg_lml_objective(data: Dataset, family: str, noise_variance: float):
     """-LML of theta = log (length scale, signal variance) and its gradient.
 
     The input checks and the pairwise distances depend only on the dataset,
-    so they run once here.  It returns the value alone, (value, gradient) for
-    the ascents, and the values at cell rows, batched unless a cell needs jitter.
+    so they run once here.  It returns the value alone, for the probe grid,
+    and (value, gradient), for the ascents, both through one factor helper.
     The value goes through gp_fit's _cholesky_with_jitter and _lml, so it is
     bit-identical to -log_marginal_likelihood(gp_fit(...)) at the same theta
     and the winning ascent's likelihood is the fitted model's; it is inf,
@@ -376,16 +376,6 @@ def _neg_lml_objective(data: Dataset, family: str, noise_variance: float):
         fac = factor(theta)[3]
         return math.inf if fac is None else -_lml(data.y, fac[0], fac[1])
 
-    def neg_lml_many(cells: np.ndarray) -> np.ndarray:
-        ell, s2 = (np.array([math.exp(t) for t in col])[:, None, None] for col in cells.T)
-        k = _kernel_from_r(family, ell, s2, np.repeat(r[None], len(cells), axis=0))
-        k.reshape(len(cells), -1)[:, :: len(r) + 1] += noise_variance
-        try:
-            chol = np.linalg.cholesky(k)
-        except np.linalg.LinAlgError:
-            return np.array([neg_lml(theta) for theta in cells])
-        return np.array([-_lml(data.y, c, sla.lapack.dpotrs(c, data.y, lower=1)[0]) for c in chol])
-
     def neg_lml_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
         ell, s2, k, fac = factor(theta)
         if fac is None:
@@ -396,7 +386,7 @@ def _neg_lml_objective(data: Dataset, family: str, noise_variance: float):
         grad = [alpha @ dk @ alpha - np.vdot(kinv, dk) for dk in (dk_dlog_ell, k)]
         return -_lml(data.y, chol, alpha), -0.5 * np.array(grad)
 
-    return neg_lml, neg_lml_and_grad, neg_lml_many
+    return neg_lml, neg_lml_and_grad
 
 
 def _hyper_bounds(data: Dataset) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -432,13 +422,13 @@ def gp_optimize_hyperparameters(
 
     failed = "all hyperparameter ascents failed to produce a valid factorization"
     try:
-        _, neg_lml_and_grad, neg_lml_many = _neg_lml_objective(data, family, noise_variance)
+        neg_lml, neg_lml_and_grad = _neg_lml_objective(data, family, noise_variance)
     except DegenerateDataError as exc:
         raise NumericalError(f"{failed}: {exc}") from exc
 
     axes = [np.linspace(lo, hi, _PROBE_POINTS_PER_AXIS) for lo, hi in log_bounds]
     cells = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
-    values = neg_lml_many(cells)
+    values = np.array([neg_lml(theta) for theta in cells])
     finite = np.flatnonzero(np.isfinite(values))
     starts = cells[finite[np.argsort(values[finite], kind="stable")[:HYPERPARAMETER_ASCENTS]]]
 

@@ -52,12 +52,17 @@ _STATIONARY_GRAD_TOL = 1e-4
 # evaluated at every cell and profiles.csv gets one row a cell.
 MAX_GRID_CELLS = 512**2
 
-# Upper bound on the MAP starts: the joint search has n_starts * d variables,
-# and the clustering compares every endpoint with every cluster found so far.
+# Upper bound on the MAP starts: a joint search pass has up to n_starts * d
+# variables, and the clustering compares every endpoint with every cluster.
 MAX_MAP_STARTS = 1024
 
-# Iteration limit of the joint L-BFGS-B search over all MAP starts.
+# Iteration limit of each joint L-BFGS-B pass of the MAP search.
 MAP_MAX_ITER = 400
+
+# A MAP start has converged when no coordinate of its projected gradient
+# exceeds _MAP_GTOL; a pass made progress when it lowered some start's Phi by
+# over _MAP_FTOL * max(Phi, 1).  Both are L-BFGS-B's defaults for one start.
+_MAP_GTOL, _MAP_FTOL = 1e-5, 1e7 * np.finfo(float).eps
 
 _SURROGATE_ERRORS = (GpInverseError, ValueError, np.linalg.LinAlgError)
 
@@ -165,6 +170,29 @@ def _objective_and_grad(problem: InverseProblem, points: np.ndarray):
     return phi, grad, resid, dmean
 
 
+class _StartsFailed(Exception):
+    """Its one argument maps the rows of a batch that failed to their messages."""
+
+
+def _scored(problem: InverseProblem, points: np.ndarray):
+    """Phi, grad Phi and observed - mean at each row, or _StartsFailed naming the
+    rows where the surrogate raises (found one at a time) or Phi is not finite."""
+    try:
+        phi, grad, resid, _ = _objective_and_grad(problem, points)
+    except _SURROGATE_ERRORS as exc:
+        rows = {}
+        for k, x in enumerate(points):
+            try:
+                _objective_and_grad(problem, x[None, :])
+            except _SURROGATE_ERRORS as row_exc:
+                rows[k] = str(row_exc)
+        raise _StartsFailed(rows or dict.fromkeys(range(len(points)), str(exc))) from exc
+    bad = np.flatnonzero(~(np.isfinite(phi) & np.all(np.isfinite(grad), axis=1)))
+    if bad.size:
+        raise _StartsFailed({int(k): f"non-finite Phi {phi[k]!r}" for k in bad})
+    return phi, grad, resid
+
+
 def log_posterior(problem: InverseProblem, points: np.ndarray):
     """LS and log NLS = -Phi / (2 sigma_obs^2) at each row of an (m, d) array.
 
@@ -178,16 +206,16 @@ def log_posterior(problem: InverseProblem, points: np.ndarray):
 
 @dataclass(frozen=True)
 class MapCluster:
-    """One merged group of endpoints of the joint MAP search.
+    """One merged group of endpoints of the MAP search.
 
     ``objective`` is Phi at ``x``, in LS units, and ``grad_norm`` the norm of
     grad Phi; ``ls_residual`` is LS alone, equal to ``objective`` without a
-    prior, and each is resolved only to the rounding of the sum of all starts'
-    Phi.  On a curve of exact solutions (the zero-misfit arcs of mixed2d and
+    prior.  On a curve of exact solutions (the zero-misfit arcs of mixed2d and
     rosenbrock2d) an exact-fit cluster's ``x`` is where its starts stopped on
-    the curve, which follows the last bits of the mean: a change to those bits
-    alone moved 6 of 15 and 6 of 16 such clusters by over 1e-7, one by
-    2.9e-2.  Only ``objective`` and the curve are determined, not ``x``.
+    the curve, which follows the last bits of the mean and the other starts of
+    their passes: a change to those bits alone moved 6 of 15 and 6 of 16 such
+    clusters by over 1e-7, one by 2.9e-2.  Only ``objective`` and the curve are
+    determined, not ``x``.
     """
 
     x: np.ndarray
@@ -299,13 +327,15 @@ def _flag_multimodal(clusters: Sequence[MapCluster], observed: float) -> bool:
 def map_multistart(problem: InverseProblem, n_starts: int, seed: int) -> PosteriorSummary:
     """Bounded quasi-Newton minimization of Phi from seeded uniform starts.
 
-    One L-BFGS-B run of at most MAP_MAX_ITER iterations minimizes the sum of
-    Phi over the ``n_starts`` (1 to MAX_MAP_STARTS) starts stacked into one
-    vector, scoring all in one batched call a step, and stops on the projected
-    gradient alone: the sum's decrease says nothing of one start.  Returns the
-    clusters best-first, multimodal when at least two are within 10x the best.
-    ``metadata["failed_starts"]`` counts starts dropped before the run (the
-    surrogate raised or Phi is not finite) and non-finite endpoints.
+    The ``n_starts`` (1 to MAX_MAP_STARTS) starts are stacked into one vector,
+    and an L-BFGS-B pass of at most MAP_MAX_ITER iterations minimizes the sum of
+    their Phi, stopping on the projected gradient alone.  A large Phi sets the
+    rounding of the sum and can stall the others, so the starts that a pass of
+    several left short of _MAP_GTOL go on, if it lowered some Phi, in passes of
+    their own split at the widest gap of their log Phi.  A start where the surrogate raises or Phi is
+    not finite is dropped, counted in ``metadata["failed_starts"]``, and its
+    pass rerun.  Returns the clusters best-first, multimodal when at least two
+    are within 10x the best.
     """
     if not 1 <= n_starts <= MAX_MAP_STARTS:
         raise ConfigurationError(f"n_starts must lie in [1, {MAX_MAP_STARTS}]")
@@ -313,47 +343,45 @@ def map_multistart(problem: InverseProblem, n_starts: int, seed: int) -> Posteri
         raise ConfigurationError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     lo, hi = np.asarray(problem.bounds, dtype=float).T
-    starts = lo + rng.random((n_starts, problem.dim)) * (hi - lo)
-
-    failures = []
-    try:
-        phi = _objective_and_grad(problem, starts)[0]
-    except _SURROGATE_ERRORS:
-        phi = np.full(n_starts, math.nan)
-        for k, x0 in enumerate(starts):
-            try:
-                phi[k] = _objective_and_grad(problem, x0[None, :])[0][0]
-            except _SURROGATE_ERRORS as exc:
-                failures.append(f"start {k}: {exc}")
-    live = starts[np.isfinite(phi)]
-    if not len(live):
-        reason = "; ".join(failures) or f"Phi is {phi}"
-        raise InferenceError(f"every optimization start diverged: {reason}")
+    x = lo + rng.random((n_starts, problem.dim)) * (hi - lo)
 
     def total(flat):
-        value, grad, _, _ = _objective_and_grad(problem, flat.reshape(live.shape))
+        value, grad, _ = _scored(problem, flat.reshape(-1, problem.dim))
         return np.sum(value), grad.ravel()
 
-    try:
-        res = sopt.minimize(
-            total, live.ravel(), jac=True, method="L-BFGS-B",
-            bounds=np.tile(problem.bounds, (len(live), 1)),
-            options={"maxiter": MAP_MAX_ITER, "ftol": 0.0},
-        )
-    except _SURROGATE_ERRORS as exc:
-        raise InferenceError(f"the joint MAP search failed: {exc}") from exc
-    endpoints = np.clip(res.x.reshape(live.shape), lo, hi)
-    objectives, grads, resid, _ = _objective_and_grad(problem, endpoints)
-    ok = np.isfinite(objectives) & np.all(np.isfinite(grads), axis=1)
-    if not ok.any():
-        raise InferenceError("every optimization start diverged: no finite endpoint")
-    clusters = _cluster_endpoints(
-        endpoints[ok], objectives[ok], np.square(resid[ok]), grads[ok], problem
-    )
+    phi, grad, resid = np.zeros(n_starts), np.zeros_like(x), np.zeros(n_starts)
+    failures, groups = {}, [np.arange(n_starts)]
+    while groups:
+        idx = groups.pop()
+        try:
+            before = _scored(problem, x[idx])[0]
+            res = sopt.minimize(
+                total, x[idx].ravel(), jac=True, method="L-BFGS-B",
+                bounds=np.tile(problem.bounds, (len(idx), 1)),
+                options={"maxiter": MAP_MAX_ITER, "ftol": 0.0, "gtol": _MAP_GTOL},
+            )
+            end = np.clip(res.x.reshape(-1, problem.dim), lo, hi)
+            phi[idx], grad[idx], resid[idx] = _scored(problem, end)
+        except _StartsFailed as exc:
+            failures.update((int(idx[k]), msg) for k, msg in exc.args[0].items())
+            idx = np.delete(idx, list(exc.args[0]))
+            groups += [idx] if idx.size else []
+            continue
+        x[idx] = end
+        left = idx[np.max(np.abs(end - np.clip(end - grad[idx], lo, hi)), axis=1) > _MAP_GTOL]
+        if len(idx) > 1 and left.size and np.any(before - phi[idx] > _MAP_FTOL * np.maximum(before, 1)):
+            left = left[np.argsort(phi[left], kind="stable")]
+            gaps = np.diff(np.log(np.maximum(phi[left], np.finfo(float).tiny)))
+            groups += np.split(left, [1 + np.argmax(gaps)] if gaps.size else [])
+    ok = np.setdiff1d(np.arange(n_starts), list(failures))
+    if not ok.size:
+        reason = "; ".join(f"start {k}: {failures[k]}" for k in sorted(failures))
+        raise InferenceError(f"every optimization start diverged: {reason}")
+    clusters = _cluster_endpoints(x[ok], phi[ok], np.square(resid[ok]), grad[ok], problem)
     return PosteriorSummary(
         map_clusters=clusters,
         multimodal=_flag_multimodal(clusters, problem.observed),
-        metadata={"failed_starts": n_starts - int(np.sum(ok))},
+        metadata={"failed_starts": len(failures)},
     )
 
 

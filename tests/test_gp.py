@@ -360,7 +360,7 @@ class TestHyperparameterFit:
         jitters = set()
         for family in ("matern52", "rbf"):
             for noise in (0.0, 1e-6):
-                value, objective = _neg_lml_objective(ds, family, noise)[:2]
+                value, objective = _neg_lml_objective(ds, family, noise)
                 for log_ell in np.linspace(math.log(0.01), math.log(10.0), 7):
                     for log_s2 in np.linspace(math.log(1e-6), math.log(1e12), 7):
                         spec = KernelSpec(family, math.exp(log_ell), math.exp(log_s2))
@@ -394,40 +394,6 @@ class TestHyperparameterFit:
                         assert objective(np.array([log_ell, log_s2]))[0] == want
         assert None in jitters
         assert len(jitters - {None, 0.0}) >= 3
-
-    def test_probe_grid_values_equal_per_cell_values_exactly(self):
-        # the probe grid factors every cell at zero jitter in one batched
-        # call; under RBF the sin(6x) grid's signal variances up to 1e12 do
-        # not factor there, so that grid goes cell by cell up the ladder
-        rng = np.random.default_rng(11)
-        x2 = rng.uniform(0, 1, size=(9, 2))
-        x1 = np.linspace(0, 1, 12).reshape(-1, 1)
-        cases = [
-            (Dataset(x=x2, y=np.sin(6 * x2[:, 0]) + x2[:, 1], bounds=((0.0, 1.0),) * 2), None),
-            (Dataset(x=x1, y=np.sin(6 * x1[:, 0]), bounds=((0.0, 1.0),)), 1e12),
-        ]
-        jitters = []
-        for ds, s2_hi in cases:
-            (ell_lo, ell_hi), (s2_lo, fit_s2_hi) = _hyper_bounds(ds)
-            axes = [
-                np.linspace(math.log(ell_lo), math.log(ell_hi), 7),
-                np.linspace(math.log(s2_lo), math.log(s2_hi or fit_s2_hi), 7),
-            ]
-            cells = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
-            for family in ("matern52", "rbf"):
-                for noise in (0.0, 1e-6):
-                    value, _, values = _neg_lml_objective(ds, family, noise)
-                    want = np.array([value(theta) for theta in cells])
-                    np.testing.assert_array_equal(values(cells), want)
-                    jitters.append({
-                        _reference_neg_lml(ds, KernelSpec(family, *np.exp(theta)), noise)[1]
-                        for theta in cells
-                    })
-        # every Matern grid and the first design's RBF grids factor at zero
-        # jitter, so the batched path gave them; the sin(6x) RBF grids need
-        # jitter, so the per-cell path did
-        assert all(j == {0.0} for j in jitters[:6])
-        assert all(j - {0.0} for j in jitters[6:])
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("noise", [1e-6, 1e-3])

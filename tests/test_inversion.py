@@ -214,7 +214,7 @@ class TestMapMultistart:
         with pytest.raises(raised, match="boom"):
             map_multistart(prob, n_starts=2, seed=0)
 
-    def test_failed_starts_are_counted(self, function_surrogate):
+    def test_failed_starts_are_counted(self, function_surrogate, monkeypatch):
         # the misfit falls towards x = 0, so no start below 0.75 ever steps
         # into the failing part of the box; the starts above it all fail
         def linear_below(x):
@@ -230,26 +230,6 @@ class TestMapMultistart:
         )
         # map_multistart draws its starts uniformly from default_rng(seed)
         starts = np.random.default_rng(3).random(16)
-        summary = map_multistart(prob, n_starts=16, seed=3)
-        expected = int(np.sum(starts > 0.75))
-        assert 0 < expected < 16
-        assert summary.metadata["failed_starts"] == expected
-        assert summary.map_clusters[0].x[0] == 0.0
-
-    def test_one_optimizer_run_over_the_live_starts(self, function_surrogate, monkeypatch):
-        # the per-start form made one run of d variables per start; the
-        # stacked form makes one run of live_starts * d variables
-        def plane_below(x):
-            if x[0] > 0.75:
-                raise NumericalError("no surrogate here")
-            return x[0] + x[1]
-
-        prob = InverseProblem(
-            surrogate=function_surrogate(plane_below),
-            observed=-1.0,
-            obs_variance=1.0,
-            bounds=((0.0, 1.0), (0.0, 1.0)),
-        )
         calls = []
         minimize = inversion.sopt.minimize
 
@@ -259,28 +239,39 @@ class TestMapMultistart:
 
         monkeypatch.setattr(inversion.sopt, "minimize", counting)
         summary = map_multistart(prob, n_starts=16, seed=3)
-        live = int(np.sum(np.random.default_rng(3).random((16, 2))[:, 0] <= 0.75))
-        assert 0 < live < 16
-        assert calls == [(2 * live,)]
-        assert summary.metadata["failed_starts"] == 16 - live
-        np.testing.assert_array_equal(summary.map_clusters[0].x, [0.0, 0.0])
+        expected = int(np.sum(starts > 0.75))
+        assert 0 < expected < 16
+        assert summary.metadata["failed_starts"] == expected
+        assert summary.map_clusters[0].x[0] == 0.0
+        # the failing starts are dropped before the search, and one L-BFGS-B
+        # run takes all the others stacked into one vector
+        assert calls == [(16 - expected,)]
 
-    def test_failure_inside_the_joint_search_is_an_inference_error(self, function_surrogate):
-        # every start below 0.5 fails where it starts and is dropped; the
-        # others descend into the failing half, which sinks the joint run
-        def linear_above(x):
-            if x[0] < 0.5:
+    def test_a_start_failing_inside_the_search_is_dropped_alone(self, function_surrogate):
+        # Phi has minima at x = 0.25 and 0.75, and the surrogate fails near
+        # 0.25, so the starts below 0.5 fail on their way down: each is
+        # dropped and counted, and the search reruns without it, so the
+        # starts above 0.5 still reach 0.75
+        def cosine_with_a_hole(x):
+            if abs(x[0] - 0.25) < 0.05:
                 raise NumericalError("no surrogate here")
-            return x[0]
+            return math.cos(4.0 * math.pi * x[0])
 
         prob = InverseProblem(
-            surrogate=function_surrogate(linear_above),
+            surrogate=function_surrogate(cosine_with_a_hole),
             observed=-1.0,
             obs_variance=1.0,
             bounds=((0.0, 1.0),),
         )
-        with pytest.raises(InferenceError, match="joint MAP search failed: no surrogate"):
-            map_multistart(prob, n_starts=16, seed=3)
+        starts = np.random.default_rng(3).random(16)
+        summary = map_multistart(prob, n_starts=16, seed=3)
+        expected = int(np.sum(starts < 0.5))
+        assert np.sum(np.abs(starts - 0.25) < 0.05) < expected < 16
+        assert summary.metadata["failed_starts"] == expected
+        [cluster] = summary.map_clusters
+        assert abs(cluster.x[0] - 0.75) < 1e-3
+        assert cluster.n_members == 16 - expected
+        assert cluster.objective < 1e-9
 
     @pytest.mark.parametrize(
         "preset",
@@ -294,16 +285,17 @@ class TestMapMultistart:
         ],
     )
     def test_preset_clusters_are_stationary_on_the_bound_or_exact(self, preset_runs, preset):
-        # the joint search stops on the projected gradient of all starts
-        # together, which must leave no reported start short of stationary.
-        # An exact fit may keep a larger gradient: on rosenbrock2d's steep
-        # arc |grad LS| is about 4000 |observed - mean|, so even the per-start
-        # search left exact fits at LS 1e-12 with gradient norms up to 8e-3.
+        # every reported start must stop as it would in a search of its own.
+        # An exact fit on rosenbrock2d's steep arc, where |grad LS| is about
+        # 4000 |observed - mean|, stops at the rounding of the mean: searches
+        # of one start each left such fits at LS up to 3.6e-12 with gradient
+        # norms up to 7.8e-3
         result = preset_runs(preset)[0]
-        floor = inversion._residual_floor(result.problem.observed)
+        exact = 1e-3 * inversion._residual_floor(result.problem.observed)
         assert result.summary.map_clusters
         for c in result.summary.map_clusters:
-            assert c.grad_norm < 1e-3 or c.on_bound or c.objective <= floor, c
+            fit = c.objective <= exact and c.grad_norm <= 1e-2
+            assert c.grad_norm < 1e-3 or c.on_bound or fit, c
 
     def test_negative_seed_is_a_configuration_error(self, mixed1d_problem):
         with pytest.raises(ConfigurationError, match="seed"):
