@@ -96,6 +96,6 @@ def eval_deterministic(s: DeterministicSurrogate, x) -> np.ndarray:
     outside = ~((x >= lo) & (x <= hi))
     if np.any(outside):
         raise DomainError(
-            f"query {x[outside][0]!r} outside surrogate domain [{lo}, {hi}]"
+            f"query {float(x[outside][0])!r} outside surrogate domain [{lo}, {hi}]"
         )
     return np.asarray(s.fitted(x), dtype=float)

@@ -124,7 +124,7 @@ def check_in_bounds(
     for i, (lo, hi) in enumerate(bounds):
         if not (lo <= x[i] <= hi):
             raise DomainError(
-                f"{what} coordinate {i} = {x[i]!r} outside [{lo}, {hi}]"
+                f"{what} coordinate {i} = {float(x[i])!r} outside [{lo}, {hi}]"
             )
     return x
 

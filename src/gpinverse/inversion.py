@@ -60,9 +60,9 @@ MAX_MAP_STARTS = 1024
 MAP_MAX_ITER = 400
 
 # A MAP start has converged when no coordinate of its projected gradient
-# exceeds _MAP_GTOL; a pass made progress when it lowered some start's Phi by
-# over _MAP_FTOL * max(Phi, 1).  Both are L-BFGS-B's defaults for one start.
-_MAP_GTOL, _MAP_FTOL = 1e-5, 1e7 * np.finfo(float).eps
+# exceeds _MAP_GTOL, L-BFGS-B's default for one start; a start that the joint
+# pass leaves above it goes on in a pass of its own.
+_MAP_GTOL = 1e-5
 
 _SURROGATE_ERRORS = (GpInverseError, ValueError, np.linalg.LinAlgError)
 
@@ -161,9 +161,8 @@ def _objective_and_grad(problem: InverseProblem, points: np.ndarray):
     """Phi, grad Phi, observed - mean and grad mean at each row of (m, d) points."""
     mean, dmean = problem.surrogate.mean_grad(points)
     resid = problem.observed - mean
-    with np.errstate(over="ignore"):  # an infinite Phi fails its MAP start
-        phi = resid * resid
-    grad = -2.0 * resid[:, None] * dmean
+    with np.errstate(over="ignore"):  # an infinite Phi or gradient fails its MAP start
+        phi, grad = resid * resid, -2.0 * resid[:, None] * dmean
     if problem.prior is not None:
         term, dterm = _prior_term(problem, points)
         phi, grad = phi + term, grad + dterm
@@ -189,7 +188,7 @@ def _scored(problem: InverseProblem, points: np.ndarray):
         raise _StartsFailed(rows or dict.fromkeys(range(len(points)), str(exc))) from exc
     bad = np.flatnonzero(~(np.isfinite(phi) & np.all(np.isfinite(grad), axis=1)))
     if bad.size:
-        raise _StartsFailed({int(k): f"non-finite Phi {phi[k]!r}" for k in bad})
+        raise _StartsFailed({int(k): f"non-finite Phi {float(phi[k])!r}" for k in bad})
     return phi, grad, resid
 
 
@@ -198,9 +197,10 @@ def log_posterior(problem: InverseProblem, points: np.ndarray):
 
     Rows outside ``bounds`` are evaluated too; the MCMC density masks them.
     """
-    ls = np.square(problem.observed - problem.surrogate.predict_mean(points))
-    phi = ls if problem.prior is None else ls + _prior_term(problem, points)[0]
-    with np.errstate(over="ignore"):  # a log NLS below -1e308 is -inf
+    mean = problem.surrogate.predict_mean(points)
+    with np.errstate(over="ignore"):  # an LS or log NLS beyond 1e308 is inf
+        ls = np.square(problem.observed - mean)
+        phi = ls if problem.prior is None else ls + _prior_term(problem, points)[0]
         return ls, -phi / (2.0 * problem.obs_variance)
 
 
@@ -212,10 +212,10 @@ class MapCluster:
     grad Phi; ``ls_residual`` is LS alone, equal to ``objective`` without a
     prior.  On a curve of exact solutions (the zero-misfit arcs of mixed2d and
     rosenbrock2d) an exact-fit cluster's ``x`` is where its starts stopped on
-    the curve, which follows the last bits of the mean and the other starts of
-    their passes: a change to those bits alone moved 6 of 15 and 6 of 16 such
-    clusters by over 1e-7, one by 2.9e-2.  Only ``objective`` and the curve are
-    determined, not ``x``.
+    the curve, which follows the last bits of the mean and, through the first
+    joint pass over every start, the other starts: a change to those bits alone
+    moved 6 of 15 and 6 of 16 such clusters by over 1e-7, one by 2.9e-2.  Only
+    ``objective`` and the curve are determined, not ``x``.
     """
 
     x: np.ndarray
@@ -302,7 +302,7 @@ def _cluster_endpoints(
                 ls_residual=float(ls_values[rep]),
                 objective=float(objectives[rep]),
                 n_members=len(mem),
-                grad_norm=float(np.linalg.norm(grads[rep])),
+                grad_norm=math.hypot(*grads[rep]),
                 on_bound=on_bound,
             )
         )
@@ -328,14 +328,14 @@ def map_multistart(problem: InverseProblem, n_starts: int, seed: int) -> Posteri
     """Bounded quasi-Newton minimization of Phi from seeded uniform starts.
 
     The ``n_starts`` (1 to MAX_MAP_STARTS) starts are stacked into one vector,
-    and an L-BFGS-B pass of at most MAP_MAX_ITER iterations minimizes the sum of
-    their Phi, stopping on the projected gradient alone.  A large Phi sets the
-    rounding of the sum and can stall the others, so the starts that a pass of
-    several left short of _MAP_GTOL go on, if it lowered some Phi, in passes of
-    their own split at the widest gap of their log Phi.  A start where the surrogate raises or Phi is
-    not finite is dropped, counted in ``metadata["failed_starts"]``, and its
-    pass rerun.  Returns the clusters best-first, multimodal when at least two
-    are within 10x the best.
+    and one joint L-BFGS-B pass of at most MAP_MAX_ITER iterations minimizes
+    the sum of their Phi, stopping on the projected gradient alone.  A large
+    Phi sets the rounding of the sum and can stall the others, so each start
+    that the joint pass leaves with a projected gradient coordinate above
+    _MAP_GTOL goes on in a pass of its own, its last.  A start where the
+    surrogate raises or Phi is not finite is dropped, counted in
+    ``metadata["failed_starts"]``, and its pass rerun.  Returns the clusters
+    best-first, multimodal when at least two are within 10x the best.
     """
     if not 1 <= n_starts <= MAX_MAP_STARTS:
         raise ConfigurationError(f"n_starts must lie in [1, {MAX_MAP_STARTS}]")
@@ -347,14 +347,14 @@ def map_multistart(problem: InverseProblem, n_starts: int, seed: int) -> Posteri
 
     def total(flat):
         value, grad, _ = _scored(problem, flat.reshape(-1, problem.dim))
-        return np.sum(value), grad.ravel()
+        with np.errstate(over="ignore"):  # L-BFGS-B backs off an infinite sum
+            return np.sum(value), grad.ravel()
 
     phi, grad, resid = np.zeros(n_starts), np.zeros_like(x), np.zeros(n_starts)
     failures, groups = {}, [np.arange(n_starts)]
     while groups:
         idx = groups.pop()
         try:
-            before = _scored(problem, x[idx])[0]
             res = sopt.minimize(
                 total, x[idx].ravel(), jac=True, method="L-BFGS-B",
                 bounds=np.tile(problem.bounds, (len(idx), 1)),
@@ -368,11 +368,9 @@ def map_multistart(problem: InverseProblem, n_starts: int, seed: int) -> Posteri
             groups += [idx] if idx.size else []
             continue
         x[idx] = end
-        left = idx[np.max(np.abs(end - np.clip(end - grad[idx], lo, hi)), axis=1) > _MAP_GTOL]
-        if len(idx) > 1 and left.size and np.any(before - phi[idx] > _MAP_FTOL * np.maximum(before, 1)):
-            left = left[np.argsort(phi[left], kind="stable")]
-            gaps = np.diff(np.log(np.maximum(phi[left], np.finfo(float).tiny)))
-            groups += np.split(left, [1 + np.argmax(gaps)] if gaps.size else [])
+        if len(idx) > 1:
+            left = np.max(np.abs(end - np.clip(end - grad[idx], lo, hi)), axis=1) > _MAP_GTOL
+            groups += list(idx[left, None])
     ok = np.setdiff1d(np.arange(n_starts), list(failures))
     if not ok.size:
         reason = "; ".join(f"start {k}: {failures[k]}" for k in sorted(failures))
@@ -408,7 +406,7 @@ def laplace_approximation(problem: InverseProblem, x_map) -> LaplaceResult:
     """
     x = check_in_bounds(problem.bounds, x_map)
     _, grad, resid, dmean = _objective_and_grad(problem, x[None, :])
-    grad_norm = float(np.linalg.norm(grad[0]))
+    grad_norm = math.hypot(*grad[0])
     if not grad_norm < _STATIONARY_GRAD_TOL:
         return _degenerate_laplace(
             f"point is not stationary: gradient norm {grad_norm:.3e} >= "

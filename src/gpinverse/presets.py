@@ -115,8 +115,8 @@ class ExperimentConfig:
     """One runnable experiment: benchmark, surrogate stage, optional stages.
 
     The inversion stage reports the high-probability set at the fixed level
-    ``inversion.HP_THRESHOLD`` (0.95), and each MAP start runs at most
-    ``inversion.MAP_MAX_ITER`` (400) L-BFGS-B iterations.  An mcmc stage
+    ``inversion.HP_THRESHOLD`` (0.95), and each pass of the MAP search runs at
+    most ``inversion.MAP_MAX_ITER`` (400) L-BFGS-B iterations.  An mcmc stage
     holds ``n_chains * n_steps * d`` path floats, at most
     ``sampling.MAX_CHAIN_VALUES``.  A comparison (``compare_benchmarks``
     set) runs ``bo`` as given on each benchmark and fits every family to the

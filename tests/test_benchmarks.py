@@ -107,10 +107,12 @@ def test_griewank_nonnegative_on_domain():
 
 def test_out_of_bounds_error_names_dimension():
     model = get_benchmark("mixed2d")
-    with pytest.raises(DomainError, match="coordinate 1"):
+    with pytest.raises(DomainError, match="coordinate 1") as info:
         eval_benchmark(model, [0.0, 3.5])
-    with pytest.raises(DomainError, match="coordinate 0"):
+    assert str(info.value) == "mixed2d input coordinate 1 = 3.5 outside [0.0, 3.0]"
+    with pytest.raises(DomainError, match="coordinate 0") as info:
         eval_benchmark(model, [-1.5, 1.0])
+    assert str(info.value) == "mixed2d input coordinate 0 = -1.5 outside [-1.0, 2.0]"
 
 
 def test_dimension_mismatch_is_shape_error():

@@ -22,6 +22,7 @@ from gpinverse import (
 )
 from gpinverse import inversion
 from gpinverse.inversion import evaluate_profile_grid
+from gpinverse.presets import get_preset
 
 
 def _forrester(x):
@@ -243,9 +244,10 @@ class TestMapMultistart:
         assert 0 < expected < 16
         assert summary.metadata["failed_starts"] == expected
         assert summary.map_clusters[0].x[0] == 0.0
-        # the failing starts are dropped before the search, and one L-BFGS-B
-        # run takes all the others stacked into one vector
-        assert calls == [(16 - expected,)]
+        # the joint run over all 16 starts raises at the failing start points;
+        # they are dropped, and one rerun takes the live starts stacked into
+        # one vector, all of which it leaves converged on the bound
+        assert calls == [(16,), (16 - expected,)]
 
     def test_a_start_failing_inside_the_search_is_dropped_alone(self, function_surrogate):
         # Phi has minima at x = 0.25 and 0.75, and the surrogate fails near
@@ -284,7 +286,9 @@ class TestMapMultistart:
             "rosenbrock2d-inverse",
         ],
     )
-    def test_preset_clusters_are_stationary_on_the_bound_or_exact(self, preset_runs, preset):
+    def test_preset_clusters_are_stationary_on_the_bound_or_exact(
+        self, preset_runs, preset, monkeypatch
+    ):
         # every reported start must stop as it would in a search of its own.
         # An exact fit on rosenbrock2d's steep arc, where |grad LS| is about
         # 4000 |observed - mean|, stops at the rounding of the mean: searches
@@ -296,6 +300,21 @@ class TestMapMultistart:
         for c in result.summary.map_clusters:
             fit = c.objective <= exact and c.grad_norm <= 1e-2
             assert c.grad_norm < 1e-3 or c.on_bound or fit, c
+        if preset == "rosenbrock2d-inverse":
+            # the joint pass over the 32 starts leaves some short of _MAP_GTOL,
+            # and each of those goes on in a pass of its own
+            settings = get_preset(preset).inversion
+            sizes = []
+            minimize = inversion.sopt.minimize
+
+            def counting(*args, **kwargs):
+                sizes.append(args[1].size)
+                return minimize(*args, **kwargs)
+
+            monkeypatch.setattr(inversion.sopt, "minimize", counting)
+            map_multistart(result.problem, settings.n_starts, settings.map_seed)
+            assert sizes[0] == 64
+            assert set(sizes[1:]) == {2}
 
     def test_negative_seed_is_a_configuration_error(self, mixed1d_problem):
         with pytest.raises(ConfigurationError, match="seed"):

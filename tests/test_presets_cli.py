@@ -286,6 +286,26 @@ def test_cli_profile_without_a_finite_log_nls_exits_4_writing_no_nan(tmp_path, c
             assert not np.isnan(np.loadtxt(outdir / name, delimiter=",", skiprows=1)).any()
 
 
+@pytest.mark.parametrize("observed, code", [("1e154", 0), ("1e308", 4)])
+def test_cli_far_observation_overflows_into_no_infinity(tmp_path, observed, code):
+    # at 1e154 Phi nears the float range and the gradient norms pass it when
+    # squared; at 1e308 Phi and its gradient overflow at every start
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(
+        "benchmark = forrester1d\nbo.n_init = 4\nbo.max_evaluations = 6\n"
+        f"inversion.observed = {observed}\ninversion.obs_variance = 1e300\n"
+    )
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == code
+
+    def no_constant(name):
+        raise AssertionError(f"{name} written to a JSON artifact")
+
+    for name in os.listdir(outdir):
+        if name.endswith(".json"):
+            json.loads((outdir / name).read_text(), parse_constant=no_constant)
+
+
 def test_failed_run_into_a_reused_out_lists_only_its_own_files(tmp_path):
     # the first run's posterior.json and profiles.csv stay on disk beside the
     # second run's error manifest, whose files tell them apart
