@@ -7,10 +7,11 @@ differ from the dataclass defaults.  ``run_experiment`` executes one and
 writes all artifacts (manifest, traces, posterior summary, profiles,
 chains) into an output directory.  Numeric CSV content is written with
 full round-trip precision so repeated runs with the same seed are
-byte-identical.  Each value is formatted once where the repeats are known:
-profile coordinates from their axes, at one 8-byte reference per coordinate
-cell; chain steps and accept flags once for all chains; and each chain's
-KDE rows once for its kde file and the overlay, one chain's text at a time.
+byte-identical.  The CSV writer formats every cell it gets, and a caller
+formats known repeats once: profile coordinates from their axes, at one
+8-byte reference per cell; chain steps and accept flags once for all
+chains; each chain state at the step that reached it; and each chain's KDE
+rows once for its kde file and the overlay, one chain's text at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .baselines import eval_deterministic, fit_deterministic
 from .benchmarks import check_in_bounds, eval_benchmark, get_benchmark
 from .bo import NOISE_VARIANCE, UCB_KAPPA, VALIDATION_POINTS
 from .bo import BoConfig, BoTrace, run_bo, _validation_set
-from .errors import ConfigurationError, GpInverseError, ShapeError
+from .errors import ConfigurationError, DegenerateDataError, GpInverseError, ShapeError
 # gp_predict_many is not called here, but perfbench/tracing.py wraps it on
 # this module as well as on gp and bo
 from .gp import HYPERPARAMETER_ASCENTS, LENGTH_SCALE_FACTORS
@@ -418,12 +419,11 @@ def load_config_file(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-# Rows formatted per block of CSV text.  A numeric block formats each
-# distinct float bit pattern with ``repr`` once and reuses its text for every
-# cell holding it; one Python object per cell lives only for the block.  A
-# text column arrives formatted, as one 8-byte reference per cell to texts
-# its caller formatted once per distinct value, so peak memory stays bounded
-# by the column arrays and those texts.
+# Rows formatted per block of CSV text.  A numeric block formats each cell;
+# one Python object per cell lives only for the block.  A text column arrives
+# formatted, as one 8-byte reference per cell to texts its caller formatted
+# once per distinct value it knows of, so peak memory stays bounded by the
+# column arrays and those texts.
 _CSV_BLOCK_ROWS = 1024
 
 
@@ -446,23 +446,14 @@ def _open_artifact(result, relpath: str):
 
 
 def _cell_texts(block: np.ndarray) -> list[str]:
-    """Text of each cell of one column block.
-
-    Floats get ``repr`` once per distinct ``float64`` bit pattern, found on
-    the bits so ``-0.0`` stays apart from ``0.0`` and each NaN matches
-    itself; ints and strings get ``str``; an object block holds its texts
-    already and is returned as it is.
-    """
+    """Text of each cell of one column block: ``repr`` of each float, as
+    ``float64``; ``str`` of each int or string; an object block holds its
+    texts already and is returned as it is."""
     if block.dtype == object:
         return block.tolist()
-    if block.dtype.kind != "f":
-        return list(map(str, block.tolist()))
-    values = block.astype(np.float64)
-    _, first, inverse = np.unique(
-        values.view(np.int64), return_index=True, return_inverse=True
-    )
-    texts = np.array(list(map(repr, values[first].tolist())), dtype=object)
-    return texts[inverse].tolist()
+    if block.dtype.kind == "f":
+        return list(map(repr, block.astype(np.float64).tolist()))
+    return list(map(str, block.tolist()))
 
 
 def _texts(values: np.ndarray) -> np.ndarray:
@@ -474,13 +465,12 @@ def _write_csv(result, relpath: str, columns: dict) -> None:
     """Write ``{header: 1-D column}`` as one CSV artifact.
 
     Floats are written with their round-trip ``repr`` so repeated runs with
-    the same seed are byte-identical; ints and strings with ``str``.  Each
-    block of rows formats one ``repr`` per distinct float bit pattern, which
-    gives the same bytes as ``repr`` per cell.  A text column, an object
-    array of ``str`` such as ``_texts`` gives, is written as it is, so a
-    caller that writes the same values in many cells or files formats them
-    once.  Columns of unequal length raise ShapeError before the file is
-    opened.
+    the same seed are byte-identical; ints and strings with ``str``.  Every
+    cell of a numeric column is formatted, repeats too.  A text column, an
+    object array of ``str`` such as ``_texts`` gives, is written as it is,
+    so a caller that knows where values repeat, in many cells or files,
+    formats each once.  Columns of unequal length raise ShapeError before
+    the file is opened.
     """
     arrays = [np.asarray(c) for c in columns.values()]
     lengths = [len(a) for a in arrays]
@@ -574,12 +564,16 @@ def _run_mcmc_stage(config, result, profile):
     steps = _texts(np.arange(config.mcmc.n_steps))
     flags = np.array(["0", "1"], dtype=object)
     for ch in chains:
+        # A rejected step repeats the row before it bit for bit: format each
+        # state once, at the step that reached it (row 0 holds the first).
+        new = np.concatenate(([True], ch.accepted[1:]))
+        index = np.cumsum(new) - 1
         _write_csv(
             result,
             f"chains/chain_{ch.chain_index:02d}.csv",
             {
                 "step": steps,
-                **{f"x{i}": column for i, column in enumerate(ch.path.T)},
+                **{f"x{i}": _texts(ch.path[new, i])[index] for i in range(problem.dim)},
                 "accepted": flags[ch.accepted.astype(np.intp)],
             },
         )
@@ -592,7 +586,10 @@ def _run_mcmc_stage(config, result, profile):
         with _open_artifact(result, "kde_overlay.csv") as overlay:
             overlay.write("chain,x,density\n")
             for ch in chains:
-                density = kde_estimate(ch.samples[:, 0], kde_grid)
+                try:
+                    density = kde_estimate(ch.samples[:, 0], kde_grid)
+                except DegenerateDataError as exc:
+                    raise DegenerateDataError(f"chain {ch.chain_index}: {exc}") from exc
                 rows = list(map(",".join, zip(grid_texts, _cell_texts(density))))
                 with _open_artifact(result, f"chains/kde_{ch.chain_index:02d}.csv") as fh:
                     fh.write("x,density\n" + "\n".join(rows) + "\n")

@@ -730,6 +730,7 @@ def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path, monkeypatch):
         + "inversion.n_starts = 4\n"
         + "inversion.grid_resolution = 256\n"
         + "mcmc.n_chains = 2\nmcmc.n_steps = 50\nmcmc.burn_in = 10\n"
+        + "mcmc.seed = 3\n"  # chain 0 rejects its first step
     )
     outdir = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 0
@@ -738,6 +739,7 @@ def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path, monkeypatch):
     rows = [line.split(",") for line in lines[1:]]
     assert [r[0] for r in rows] == [str(t) for t in range(50)]
     assert {r[2] for r in rows} <= {"0", "1"}
+    _assert_chains_match_the_row_by_row_rule(tmp_path, outdir, results[0].chains)
     manifest = json.loads((outdir / "manifest.json").read_text())
     made = manifest["mcmc"]["independence_proposals"]
     taken = manifest["mcmc"]["independence_accepted"]
@@ -763,6 +765,56 @@ def test_cli_mcmc_run_writes_integer_chain_steps(tmp_path, monkeypatch):
         overlay_rows += zip([str(ch.chain_index)] * grid.size, grid, density)
     _reference_csv(tmp_path / "overlay.csv", ["chain", "x", "density"], overlay_rows)
     assert (outdir / "kde_overlay.csv").read_bytes() == (tmp_path / "overlay.csv").read_bytes()
+
+
+def _assert_chains_match_the_row_by_row_rule(tmp_path, outdir, chains):
+    # The writer formats a state only at the step that reached it, so a
+    # chain that rejects its first step checks row 0, the start state.
+    assert not all(ch.accepted[0] for ch in chains)
+    for ch in chains:
+        name = f"chain_{ch.chain_index:02d}.csv"
+        header = ["step", *(f"x{i}" for i in range(ch.path.shape[1])), "accepted"]
+        rows = [(str(t), *ch.path[t], str(int(a))) for t, a in enumerate(ch.accepted)]
+        _reference_csv(tmp_path / name, header, rows)
+        assert (outdir / "chains" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_cli_2d_mcmc_run_writes_each_chain_state_of_every_step(tmp_path, monkeypatch):
+    results = _capture_results(monkeypatch)
+    cfg = tmp_path / "mcmc2d.cfg"
+    cfg.write_text(
+        _SMALL_RUN.replace("forrester1d", "mixed2d")
+        + _INV
+        + "inversion.x_true = 0.5, 1.5\n"
+        + "inversion.n_starts = 4\n"
+        + "inversion.grid_resolution = 64\n"
+        + "mcmc.n_chains = 2\nmcmc.n_steps = 50\nmcmc.burn_in = 10\n"
+        + "mcmc.seed = 2\n"  # chain 1 rejects its first step
+    )
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 0
+    assert sorted(os.listdir(outdir / "chains")) == ["chain_00.csv", "chain_01.csv"]
+    _assert_chains_match_the_row_by_row_rule(tmp_path, outdir, results[0].chains)
+
+
+def test_cli_chain_of_one_repeated_sample_exits_3_naming_the_chain(tmp_path, capsys):
+    # chain 1 rejects both of its post-burn-in steps, so its kernel density
+    # estimate has no bandwidth
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(
+        _RUN_OBS
+        + "inversion.grid_resolution = 64\n"
+        + "mcmc.n_chains = 2\nmcmc.n_steps = 3\nmcmc.burn_in = 1\nmcmc.seed = 1\n"
+    )
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(outdir)]) == 3
+    message = "chain 1: samples identical up to rounding (std 0)"
+    assert capsys.readouterr().err.startswith("numerical failure: " + message)
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"]["stage"] == "mcmc"
+    assert manifest["error"]["type"] == "DegenerateDataError"
+    assert manifest["error"]["message"].startswith(message)
+    assert "chains/kde_00.csv" in manifest["files"]
 
 
 def test_cli_unwritable_artifact_exits_2_with_an_error_record(tmp_path, capsys):
