@@ -431,15 +431,20 @@ _CSV_BLOCK_ROWS = 1024
 def _open_artifact(result, relpath: str):
     """Open ``relpath`` under the output directory for writing.
 
-    ``relpath`` joins ``result.files`` once its file is complete.  An OSError
-    from making its directory, opening or writing it raises
-    ConfigurationError, as one from making the output directory does.
+    ``relpath`` joins ``result.files`` once its file is complete, and its
+    file is deleted when the body raises.  An OSError from making its
+    directory, opening or writing it raises ConfigurationError.
     """
     path = os.path.join(result.outdir, relpath)
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
+            try:
+                yield fh
+            except BaseException:
+                fh.close()
+                os.remove(path)
+                raise
     except OSError as exc:
         raise ConfigurationError(f"cannot write {relpath}: {exc}") from exc
     result.files.append(relpath)

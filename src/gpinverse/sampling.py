@@ -5,11 +5,13 @@ NLS(x) = exp(-Phi(x) / (2 sigma_obs^2)) restricted to the parameter box, where
 Phi is the inversion module's objective: the misfit LS plus the Gaussian
 prior term when the problem has a prior.  Each step mixes a random-walk
 kernel with an independence kernel whose proposal is built from the
-inversion stage's profile grid.  The sampler prefetches log densities along
-each block's most likely path and rescores where the chains leave it, in
-rounds that resolve the independent stretches of every chain at once, so a
-few batched surrogate calls per block replace one call per step, with the
-arithmetic of a one-step-at-a-time sampler.
+inversion stage's profile grid.  Each chain draws its random numbers in
+fixed draw blocks of 128 steps; the sampler resolves them in larger resolve
+blocks of up to about 10,000 rows over all chains.  It prefetches log
+densities along each resolve block's most likely path and rescores where the
+chains leave it, in rounds that resolve the independent stretches of every
+chain at once, so a few batched surrogate calls per resolve block replace one
+call per step, with the arithmetic of a one-step-at-a-time sampler.
 Per-chain kernel density estimates and a dense-grid reference posterior give
 a qualitative picture of multimodality that the local Laplace summary cannot
 provide.
@@ -48,9 +50,13 @@ _ROUNDOFF_SPREAD = 64 * np.finfo(float).eps
 # proposal q instead of a random-walk step, and q's share uniform by volume.
 INDEPENDENCE_PROBABILITY = 0.2
 _Q_UNIFORM_SHARE = 0.01
-# Steps of random numbers each chain draws at once; bounds the draw buffers
-# whatever n_steps is.
+# Steps of random numbers each chain draws at a time (a draw block), in the
+# order normal, exponential, choice, cell, offsets: this fixes every stream.
 _BLOCK_STEPS = 128
+# Rows (chains x steps) the prefetch scores and resolves at once: a resolve
+# block's fixed cost is shared by up to this many rows, and its buffers stay
+# bounded whatever n_steps is.
+_RESOLVE_ROWS = 10_240
 
 # Upper bound on n_chains * n_steps * d, the floats of the chain paths that
 # run_mcmc holds and the chain CSVs write out.
@@ -162,6 +168,11 @@ class _ProfileProposal:
         return self.cell_log_density[flat]
 
 
+def _resolve_steps(n_chains: int) -> int:
+    """Steps per resolve block: the most whole draw blocks within _RESOLVE_ROWS, one at least."""
+    return max(1, _RESOLVE_ROWS // (n_chains * _BLOCK_STEPS)) * _BLOCK_STEPS
+
+
 def _reach(indep: np.ndarray) -> np.ndarray:
     """(n, size) array: the step after the first q step after t, else size."""
     n, size = indep.shape
@@ -207,26 +218,29 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[Chain
 
     Each chain draws from its own generator seeded by (seed, chain_index),
     starts at its first uniform draw in the box, and then draws its random
-    numbers in blocks of _BLOCK_STEPS steps.  Acceptance compares log
+    numbers in draw blocks of _BLOCK_STEPS steps.  Acceptance compares log
     densities, so a start where exp() underflows needs no retry.  No state
     is shared between chains.
 
-    Density evaluations are prefetched along each block's most likely path,
+    The steps are resolved in resolve blocks, the most whole draw blocks
+    whose n_chains * steps stay within _RESOLVE_ROWS, one at least; they
+    only group the draws, so the chains do not depend on them.  Density
+    evaluations are prefetched along each resolve block's most likely path,
     the speculation (Brockwell 2006; Strid 2010): every q proposal accepted
     and every random-walk proposal rejected.  On it the state before a step
     is the q point of the chain's last q step, so one batched call scores
-    every proposal of the block.  Rounds follow, one batched call each for
-    all chains.  A group is a q step and the random-walk steps after it; an
-    accepted q proposal makes a group's states independent of the groups
-    before it.  Each round takes, in every group of every chain, the first
-    step whose decision differs from the one its successors' states were
-    written for (at first a rejected q or an accepted random-walk proposal),
-    and scores the group's later random-walk proposals again from the state
-    after it.  A q step waits until it is its chain's first such step, when
-    its inputs are final.  So each chain's first such step is final too, a
-    run makes at most the rounds of one that resolves one step per chain per
-    round, and a group resolved on states that a later round changes is
-    scored again.
+    every proposal of the resolve block.  Rounds follow, one batched call
+    each for all chains.  A group is a q step and the random-walk steps
+    after it; an accepted q proposal makes a group's states independent of
+    the groups before it.  Each round takes, in every group of every chain,
+    the first step whose decision differs from the one its successors'
+    states were written for (at first a rejected q or an accepted
+    random-walk proposal), and scores the group's later random-walk
+    proposals again from the state after it.  A q step waits until it is
+    its chain's first such step, when its inputs are final.  So each
+    chain's first such step is final too, a run makes at most the rounds of
+    one that resolves one step per chain per round, and a group resolved on
+    states that a later round changes is scored again.
     Every proposal and acceptance test is computed with the arithmetic of a
     one-step-at-a-time sampler, and only the batches in which log densities
     are computed differ.  So the chains are that sampler's bit for bit
@@ -258,21 +272,16 @@ def run_mcmc(problem: InverseProblem, config: McmcConfig, profile) -> list[Chain
     made = np.zeros(n_chains, dtype=int)
     taken = np.zeros(n_chains, dtype=int)
     evaluations = np.ones(n_chains, dtype=int)
-    for start in range(0, n_steps, _BLOCK_STEPS):
-        size = min(_BLOCK_STEPS, n_steps - start)
-        normal, expo, choice, cell_u, offsets = (
-            np.stack(a)
-            for a in zip(*(
-                (
-                    rng.standard_normal((size, d)),
-                    rng.standard_exponential(size),
-                    rng.random(size),
-                    rng.random(size),
-                    rng.random((size, d)),
-                )
-                for rng in rngs
-            ))
-        )
+    resolve_steps = _resolve_steps(n_chains)
+    for start in range(0, n_steps, resolve_steps):
+        size = min(resolve_steps, n_steps - start)
+        normal, offsets = np.empty((2, n_chains, size, d))
+        expo, choice, cell_u = np.empty((3, n_chains, size))
+        for rng, *draws in zip(rngs, normal, expo, choice, cell_u, offsets):
+            methods = (rng.standard_normal, rng.standard_exponential) + (rng.random,) * 3
+            for a in range(0, size, _BLOCK_STEPS):
+                for method, out in zip(methods, draws):
+                    method(out=out[a : a + _BLOCK_STEPS])
         indep = choice < INDEPENDENCE_PROBABILITY
         q_points = q.sample(cell_u.ravel(), offsets.reshape(-1, d)).reshape(offsets.shape)
         log_q = q.log_density(q_points.reshape(-1, d)).reshape(indep.shape)

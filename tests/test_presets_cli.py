@@ -815,6 +815,9 @@ def test_cli_chain_of_one_repeated_sample_exits_3_naming_the_chain(tmp_path, cap
     assert manifest["error"]["type"] == "DegenerateDataError"
     assert manifest["error"]["message"].startswith(message)
     assert "chains/kde_00.csv" in manifest["files"]
+    # the overlay already held chain 0's rows; no incomplete artifact remains
+    assert "kde_overlay.csv" not in manifest["files"]
+    assert not (outdir / "kde_overlay.csv").exists()
 
 
 def test_cli_unwritable_artifact_exits_2_with_an_error_record(tmp_path, capsys):

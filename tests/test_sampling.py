@@ -264,21 +264,21 @@ def _assert_matches_reference(prob, cfg, profile, reference_errstate="raise"):
     return chains
 
 
-def _batch_layout(accepted, indep):
-    """The serial schedule's log density batch sizes per block, and rows per chain.
+def _batch_layout(accepted, indep, block_steps):
+    """The serial schedule's log density batch sizes per resolve block, and rows per chain.
 
     Built from the one-step sampler's flags for a round loop that resolves
     each chain's steps off the speculation one at a time: a step leaves the
     speculation where its accept flag differs from its q flag.  A first
-    batch scores the starts; each block then scores every proposal of its
-    speculation, and round r scores, for every chain, the random-walk steps
-    after the chain's r-th step off the speculation up to its next q step.
-    Rounds with no such step make no call.
+    batch scores the starts; each resolve block of ``block_steps`` steps
+    then scores every proposal of its speculation, and round r scores, for
+    every chain, the random-walk steps after the chain's r-th step off the
+    speculation up to its next q step.  Rounds with no such step make no call.
     """
     n_chains, n_steps = accepted.shape
     blocks, rows = [], np.ones(n_chains, dtype=int)
-    for start in range(0, n_steps, _BLOCK_STEPS):
-        block = slice(start, start + _BLOCK_STEPS)
+    for start in range(0, n_steps, block_steps):
+        block = slice(start, start + block_steps)
         acc, ind = accepted[:, block], indep[:, block]
         rows += acc.shape[1]
         rounds = np.zeros(acc.shape[1] + 1, dtype=int)
@@ -295,12 +295,12 @@ def _batch_layout(accepted, indep):
 def _run_within_serial_schedule(monkeypatch, prob, cfg, profile):
     """run_mcmc's chains, checked against the serial schedule of _batch_layout.
 
-    Records the batch sizes per block (q is sampled once per block, before
-    the block's first density call) and asserts that the starts take one
-    batch, each block's first batch scores its whole speculation, each block
-    makes at most the serial schedule's batches and each chain scores at
-    least its rows.  Returns the chains, the batches made, and the serial
-    schedule's batches and rows.
+    Records the batch sizes per resolve block (q is sampled once per
+    resolve block, before its first density call) and asserts that the
+    starts take one batch, each block's first batch scores its whole
+    speculation, each block makes at most the serial schedule's batches and
+    each chain scores at least its rows.  Returns the chains, the batches
+    made, and the serial schedule's batches and rows.
     """
     batches = [[]]
     sample = _ProfileProposal.sample
@@ -313,12 +313,14 @@ def _run_within_serial_schedule(monkeypatch, prob, cfg, profile):
         batches.append([])
         return sample(self, cell_u, offsets)
 
-    monkeypatch.setattr(sampling, "log_posterior", recording)
-    monkeypatch.setattr(_ProfileProposal, "sample", opening_a_block)
-    chains = run_mcmc(prob, cfg, profile)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "log_posterior", recording)
+        patch.setattr(_ProfileProposal, "sample", opening_a_block)
+        chains = run_mcmc(prob, cfg, profile)
     _, accepted, _, _, indep = _reference_run_mcmc(prob, cfg, profile)
-    want_blocks, want_rows = _batch_layout(accepted, indep)
+    want_blocks, want_rows = _batch_layout(
+        accepted, indep, sampling._resolve_steps(cfg.n_chains)
+    )
     starts, blocks = batches[0], batches[1:]
     assert starts == [cfg.n_chains]
     assert len(blocks) == len(want_blocks)
@@ -366,6 +368,44 @@ class TestPrefetch:
         if scale < 1.0:
             # q proposals are accepted here, so independent groups share rounds
             assert made < serial
+
+    @pytest.mark.parametrize("draw_blocks", [1, 3, 9])
+    @pytest.mark.parametrize("n_steps", [300, 1100])
+    @pytest.mark.parametrize("n_chains", [1, 7])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_across_resolve_blocks(
+        self, function_surrogate, monkeypatch, dim, n_chains, n_steps, draw_blocks
+    ):
+        # Resolve blocks of 128, 384 and 1152 steps: the runs cross resolve
+        # boundaries or end in a partial resolve block, and every run's last
+        # draw block is partial.  The chains and the serial schedule's bound
+        # hold whatever the resolve block.
+        monkeypatch.setattr(sampling, "_RESOLVE_ROWS", n_chains * draw_blocks * _BLOCK_STEPS)
+        assert sampling._resolve_steps(n_chains) == draw_blocks * _BLOCK_STEPS
+        prob = _stub_problem(function_surrogate, dim)
+        cfg = McmcConfig(n_chains=n_chains, n_steps=n_steps, burn_in=30, proposal_scale=0.2, seed=4)
+        profile = evaluate_profile_grid(prob, 64)
+        _assert_matches_reference(prob, cfg, profile)
+        _run_within_serial_schedule(monkeypatch, prob, cfg, profile)
+
+    @pytest.mark.parametrize("n_chains, n_steps", [(1, 40_000), (200, 300)])
+    def test_batches_stay_within_a_resolve_block(
+        self, function_surrogate, monkeypatch, n_chains, n_steps
+    ):
+        # The largest log density batch is a full resolve block's
+        # speculation: _RESOLVE_ROWS rows, or one draw block of every chain
+        # when that is more.
+        batches = []
+
+        def recording(problem, x):
+            batches.append(len(x))
+            return log_posterior(problem, x)
+
+        monkeypatch.setattr(sampling, "log_posterior", recording)
+        prob = _stub_problem(function_surrogate, 1)
+        cfg = McmcConfig(n_chains=n_chains, n_steps=n_steps, burn_in=30, proposal_scale=0.2)
+        run_mcmc(prob, cfg, evaluate_profile_grid(prob, 64))
+        assert max(batches) == max(sampling._RESOLVE_ROWS, _BLOCK_STEPS * n_chains)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_with_a_proposal_built_for_another_observation(
